@@ -87,6 +87,12 @@ class SampleHandle:
     bit-identical draws, which lets the same realizations be re-evaluated
     at a different point (curvature pairs need exactly this).
 
+    Handles are frozen and compare by value, so a problem may key a cache
+    on them: the built-in problems keep the reduced draw (row indices,
+    mean noise factors, a frozen batch function) of their most recent
+    handle and call ``generator()`` at most once per handle in a solver
+    run.
+
     A problem must consume the generator with a fixed recipe (same calls,
     same shapes) for a given batch size; the recipe may not depend on the
     query point.

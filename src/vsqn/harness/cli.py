@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..solvers import ConfigError, run
+from ..solvers import PAIR_COUNTERS, ConfigError, run
 from .checks import sparsity_count
 from .config import ConfigFileError, ExperimentConfig, build_problem, load_config
 from .logs import write_csv, write_summary
@@ -43,6 +43,8 @@ def _execute_cell(cell: ExperimentConfig, seed: int, out_dir: Path) -> Path:
         "theoretical_step": result.theoretical_step,
         "used_step": result.used_step,
     }
+    summary.update({key: result.extras[key] for key in PAIR_COUNTERS
+                    if key in result.extras})
     estimator = result.x_averaged if result.x_averaged is not None else result.x_final
     if cell.sparsity_threshold is not None:
         summary["n0"] = sparsity_count(estimator, cell.sparsity_threshold)

@@ -120,12 +120,13 @@ def _cells_illcond():
     problem = dict(n=20, kappa=1e5, noise=0.5)
     budget = 2_000_000
     batch = BatchSchedule("geometric", N0=1, rate=0.98)
+    # criterion 10's ramped step; a constant 2e-4 step diverges on both
+    # vs_sqn cells (gap 4.4e5 -> 1.1e8)
+    ramp = ScalarSchedule("power", base=1e-5, exponent=1.5, offset=1)
     cells = []
     for name, scheme, extra in (
-        ("illcond_vs_sqn_m1", "vs_sqn",
-         {"m": 1, "step": ScalarSchedule("constant", 2e-4)}),
-        ("illcond_vs_sqn_m10", "vs_sqn",
-         {"m": 10, "step": ScalarSchedule("constant", 2e-4)}),
+        ("illcond_vs_sqn_m1", "vs_sqn", {"m": 1, "step": ramp}),
+        ("illcond_vs_sqn_m10", "vs_sqn", {"m": 10, "step": ramp}),
         ("illcond_apg", "apg_baseline", {}),
     ):
         cells.append(ExperimentConfig(

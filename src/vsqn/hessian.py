@@ -2,7 +2,10 @@
 approximation, in plain and regularized-smoothed variants.
 
 Pairs are formed at odd iterations from two batch gradients evaluated on
-the identical replayed sample batch.  In strongly convex (SC) mode y is the
+the identical sample batch, the one drawn for the previous step: the
+gradient at the previous iterate is that step's own gradient when the
+smoothing levels agree, and the problem's batch cache serves the other
+without a redraw.  In strongly convex (SC) mode y is the
 raw gradient difference; in merely convex (C) mode the gradients are taken
 of a mildly smoothed surrogate (level eta**delta) and y gains a
 mu**delta_bar * s term so the secant condition survives without strong
@@ -70,7 +73,7 @@ def collect_pair(
     delta: float = 1.0,
     delta_bar: float = 1.0,
 ) -> CurvaturePair:
-    """Build a curvature pair from gradients on one replayed batch.
+    """Build a curvature pair from gradients on one sample batch.
 
     Both gradients must come from the identical sample handle; in C mode
     they must additionally be gradients of the eta_i**delta-smoothed

@@ -4,7 +4,9 @@ least squares, an l1 location family for nonsmooth runs, a 2-D nonsmooth
 benchmark with a known optimum, and a sparse text dataset loader.
 
 All oracles draw their randomness from a replayable SampleHandle and reduce
-in fixed index order, so replays are bit-identical.
+in fixed index order, so replays are bit-identical.  Each sampled problem
+keeps the reduced draw of its most recent handle in a one-slot cache, so
+re-evaluating that batch at another point (a curvature pair) draws nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +26,29 @@ from .smoothing import (
 )
 
 
+class _LastBatchSlot:
+    """Mixin: ``_batch(handle)`` is ``_draw(handle)`` cached for the most
+    recent handle.
+
+    ``_draw`` returns what the batch oracles need from one draw: row
+    indices (not the gathered rows), mean noise factors, the l1 location
+    offsets, or a frozen batch function.  Handles compare by value, so a
+    replayed handle hits the slot and any other one replaces it; the old
+    draw is dropped before the new one is made, so at most one is held.
+    ``per_sample_gradients`` calls ``_draw`` directly.
+    """
+
+    _slot_handle: Optional[SampleHandle] = None
+    _slot_value = None
+
+    def _batch(self, handle: SampleHandle):
+        if handle != self._slot_handle:
+            self._slot_handle = self._slot_value = None
+            self._slot_value = self._draw(handle)
+            self._slot_handle = handle
+        return self._slot_value
+
+
 @dataclass
 class BatchFunction:
     """A batch-average function frozen on one sample handle."""
@@ -39,7 +64,7 @@ class BatchFunction:
 # ---------------------------------------------------------------------------
 
 
-class QuadraticEnsemble:
+class QuadraticEnsemble(_LastBatchSlot):
     """E[(1/2) x'Q(w)x + c(w)'x] with c(w) = -Q(w) x_true.
 
     The mean matrix has the requested spectrum (extremes pinned); each
@@ -88,8 +113,11 @@ class QuadraticEnsemble:
         return gen.uniform(1.0 - self.noise, 1.0 + self.noise,
                            size=(handle.batch, self.eigs.size))
 
+    def _draw(self, handle: SampleHandle) -> Array:
+        return self._noise_factors(handle).mean(axis=0)
+
     def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
-        mean_factors = self._noise_factors(handle).mean(axis=0)
+        mean_factors = self._batch(handle)
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
         return self.frame @ (self.eigs * mean_factors * w)
 
@@ -99,13 +127,12 @@ class QuadraticEnsemble:
         return (factors * (self.eigs * w)) @ self.frame.T
 
     def batch_value(self, x: Array, handle: SampleHandle) -> float:
-        mean_factors = self._noise_factors(handle).mean(axis=0)
+        mean_factors = self._batch(handle)
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
         return 0.5 * float((self.eigs * mean_factors) @ (w * w))
 
     def frozen_batch(self, handle: SampleHandle) -> BatchFunction:
-        mean_factors = self._noise_factors(handle).mean(axis=0)
-        scaled = self.eigs * mean_factors
+        scaled = self.eigs * self._batch(handle)
 
         def grad(u):
             w = self.frame.T @ (np.asarray(u, float) - self.x_true)
@@ -168,7 +195,7 @@ def _stable_sigmoid(t: Array) -> Array:
     return out
 
 
-class LogisticProblem:
+class LogisticProblem(_LastBatchSlot):
     """Sampled-average logistic loss with optional l2 and (smoothed) l1
     terms.  Sampling is with replacement over the data rows."""
 
@@ -200,7 +227,7 @@ class LogisticProblem:
             lipschitz_L=L if L > 0 else None,
         )
 
-    def _draw_rows(self, handle: SampleHandle) -> Array:
+    def _draw(self, handle: SampleHandle) -> Array:
         return handle.generator().integers(0, self.N, size=handle.batch)
 
     def _penalty_grad(self, x: Array, l1_eta: Optional[float] = None) -> Array:
@@ -231,23 +258,23 @@ class LogisticProblem:
 
     def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
         x = np.asarray(x, dtype=float)
-        rows = self._draw_rows(handle)
+        rows = self._batch(handle)
         return self._loss_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x)
 
     def batch_gradient_smoothed(self, x: Array, handle: SampleHandle,
                                 eta: float) -> Array:
         x = np.asarray(x, dtype=float)
-        rows = self._draw_rows(handle)
+        rows = self._batch(handle)
         return self._loss_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x, eta)
 
     def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
         x = np.asarray(x, dtype=float)
-        rows = self._draw_rows(handle)
+        rows = self._draw(handle)
         return self._loss_grad_rows(x, rows) + self._penalty_grad(x)[None, :]
 
     def batch_value(self, x: Array, handle: SampleHandle) -> float:
         x = np.asarray(x, dtype=float)
-        rows = self._draw_rows(handle)
+        rows = self._batch(handle)
         margins = -self.labels[rows] * (self.features[rows] @ x)
         return float(np.mean(np.logaddexp(0.0, margins))) + self._penalty_value(x)
 
@@ -391,7 +418,7 @@ def monotone_violation(x: Array) -> float:
     return float(np.maximum(x[:-1] - x[1:], 0.0).max())
 
 
-class IsotonicLasso:
+class IsotonicLasso(_LastBatchSlot):
     """(1/2) sum_i |A_i x - b_i|^2 over the monotone cone, handled through
     squared-distance smoothing of the constraint indicator.
 
@@ -411,7 +438,7 @@ class IsotonicLasso:
         self.data_lipschitz = gram_norm
         self.meta = ProblemMeta(n=n, lipschitz_L=gram_norm + 1.0 / self.default_eta)
 
-    def _rows(self, handle: SampleHandle) -> Array:
+    def _draw(self, handle: SampleHandle) -> Array:
         return handle.generator().integers(0, self.p, size=handle.batch)
 
     def _data_grad_rows(self, x: Array, rows: Array) -> Array:
@@ -428,12 +455,12 @@ class IsotonicLasso:
     def batch_gradient_smoothed(self, x: Array, handle: SampleHandle,
                                 eta: float) -> Array:
         x = np.asarray(x, dtype=float)
-        rows = self._rows(handle)
+        rows = self._batch(handle)
         return self._data_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x, eta)
 
     def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
         x = np.asarray(x, dtype=float)
-        rows = self._rows(handle)
+        rows = self._draw(handle)
         return self._data_grad_rows(x, rows) + self._penalty_grad(x, self.default_eta)
 
     def true_value(self, x: Array, eta: Optional[float] = None) -> float:
@@ -474,7 +501,7 @@ def make_isotonic(n: int, p: int, rng, eta: float = 1e-2,
 # ---------------------------------------------------------------------------
 
 
-class L1LocationProblem:
+class L1LocationProblem(_LastBatchSlot):
     """f(x) = (sc/2)|x - c|^2 + E |x - c - u|_1 with u uniform noise.
 
     The optimum is exactly the center c with value n*w/2, so optimality
@@ -499,31 +526,31 @@ class L1LocationProblem:
             x_star=self.center.copy(),
         )
 
-    def _offsets(self, handle: SampleHandle) -> Array:
+    def _draw(self, handle: SampleHandle) -> Array:
         gen = handle.generator()
         return gen.uniform(-self.w, self.w, size=(handle.batch, self.center.size))
 
     def batch_gradient_smoothed(self, x: Array, handle: SampleHandle,
                                 eta: float) -> Array:
         x = np.asarray(x, dtype=float)
-        diffs = (x - self.center)[None, :] - self._offsets(handle)
+        diffs = (x - self.center)[None, :] - self._batch(handle)
         quad = np.abs(diffs) <= eta
         grads = np.where(quad, diffs / eta, np.sign(diffs))
         return grads.mean(axis=0) + self.sc * (x - self.center)
 
     def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
         x = np.asarray(x, dtype=float)
-        diffs = (x - self.center)[None, :] - self._offsets(handle)
+        diffs = (x - self.center)[None, :] - self._batch(handle)
         return np.sign(diffs).mean(axis=0) + self.sc * (x - self.center)
 
     def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
         x = np.asarray(x, dtype=float)
-        diffs = (x - self.center)[None, :] - self._offsets(handle)
+        diffs = (x - self.center)[None, :] - self._draw(handle)
         return np.sign(diffs) + (self.sc * (x - self.center))[None, :]
 
     def value_smoothed(self, x: Array, handle: SampleHandle, eta: float) -> float:
         x = np.asarray(x, dtype=float)
-        diffs = (x - self.center)[None, :] - self._offsets(handle)
+        diffs = (x - self.center)[None, :] - self._batch(handle)
         ad = np.abs(diffs)
         vals = np.where(ad <= eta, diffs**2 / (2 * eta), ad - eta / 2.0)
         anchor = 0.5 * self.sc * float(np.sum((x - self.center) ** 2))
@@ -599,7 +626,7 @@ class LewisOvertonProblem:
 # ---------------------------------------------------------------------------
 
 
-class CompositeProblem:
+class CompositeProblem(_LastBatchSlot):
     """h + E[F(., w)] with h prox-friendly and F smooth and strongly convex
     per sample; envelope gradients of the sample-average composite are
     computed through an inner prox solve on the frozen batch."""
@@ -625,7 +652,7 @@ class CompositeProblem:
     def sample_L(self):
         return getattr(self.smooth, "sample_L", self.smooth.meta.lipschitz_L)
 
-    def _frozen(self, handle: SampleHandle) -> CompositeProxFunction:
+    def _draw(self, handle: SampleHandle) -> CompositeProxFunction:
         bf = self.smooth.frozen_batch(handle)
         return CompositeProxFunction(self.h, bf.value, bf.grad, bf.lipschitz_L,
                                      bf.tau, self.prox_spec)
@@ -633,7 +660,7 @@ class CompositeProblem:
     def envelope_gradient(self, x: Array, handle: SampleHandle, eta: float) -> Array:
         """(x - prox of the sample-average composite)/eta."""
         x = np.asarray(x, dtype=float)
-        u = self._frozen(handle).prox(x, eta)
+        u = self._batch(handle).prox(x, eta)
         return (x - u) / eta
 
     def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:

@@ -3,8 +3,13 @@
 Eight schemes share one contract: an update x <- x - gamma_k H_k u_k where
 u_k is a batch-average (possibly smoothed and/or regularized) gradient and
 H_k is the limited-memory approximation rebuilt from curvature pairs formed
-at odd iterations on replayed batches.  The schemes differ only in their
-schedules, in what u_k is, and in how pairs are built:
+at odd iterations.  A pair at iteration k uses the previous iteration's
+batch S_{k-1}: y = g(x_k; S_{k-1}) - g(x_{k-1}; S_{k-1}).  The second term
+is the previous step's raw oracle output whenever the pair is taken at the
+same smoothing level as that step, so it is reused rather than recomputed;
+the problem's one-slot batch cache serves the first term without a redraw.
+The schemes differ only in their schedules, in what u_k is, and in how
+pairs are built:
 
   vs_sqn              strongly convex, smooth; geometric batches
   svs_sqn_moreau      strongly convex composite; envelope gradients, fixed eta
@@ -32,6 +37,7 @@ from .core import (
     Array,
     BatchSchedule,
     RngStream,
+    SampleHandle,
     ScalarSchedule,
     assert_finite,
     evaluate_on_handle,
@@ -50,6 +56,11 @@ SCHEMES = (
     "sqn_unit",
     "apg_baseline",
 )
+
+MAX_ITERS_DEFAULT = 2_000_000
+
+# RunResult.extras keys of the quasi-Newton loop's pair counters
+PAIR_COUNTERS = ("pairs_formed", "pairs_skipped", "pair_grads_reused")
 
 _BATCH_KINDS_ALLOWED = {
     "vs_sqn": ("geometric", "constant"),
@@ -87,7 +98,7 @@ class SolverConfig:
     delta_bar: Optional[float] = None
     seed: int = 0
     x0: Optional[Array] = None
-    max_iters: int = 2_000_000
+    max_iters: Optional[int] = None  # iteration cap; None means MAX_ITERS_DEFAULT
     average_iterates: bool = False   # uniform averaging (sgd baseline)
     value_every: int = 1             # objective evaluation cadence in records
     record_trace: bool = False
@@ -104,8 +115,10 @@ class SolverConfig:
             raise ConfigError("horizon", "rsvs_sqn fixes its parameters from "
                                          "the horizon K; set horizon")
         if (self.horizon is None and self.sample_budget is None
-                and self.max_iters >= 2_000_000):
-            raise ConfigError("horizon", "set horizon or sample_budget")
+                and self.max_iters is None):
+            raise ConfigError("horizon", "set horizon, sample_budget or max_iters")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ConfigError("max_iters", "must be >= 1")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
         if self.sample_budget is not None and self.sample_budget < 1:
@@ -126,6 +139,16 @@ class SolverConfig:
 
 @dataclass
 class IterateRecord:
+    """One log row: the state at iteration k before its update (the closing
+    row holds the final iterate).
+
+    ``samples_cum`` counts drawn samples, sum N_j over j <= k.
+    ``grad_evals_cum`` counts per-sample gradients by the pair formula:
+    N_j for each step plus 2 N_{j-1} for each pair formed at j, the second
+    of which is the reused step gradient whenever the pair's smoothing
+    level equals that step's.
+    """
+
     k: int
     samples_cum: int
     grad_evals_cum: int
@@ -183,12 +206,23 @@ def weighted_average(xs, weights) -> Array:
 
 @dataclass
 class _Plan:
+    """One scheme's ingredients for the shared loop.
+
+    ``oracle(x, handle, level)`` is a raw batch gradient at smoothing level
+    ``level`` (None: unsmoothed).  The step direction at iteration k is
+    oracle(x_k, S_k, step_level(k)) plus ``regularizer(x_k, k)`` when set;
+    pairs use oracle(., S_{k-1}, pair_level(k)) and are not formed when
+    ``pair_level`` is None.
+    """
+
     mode: str
     start_k: int
     gamma: Callable[[int], float]
     batch_n: Callable[[int], int]
-    step_gradient: Callable[[Array, object, int], Array]
-    pair_gradient: Optional[Callable[[Array, object, int], Array]]
+    oracle: Callable[[Array, SampleHandle, Optional[float]], Array]
+    step_level: Callable[[int], Optional[float]] = lambda k: None
+    pair_level: Optional[Callable[[int], Optional[float]]] = lambda k: None
+    regularizer: Optional[Callable[[Array, int], Array]] = None
     pair_mu: Callable[[int], Optional[float]] = lambda k: None
     pair_eta: Callable[[int], Optional[float]] = lambda k: None
     advance: Callable[[int], None] = lambda k: None
@@ -197,6 +231,10 @@ class _Plan:
     weight: Optional[Callable[[int], float]] = None  # averaged-iterate weight
     delta: float = 1.0
     delta_bar: float = 1.0
+
+
+def _batch_oracle(problem):
+    return lambda x, h, level: evaluate_on_handle(problem, x, h, eta=level)
 
 
 def _initial_point(problem, config) -> Array:
@@ -226,6 +264,9 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
     trace = [] if config.record_trace else None
     samples = 0
     grad_evals = 0
+    counters = dict.fromkeys(PAIR_COUNTERS, 0)
+    # (x, handle, batch size, smoothing level, raw oracle output) of the
+    # previous step
     prev: Optional[tuple] = None
     avg_acc = np.zeros_like(x)
     avg_weight = 0.0
@@ -241,24 +282,34 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
             break
         plan.advance(k)
 
-        if plan.pair_gradient is not None and k % 2 == 1 and prev is not None:
-            x_prev, h_prev, n_prev = prev
+        if plan.pair_level is not None and k % 2 == 1 and prev is not None:
+            x_prev, h_prev, n_prev, level_prev, g_prev = prev
             # a step at rounding scale carries no curvature information:
             # y would be pure cancellation noise, so skip the pair
             s_scale = float(np.linalg.norm(x - x_prev))
             if s_scale > 1e-13 * (1.0 + float(np.linalg.norm(x))):
-                g_hi = plan.pair_gradient(x, h_prev, k)
-                g_lo = plan.pair_gradient(x_prev, h_prev, k)
+                level = plan.pair_level(k)
+                g_hi = plan.oracle(x, h_prev, level)
+                if level == level_prev:
+                    g_lo = g_prev
+                    counters["pair_grads_reused"] += 1
+                else:
+                    g_lo = plan.oracle(x_prev, h_prev, level)
                 grad_evals += 2 * n_prev
                 mem.push(collect_pair(
                     plan.mode, x, x_prev, g_hi, g_lo, k,
                     mu_i=plan.pair_mu(k), eta_i=plan.pair_eta(k),
                     delta=plan.delta, delta_bar=plan.delta_bar,
                 ))
+                counters["pairs_formed"] += 1
+            else:
+                counters["pairs_skipped"] += 1
 
         n_k = plan.batch_n(k)
         handle = rng.next_handle(n_k)
-        g = plan.step_gradient(x, handle, k)
+        level = plan.step_level(k)
+        raw = plan.oracle(x, handle, level)
+        g = raw if plan.regularizer is None else raw + plan.regularizer(x, k)
         samples += n_k
         grad_evals += n_k
         gamma = plan.gamma(k)
@@ -289,7 +340,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
             iters += 1
             k += 1
             break
-        prev = (x, handle, n_k)
+        prev = (x, handle, n_k, level, raw)
         x = x - step_vec
         iters += 1
         k += 1
@@ -310,14 +361,16 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
     return RunResult(
         scheme=config.scheme, records=records, x_final=x, x_averaged=x_avg,
         termination=termination, theoretical_step=theoretical_step,
-        used_step=records[0].gamma_k if records else None, trace=trace,
+        used_step=records[0].gamma_k if records else None,
+        extras=counters, trace=trace,
     )
 
 
 def plan_horizon_reached(config: SolverConfig, iters: int) -> bool:
     if config.horizon is not None and iters >= config.horizon:
         return True
-    return iters >= config.max_iters
+    cap = MAX_ITERS_DEFAULT if config.max_iters is None else config.max_iters
+    return iters >= cap
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +408,7 @@ def run_vs_sqn(problem, config: SolverConfig) -> RunResult:
         mode="SC", start_k=0,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        step_gradient=lambda x, h, k: evaluate_on_handle(problem, x, h),
-        pair_gradient=lambda x, h, k: evaluate_on_handle(problem, x, h),
+        oracle=_batch_oracle(problem),
     )
     return _qn_loop(problem, config, plan, theoretical)
 
@@ -394,13 +446,13 @@ def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
     step = config.step or ScalarSchedule("constant", theoretical)
     batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.9)
 
-    grad = lambda x, h, k: problem.envelope_gradient(x, h, eta)
     plan = _Plan(
         mode="SC", start_k=0,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        step_gradient=grad,
-        pair_gradient=grad,
+        oracle=lambda x, h, level: problem.envelope_gradient(x, h, level),
+        step_level=lambda k: eta,
+        pair_level=lambda k: eta,
         pair_eta=lambda k: eta,
         eta_log=lambda k: eta,
     )
@@ -442,13 +494,13 @@ def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
         batch = BatchSchedule("polynomial", N0=max(1, n0),
                               exponent=1.5 + 2.0 / 3.0, offset=2)
 
-    sg = lambda x, h, k: evaluate_on_handle(problem, x, h, eta=eta_at(k))
     plan = _Plan(
         mode="SC", start_k=0,
         gamma=gamma_at,
         batch_n=batch.eval,
-        step_gradient=sg,
-        pair_gradient=sg,
+        oracle=_batch_oracle(problem),
+        step_level=eta_at,
+        pair_level=eta_at,
         pair_eta=eta_at,
         eta_log=eta_at,
     )
@@ -494,16 +546,12 @@ def run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
             holder["state"] = alternation_step(holder["state"], k, mu_sched, None)
             holder["k_seen"] = k
 
-    def step_gradient(x, h, k):
-        g = evaluate_on_handle(problem, x, h)
-        return g + mu_sched.eval(k) * (x - x0)
-
     plan = _Plan(
         mode="C", start_k=1,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        step_gradient=step_gradient,
-        pair_gradient=lambda x, h, k: evaluate_on_handle(problem, x, h),
+        oracle=_batch_oracle(problem),
+        regularizer=lambda x, k: mu_sched.eval(k) * (x - x0),
         pair_mu=lambda k: holder["state"].mu_current,
         advance=advance,
         mu_log=lambda k: mu_sched.eval(k),
@@ -549,17 +597,14 @@ def run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
 
     x0 = _initial_point(problem, config)
 
-    def step_gradient(x, h, k):
-        g = evaluate_on_handle(problem, x, h, eta=eta)
-        return g + mu * (x - x0)
-
     plan = _Plan(
         mode="C", start_k=0,
         gamma=lambda k: gamma,
         batch_n=batch.eval,
-        step_gradient=step_gradient,
-        pair_gradient=lambda x, h, k: evaluate_on_handle(
-            problem, x, h, eta=eta**delta),
+        oracle=_batch_oracle(problem),
+        step_level=lambda k: eta,
+        pair_level=lambda k: eta**delta,
+        regularizer=lambda x, k: mu * (x - x0),
         pair_mu=lambda k: mu,
         pair_eta=lambda k: eta,
         mu_log=lambda k: mu,
@@ -597,8 +642,7 @@ def _run_sqn_unit(problem, config: SolverConfig) -> RunResult:
         mode="SC", start_k=1,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=lambda k: 1,
-        step_gradient=lambda x, h, k: evaluate_on_handle(problem, x, h),
-        pair_gradient=lambda x, h, k: evaluate_on_handle(problem, x, h),
+        oracle=_batch_oracle(problem),
     )
     return _qn_loop(problem, config, plan, theoretical)
 
@@ -613,8 +657,8 @@ def _run_sgd(problem, config: SolverConfig) -> RunResult:
         mode="SC", start_k=1,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        step_gradient=lambda x, h, k: evaluate_on_handle(problem, x, h),
-        pair_gradient=None,
+        oracle=_batch_oracle(problem),
+        pair_level=None,
     )
     return _qn_loop(problem, config, plan, None)
 

@@ -14,7 +14,7 @@ from vsqn.harness.config import (
 )
 from vsqn.harness.logs import CSV_HEADER, read_csv, read_summary, thin_indices, write_csv
 from vsqn.harness.presets import PRESET_NAMES, preset_cells
-from vsqn.solvers import IterateRecord
+from vsqn.solvers import IterateRecord, run
 
 
 # --- finite differences ---------------------------------------------------------
@@ -236,3 +236,27 @@ def test_all_presets_enumerable():
         assert cells, name
     with pytest.raises(ValueError):
         preset_cells("warp")
+
+
+def test_cli_summary_reports_pair_counters(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(GOOD_CONFIG)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_summary(out / "smoke_seed0_summary.txt")
+    formed = int(summary["pairs_formed"])
+    assert formed > 0
+    assert int(summary["pairs_skipped"]) == 0
+    # vs_sqn takes its pairs unsmoothed, like its steps
+    assert int(summary["pair_grads_reused"]) == formed
+
+
+def test_preset_vs_sqn_cells_descend():
+    cells = [c for name in PRESET_NAMES for c in preset_cells(name)
+             if c.solver_params["scheme"] == "vs_sqn"]
+    assert any(c.name.startswith("illcond") for c in cells)
+    for cell in cells:
+        seed = cell.seeds[0]
+        result = run(build_problem(cell, seed), cell.solver_config(seed))
+        first, last = result.records[0].f_value, result.records[-1].f_value
+        assert np.isfinite(last) and last < first, cell.name

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsqn.core import RngStream
+from vsqn.core import RngStream, SampleHandle
 from vsqn.harness.checks import fd_check
 from vsqn.problems import (
     CompositeProblem,
@@ -350,3 +350,59 @@ def test_composite_envelope_gradient_fixed_point():
     assert np.all(np.isfinite(g))
     assert prob.true_value(x) == pytest.approx(
         quad.true_value(x) + 0.3 * np.sum(np.abs(x)))
+
+
+# --- one-slot batch cache ------------------------------------------------------
+
+def _slot_cases():
+    """(label, factory, oracle(problem, x, handle)) for every cached draw."""
+    logistic = lambda: make_synthetic_sparse_logistic(
+        6, 40, RngStream(2, 1), density=0.3, lambda_l1=0.1,
+        l1_smoothing="huber")[0]
+    quad = lambda: quad_make(6, 10.0, "SC", RngStream(1, 1))
+    return [
+        ("quad_gradient", quad, lambda p, x, h: p.batch_gradient(x, h)),
+        ("quad_value", quad, lambda p, x, h: np.array([p.batch_value(x, h)])),
+        ("quad_frozen", quad, lambda p, x, h: p.frozen_batch(h).grad(x)),
+        ("logistic", logistic, lambda p, x, h: p.batch_gradient(x, h)),
+        ("logistic_smoothed", logistic,
+         lambda p, x, h: p.batch_gradient_smoothed(x, h, 0.05)),
+        ("isotonic", lambda: make_isotonic(6, 12, RngStream(3, 1)),
+         lambda p, x, h: p.batch_gradient(x, h)),
+        ("l1_location", lambda: L1LocationProblem(np.linspace(-1, 1, 6)),
+         lambda p, x, h: p.batch_gradient_smoothed(x, h, 0.2)),
+        ("composite", lambda: CompositeProblem(L1Function(0.5), quad()),
+         lambda p, x, h: p.envelope_gradient(x, h, 0.1)),
+    ]
+
+
+@pytest.mark.parametrize("case", _slot_cases(), ids=lambda c: c[0])
+def test_batch_slot_never_serves_a_stale_batch(case):
+    _, factory, oracle = case
+    stream = RngStream(9, 0)
+    a, b = stream.next_handle(5), stream.next_handle(5)
+    x, z = np.linspace(-1.0, 2.0, 6), np.linspace(0.5, -0.5, 6)
+    problem = factory()
+    seen = [oracle(problem, x, a), oracle(problem, z, b), oracle(problem, z, a)]
+    fresh = [oracle(factory(), x, a), oracle(factory(), z, b),
+             oracle(factory(), z, a)]
+    for got, want in zip(seen, fresh):
+        assert np.array_equal(got, want)
+    assert not np.array_equal(seen[1], seen[2])
+
+
+@pytest.mark.parametrize("case", _slot_cases(), ids=lambda c: c[0])
+def test_batch_slot_keys_on_handle_value(case, monkeypatch):
+    _, factory, oracle = case
+    problem = factory()
+    calls = []
+    original = SampleHandle.generator
+    monkeypatch.setattr(SampleHandle, "generator",
+                        lambda h: calls.append(h) or original(h))
+    x = np.linspace(-1.0, 2.0, 6)
+    first = oracle(problem, x, SampleHandle(4, 0, 10, 5))
+    again = oracle(problem, 2.0 * x, SampleHandle(4, 0, 10, 5))  # equal, not same
+    assert len(calls) == 1
+    assert np.array_equal(again, oracle(factory(), 2.0 * x, SampleHandle(4, 0, 10, 5)))
+    assert not np.array_equal(first, again)
+

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from vsqn.core import BatchSchedule, RngStream, ScalarSchedule, evaluate_on_handle
-from vsqn.hessian import LbfgsMemory
+from vsqn.core import (
+    BatchSchedule,
+    RngStream,
+    SampleHandle,
+    ScalarSchedule,
+    evaluate_on_handle,
+)
+from vsqn.hessian import LbfgsMemory, collect_pair
 from vsqn.problems import (
     CompositeProblem,
     L1LocationProblem,
@@ -77,6 +83,23 @@ def test_stopping_rule_required():
         SolverConfig("vs_sqn")
 
 
+def test_explicit_iteration_cap_is_a_stopping_rule():
+    for cap in (1_000_000, 2_000_000, 3_000_000):
+        assert SolverConfig("sgd", max_iters=cap).max_iters == cap
+    with pytest.raises(ConfigError) as info:
+        SolverConfig("sgd")
+    assert info.value.field == "horizon"
+    with pytest.raises(ConfigError) as info:
+        SolverConfig("sgd", max_iters=0)
+    assert info.value.field == "max_iters"
+
+
+def test_iteration_cap_stops_the_run():
+    res = run(sc_quad(), SolverConfig("sgd", max_iters=7, seed=0))
+    assert res.termination == "horizon"
+    assert len(res.records) == 8
+
+
 # --- generic loop behavior ------------------------------------------------------
 
 def test_identity_memory_regime_matches_gradient_descent():
@@ -138,6 +161,8 @@ def test_oracle_accounting_matches_pair_cadence():
     # pairs at odd k = 1,3,5,7 replay the previous batch twice
     replays = sum(2 * batch.eval(k - 1) for k in (1, 3, 5, 7))
     assert res.records[-1].samples_cum == samples
+    # the reused step gradient still counts in grad_evals_cum
+    assert res.extras["pair_grads_reused"] == 4
     assert res.records[-1].grad_evals_cum == samples + replays
 
 
@@ -355,3 +380,147 @@ def test_results_have_closing_record():
     assert len(res.records) == 6
     assert res.records[-1].step_norm == 0.0
     assert res.records[-1].gap == pytest.approx(prob.true_value(res.x_final))
+
+
+# --- curvature pairs: one draw per batch, step-gradient reuse ---------------------
+
+def _quad_factory(convexity="SC"):
+    return lambda: quad_make(6, 10.0, convexity, RngStream(11, 1))
+
+
+def _location_factory(sc_weight=0.0):
+    return lambda: L1LocationProblem(np.array([0.4, -0.8, 1.2]),
+                                     noise_half_width=1.0, sc_weight=sc_weight)
+
+
+def _composite_factory():
+    return lambda: CompositeProblem(L1Function(0.5), quad_make(
+        6, 10.0, "SC", RngStream(11, 1)))
+
+
+def _grow(rate=0.8):
+    return BatchSchedule("geometric", 2, rate=rate)
+
+
+# (label, problem factory, config, pair level from a pair and the run's extras)
+PAIR_CASES = [
+    ("vs_sqn", _quad_factory(), SolverConfig(
+        "vs_sqn", m=3, horizon=12, batch=_grow(),
+        step=ScalarSchedule("constant", 0.05), seed=1, record_trace=True),
+     lambda pair, extras: None),
+    ("sqn_unit", _quad_factory(), SolverConfig(
+        "sqn_unit", m=3, horizon=12, seed=2, record_trace=True,
+        step=ScalarSchedule("power", base=0.1, exponent=-1.0)),
+     lambda pair, extras: None),
+    ("svs_sqn_moreau", _composite_factory(), SolverConfig(
+        "svs_sqn_moreau", m=2, horizon=10, eta=0.1, batch=_grow(0.9),
+        step=ScalarSchedule("constant", 0.5), seed=3, record_trace=True),
+     lambda pair, extras: pair.eta_used),
+    ("svs_sqn_diminishing", _location_factory(1.0), SolverConfig(
+        "svs_sqn_diminishing", m=2, horizon=12, seed=4, record_trace=True),
+     lambda pair, extras: pair.eta_used),
+    ("svs_sqn_diminishing_const_eta", _location_factory(1.0), SolverConfig(
+        "svs_sqn_diminishing", m=2, horizon=12, eta=0.3, seed=5,
+        record_trace=True),
+     lambda pair, extras: pair.eta_used),
+    ("rvs_sqn", _quad_factory("C"), SolverConfig(
+        "rvs_sqn", m=2, horizon=12, epsilon=0.3, seed=6, record_trace=True),
+     lambda pair, extras: None),
+    ("rsvs_sqn_delta_lt_1", _location_factory(), SolverConfig(
+        "rsvs_sqn", m=2, horizon=12, epsilon=0.1, seed=7, record_trace=True),
+     lambda pair, extras: pair.eta_used ** extras["delta"]),
+    ("rsvs_sqn_delta_1", _location_factory(), SolverConfig(
+        "rsvs_sqn", m=2, horizon=12, epsilon=0.1, delta=1.0, seed=8,
+        record_trace=True),
+     lambda pair, extras: pair.eta_used ** extras["delta"]),
+]
+
+# cases whose pairs are taken at another smoothing level than the step
+NO_REUSE = {"svs_sqn_diminishing", "rsvs_sqn_delta_lt_1"}
+
+
+def _fresh_gradient(factory, scheme, x, handle, level):
+    """Batch gradient on a newly built instance, which holds no cached batch."""
+    problem = factory()
+    if scheme == "svs_sqn_moreau":
+        return problem.envelope_gradient(x, handle, level)
+    return evaluate_on_handle(problem, x, handle, eta=level)
+
+
+@pytest.mark.parametrize("case", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
+def test_pairs_bitwise_equal_fresh_two_point_evaluation(case):
+    label, factory, cfg, pair_level = case
+    res = run(factory(), cfg)
+    by_k = {e["k"]: e for e in res.trace}
+    pairs = {p.formed_at: p for e in res.trace for p in e["pairs"]}
+    assert len(pairs) >= 3
+    mode = "C" if cfg.scheme in ("rvs_sqn", "rsvs_sqn") else "SC"
+    for k, pair in pairs.items():
+        x_hi, before = by_k[k]["x"], by_k[k - 1]
+        level = pair_level(pair, res.extras)
+        g_hi = _fresh_gradient(factory, cfg.scheme, x_hi, before["handle"], level)
+        g_lo = _fresh_gradient(factory, cfg.scheme, before["x"], before["handle"],
+                               level)
+        expected = collect_pair(mode, x_hi, before["x"], g_hi, g_lo, k,
+                                mu_i=pair.mu_used, eta_i=pair.eta_used,
+                                delta=res.extras.get("delta", 1.0),
+                                delta_bar=res.extras.get("delta_bar", 1.0))
+        assert np.array_equal(pair.s, expected.s), (label, k)
+        assert np.array_equal(pair.y, expected.y), (label, k)
+    formed = res.extras["pairs_formed"]
+    assert formed == len(pairs)
+    assert res.extras["pairs_skipped"] == 0
+    reused = 0 if label in NO_REUSE else formed
+    assert res.extras["pair_grads_reused"] == reused
+
+
+@pytest.mark.parametrize("case", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
+def test_one_generator_call_per_handle(case, monkeypatch):
+    label, factory, cfg, _ = case
+    problem = factory()   # construction draws are not counted
+    calls = {}
+    original = SampleHandle.generator
+
+    def counting(handle):
+        calls[handle] = calls.get(handle, 0) + 1
+        return original(handle)
+
+    monkeypatch.setattr(SampleHandle, "generator", counting)
+    res = run(problem, cfg)
+    steps = len(res.records) - 1
+    assert len(calls) == steps, label
+    assert set(calls.values()) == {1}, label
+
+
+def test_rounding_scale_steps_skip_pairs_and_count_them():
+    prob = sc_quad()
+    res = run(prob, SolverConfig("vs_sqn", m=2, horizon=6,
+                                 batch=BatchSchedule("constant", 2),
+                                 step=ScalarSchedule("constant", 1e-30),
+                                 x0=np.ones(6), seed=0))
+    assert res.termination == "horizon"
+    assert res.extras["pairs_formed"] == 0
+    assert res.extras["pairs_skipped"] == 3        # k = 1, 3, 5
+    assert res.extras["pair_grads_reused"] == 0
+
+
+class _GradientOnly:
+    """The minimal oracle: meta plus batch_gradient, nothing else."""
+
+    def __init__(self, base):
+        self.base = base
+        self.meta = base.meta
+
+    def batch_gradient(self, x, handle):
+        return self.base.batch_gradient(x, handle)
+
+
+def test_problem_with_only_batch_gradient_runs():
+    prob = _GradientOnly(sc_quad(seed=4))
+    res = run(prob, SolverConfig("vs_sqn", m=2, horizon=10, batch=_grow(),
+                                 step=ScalarSchedule("constant", 0.05), seed=4))
+    assert res.termination == "horizon"
+    assert res.extras["pairs_formed"] == 5
+    assert res.extras["pair_grads_reused"] == 5
+    assert res.records[-1].f_value is None
+    assert np.all(np.isfinite(res.x_final))
