@@ -8,14 +8,12 @@ from .core import (
     SampleHandle,
     ScalarSchedule,
     sample_average_gradient,
-    schedule_eval,
 )
 from .hessian import (
     CurvaturePair,
     HessianBounds,
     LbfgsMemory,
     SecantError,
-    apply_inverse_hessian,
     collect_pair,
     materialize_dense,
     materialize_inverse,
@@ -26,10 +24,10 @@ from .solvers import ConfigError, IterateRecord, RunResult, SolverConfig, run
 
 __all__ = [
     "BatchSchedule", "OracleError", "ProblemMeta", "RngStream", "SampleHandle",
-    "ScalarSchedule", "sample_average_gradient", "schedule_eval",
+    "ScalarSchedule", "sample_average_gradient",
     "CurvaturePair", "HessianBounds", "LbfgsMemory", "SecantError",
-    "apply_inverse_hessian", "collect_pair", "materialize_dense",
-    "materialize_inverse", "theoretical_bounds", "verify_secant",
+    "collect_pair", "materialize_dense", "materialize_inverse",
+    "theoretical_bounds", "verify_secant",
     "ConfigError", "IterateRecord", "RunResult", "SolverConfig", "run",
 ]
 

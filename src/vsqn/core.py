@@ -133,9 +133,6 @@ class RngStream:
         """One-off generator occupying a single counter slot."""
         return self.next_handle(1).generator()
 
-    def substream(self, k: int) -> "RngStream":
-        """Derived stream for an independent consumer (worker, problem)."""
-        return RngStream(self.seed, self.stream_id * 1_000_003 + int(k) + 1)
 
 
 @runtime_checkable
@@ -235,15 +232,6 @@ class ScalarSchedule:
         return self.base * float(t) ** self.exponent
 
 
-def schedule_eval(sched, k: int, horizon: Optional[int] = None):
-    """Evaluate a batch or scalar schedule at iteration k (pure function)."""
-    if isinstance(sched, BatchSchedule):
-        return sched.eval(k)
-    if isinstance(sched, ScalarSchedule):
-        return sched.eval(k, horizon=horizon)
-    raise TypeError(f"not a schedule: {type(sched).__name__}")
-
-
 def evaluate_on_handle(problem, x: Array, handle: SampleHandle, eta=None) -> Array:
     """(Re-)evaluate a problem's batch-average gradient on a stored handle.
 
@@ -275,15 +263,3 @@ def sample_average_gradient(problem, x: Array, batch: int, rng: RngStream, eta=N
     x = assert_finite(x, "query point")
     handle = rng.next_handle(batch)
     return evaluate_on_handle(problem, x, handle, eta=eta), handle
-
-
-def pilot_noise_estimate(problem, x0: Array, rng: RngStream, count: int = 100) -> float:
-    """Estimate the per-sample gradient-noise second moment at x0.
-
-    Returns an estimate of E|g_sample - g_mean|^2 from ``count`` single
-    samples; used as a stand-in for nu2^2 when no analytic value is known.
-    """
-    handle = rng.next_handle(count)
-    rows = problem.per_sample_gradients(np.asarray(x0, float), handle)
-    mean = rows.mean(axis=0)
-    return float(np.mean(np.sum((rows - mean) ** 2, axis=1)))

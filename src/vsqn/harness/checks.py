@@ -3,7 +3,6 @@ rate-slope fitting, and sparsity counting."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 

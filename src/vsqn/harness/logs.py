@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Optional
 
 CSV_HEADER = "k,samples_cum,grad_evals_cum,fval,gap,grad_norm,step_norm,wall_ms"
 

@@ -107,18 +107,10 @@ class LbfgsMemory:
     from the scaled identity (s.y/y.y) I of the newest pair.
     """
 
-    def __init__(self, m: int, mode: str = "SC", delta: float = 1.0,
-                 delta_bar: float = 1.0):
+    def __init__(self, m: int):
         if m < 1:
             raise ValueError("memory depth m must be >= 1")
-        if mode not in MODES:
-            raise ValueError(f"unknown pair mode {mode!r}")
-        if not (0 < delta <= 1) or not (0 < delta_bar <= 1):
-            raise ValueError("delta and delta_bar must lie in (0, 1]")
         self.m = m
-        self.mode = mode
-        self.delta = delta
-        self.delta_bar = delta_bar
         self.pairs: deque[CurvaturePair] = deque(maxlen=m)
 
     def __len__(self) -> int:
@@ -145,10 +137,6 @@ class LbfgsMemory:
             b = pair.rho * float(pair.y @ r)
             r += (a - b) * pair.s
         return r
-
-
-def apply_inverse_hessian(mem: LbfgsMemory, v: Array) -> Array:
-    return mem.apply(v)
 
 
 def materialize_dense(mem: LbfgsMemory, n: int) -> Array:

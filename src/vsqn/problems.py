@@ -126,11 +126,6 @@ class QuadraticEnsemble(_LastBatchSlot):
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
         return (factors * (self.eigs * w)) @ self.frame.T
 
-    def batch_value(self, x: Array, handle: SampleHandle) -> float:
-        mean_factors = self._batch(handle)
-        w = self.frame.T @ (np.asarray(x, float) - self.x_true)
-        return 0.5 * float((self.eigs * mean_factors) @ (w * w))
-
     def frozen_batch(self, handle: SampleHandle) -> BatchFunction:
         scaled = self.eigs * self._batch(handle)
 
@@ -271,12 +266,6 @@ class LogisticProblem(_LastBatchSlot):
         x = np.asarray(x, dtype=float)
         rows = self._draw(handle)
         return self._loss_grad_rows(x, rows) + self._penalty_grad(x)[None, :]
-
-    def batch_value(self, x: Array, handle: SampleHandle) -> float:
-        x = np.asarray(x, dtype=float)
-        rows = self._batch(handle)
-        margins = -self.labels[rows] * (self.features[rows] @ x)
-        return float(np.mean(np.logaddexp(0.0, margins))) + self._penalty_value(x)
 
     def full_gradient(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -470,10 +459,6 @@ class IsotonicLasso(_LastBatchSlot):
         d = x - pava_project(x)
         return 0.5 * float(res @ res) + float(d @ d) / (2.0 * eta)
 
-    def data_value(self, x: Array) -> float:
-        res = self.A @ np.asarray(x, float) - self.b
-        return 0.5 * float(res @ res)
-
     def violation(self, x: Array) -> float:
         return monotone_violation(x)
 
@@ -517,7 +502,6 @@ class L1LocationProblem(_LastBatchSlot):
         if self.w <= 0:
             raise ValueError("noise_half_width must be > 0")
         n = self.center.size
-        self.smoothing_beta = n / 2.0
         self.subgradient_bound = math.sqrt(n)
         self.meta = ProblemMeta(
             n=n,
@@ -547,14 +531,6 @@ class L1LocationProblem(_LastBatchSlot):
         x = np.asarray(x, dtype=float)
         diffs = (x - self.center)[None, :] - self._draw(handle)
         return np.sign(diffs) + (self.sc * (x - self.center))[None, :]
-
-    def value_smoothed(self, x: Array, handle: SampleHandle, eta: float) -> float:
-        x = np.asarray(x, dtype=float)
-        diffs = (x - self.center)[None, :] - self._batch(handle)
-        ad = np.abs(diffs)
-        vals = np.where(ad <= eta, diffs**2 / (2 * eta), ad - eta / 2.0)
-        anchor = 0.5 * self.sc * float(np.sum((x - self.center) ** 2))
-        return float(vals.sum(axis=1).mean()) + anchor
 
     def true_value(self, x: Array) -> float:
         d = np.abs(np.asarray(x, float) - self.center)
@@ -668,6 +644,3 @@ class CompositeProblem(_LastBatchSlot):
 
     def true_value(self, x: Array) -> float:
         return self.h.value(x) + self.smooth.true_value(x)
-
-    def true_smooth_gradient(self, x: Array) -> Array:
-        return self.smooth.true_gradient(x)

@@ -2,52 +2,23 @@
 alternation used when curvature pairs are collected on merely convex
 problems.
 
-A regularized view adds (mu/2)|x - x0|^2 to a base function, which makes a
-convex base mu-strongly convex; the regularization weight is driven to zero
-over a run.  Matrix updates, however, must see parameter values that are
+The regularized schemes add mu (x - x0), the gradient of (mu/2)|x - x0|^2,
+to a convex base's sampled gradient, which makes the base mu-strongly
+convex; the regularization weight is driven to zero over a run.  Matrix updates, however, must see parameter values that are
 frozen between consecutive odd iterations, which is what AlternationState
 tracks: values are held at odd k and strictly decreased at even k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-import numpy as np
-
-from .core import Array, ScalarSchedule
+from .core import ScalarSchedule
 
 
 class AlternationError(ValueError):
     """A schedule fed to the alternation failed to decrease at an even step."""
-
-
-@dataclass
-class RegularizedView:
-    """base + (mu/2)|x - center|^2 with gradients assembled from sampled
-    base gradients."""
-
-    mu: float
-    center: Array
-    base_value: Optional[Callable[[Array], float]] = None
-
-    def __post_init__(self):
-        if not (self.mu > 0):
-            raise ValueError("mu must be > 0")
-        self.center = np.asarray(self.center, dtype=float)
-
-
-def reg_value_grad(view: RegularizedView, x: Array, sampled_grad: Array):
-    """Regularized gradient sampled_grad + mu*(x - center), plus the value
-    when the base value is computable (None otherwise)."""
-    x = np.asarray(x, dtype=float)
-    diff = x - view.center
-    grad = np.asarray(sampled_grad, dtype=float) + view.mu * diff
-    value = None
-    if view.base_value is not None:
-        value = float(view.base_value(x)) + 0.5 * view.mu * float(diff @ diff)
-    return value, grad
 
 
 @dataclass(frozen=True)

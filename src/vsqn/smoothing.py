@@ -6,22 +6,22 @@ Huber smoothing of the l1 norm, Euclidean-norm smoothing, squared-distance
 smoothing of set indicators, and validity checks for the smoothing
 inequalities used by the diminishing-parameter solvers.
 
-Every smoother carries its scale constants: the gradient of an
-eta-smoothed function is (alpha_smooth/eta)-Lipschitz, and
-f_eta <= f <= f_eta + eta*beta pointwise.
+For each smoother the gradient of the eta-smoothed function is
+(alpha/eta)-Lipschitz and f_eta <= f <= f_eta + eta*beta pointwise, with
+(alpha, beta) = (1, 1) for the Euclidean norm, (1, n/2) for the l1 norm in
+R^n, (|A|_2^2, log p) for a max of p affine forms with rows A, and (1, B^2)
+for a Moreau envelope of a function with subgradients bounded by B.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Array, assert_finite
-
-PROX_KINDS = ("closed_form_l1", "projection_set", "inner_solver")
+from .core import Array
 
 
 class ProxSolverError(RuntimeError):
@@ -34,19 +34,16 @@ class ProxSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProxSpec:
-    """How a proximal map is computed.
+    """Limits of the inner proximal solve.
 
-    For ``inner_solver`` the solve stops once the fixed-point residual of
-    the inner objective satisfies residual <= tolerance * (1 + |x|).
+    The solve stops once the fixed-point residual of the inner objective
+    satisfies residual <= tolerance * (1 + |x|).
     """
 
-    kind: str = "inner_solver"
     tolerance: float = 1e-10
     max_inner_iters: int = 20_000
 
     def __post_init__(self):
-        if self.kind not in PROX_KINDS:
-            raise ValueError(f"unknown prox kind {self.kind!r}")
         if self.tolerance <= 0 or self.max_inner_iters < 1:
             raise ValueError("tolerance must be > 0 and max_inner_iters >= 1")
 
@@ -72,20 +69,6 @@ class L1Function:
 
     def prox(self, x: Array, t: float) -> Array:
         return prox_soft_threshold(x, t * self.lam)
-
-
-class IndicatorFunction:
-    """Indicator of a closed convex set given by its Euclidean projection."""
-
-    def __init__(self, project: Callable[[Array], Array]):
-        self.project = project
-
-    def value(self, u: Array) -> float:
-        p = self.project(np.asarray(u, float))
-        return 0.0 if np.allclose(p, u, atol=1e-12) else math.inf
-
-    def prox(self, x: Array, t: float) -> Array:
-        return self.project(np.asarray(x, float))
 
 
 class CompositeProxFunction:
@@ -238,75 +221,3 @@ def check_smoothing_chain(f_pair, eta_k: float, eta_k1: float, B: float,
         worst = max(worst, violation)
         count += 1
     return ChainReport(worst, count, worst <= 1e-12)
-
-
-@dataclass
-class SmoothedView:
-    """A smoothed function with its scale certificates.
-
-    The gradient is (alpha_smooth/eta)-Lipschitz and
-    value(x) <= original(x) <= value(x) + eta*beta at every point.  ``prox``
-    is present for Moreau-type views only.
-    """
-
-    eta: float
-    alpha_smooth: float
-    beta: float
-    value: Callable[[Array], float]
-    gradient: Callable[[Array], Array]
-    prox: Optional[Callable[[Array], Array]] = None
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-
-    @property
-    def grad_lipschitz(self) -> float:
-        return self.alpha_smooth / self.eta
-
-    @staticmethod
-    def norm2(eta: float) -> "SmoothedView":
-        return SmoothedView(
-            eta, 1.0, 1.0,
-            lambda x: norm2_smooth(x, eta)[0],
-            lambda x: norm2_smooth(x, eta)[1],
-        )
-
-    @staticmethod
-    def lse(A: Array, b: Array, eta: float) -> "SmoothedView":
-        count = np.atleast_2d(A).shape[0]
-        alpha = float(np.linalg.eigvalsh(np.atleast_2d(A).T @ np.atleast_2d(A))[-1])
-        return SmoothedView(
-            eta, alpha, math.log(count),
-            lambda x: lse_smooth_max(A, b, x, eta)[0],
-            lambda x: lse_smooth_max(A, b, x, eta)[1],
-        )
-
-    @staticmethod
-    def huber(eta: float, dim: int, weight: float = 1.0) -> "SmoothedView":
-        return SmoothedView(
-            eta, weight, weight * dim / 2.0,
-            lambda x: weight * huber_l1(x, eta)[0],
-            lambda x: weight * huber_l1(x, eta)[1],
-        )
-
-    @staticmethod
-    def moreau(f, eta: float, subgradient_bound: float) -> "SmoothedView":
-        return SmoothedView(
-            eta, 1.0, subgradient_bound**2,
-            lambda x: moreau_value_grad(f, x, eta)[0],
-            lambda x: moreau_value_grad(f, x, eta)[1],
-            prox=lambda x: f.prox(np.asarray(x, float), eta),
-        )
-
-    @staticmethod
-    def indicator(project: Callable[[Array], Array], eta: float) -> "SmoothedView":
-        # no finite smoothing gap exists for an indicator (beta formally inf)
-        return SmoothedView(
-            eta, 1.0, math.inf,
-            lambda x: indicator_smooth(x, project, eta)[0],
-            lambda x: indicator_smooth(x, project, eta)[1],
-            prox=lambda x: project(np.asarray(x, float)),
-        )

@@ -19,6 +19,9 @@ pairs are built:
                       plus a weighted averaged iterate
   sgd, sqn_unit, apg_baseline   comparison baselines
 
+apg_baseline takes that step with H = I from an extrapolated query point,
+through the loop's momentum hook.
+
 Theorem-prescribed default schedules are built when the config leaves them
 unset; explicit overrides are honored and the theoretical steplength is
 recorded alongside the used one.
@@ -140,7 +143,8 @@ class SolverConfig:
 @dataclass
 class IterateRecord:
     """One log row: the state at iteration k before its update (the closing
-    row holds the final iterate).
+    row holds the final iterate); under momentum, f_value and gap are taken
+    at the reported iterate z_k, not at the query point.
 
     ``samples_cum`` counts drawn samples, sum N_j over j <= k.
     ``grad_evals_cum`` counts per-sample gradients by the pair formula:
@@ -158,8 +162,6 @@ class IterateRecord:
     step_norm: float
     wall_time: float
     gamma_k: Optional[float] = None
-    mu_k: Optional[float] = None
-    eta_k: Optional[float] = None
 
 
 @dataclass
@@ -168,7 +170,7 @@ class RunResult:
     records: list
     x_final: Array
     x_averaged: Optional[Array]
-    termination: str               # budget | horizon | zero-step
+    termination: str               # budget | horizon
     theoretical_step: Optional[float] = None
     used_step: Optional[float] = None
     extras: dict = field(default_factory=dict)
@@ -181,22 +183,6 @@ class RunResult:
     @property
     def total_samples(self) -> int:
         return self.records[-1].samples_cum if self.records else 0
-
-
-def weighted_average(xs, weights) -> Array:
-    """sum(w_i x_i) / sum(w_i) with strictly positive weights."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    weights = [float(w) for w in weights]
-    if len(xs) != len(weights):
-        raise ValueError("xs and weights must have the same length")
-    if not xs:
-        raise ValueError("empty sequence")
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    acc = np.zeros_like(xs[0])
-    for x, w in zip(xs, weights):
-        acc += w * x
-    return acc / sum(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +198,10 @@ class _Plan:
     ``level`` (None: unsmoothed).  The step direction at iteration k is
     oracle(x_k, S_k, step_level(k)) plus ``regularizer(x_k, k)`` when set;
     pairs use oracle(., S_{k-1}, pair_level(k)) and are not formed when
-    ``pair_level`` is None.
+    ``pair_level`` is None.  With ``momentum`` set, the step lands on the
+    reported iterate z_{k+1} = x_k - gamma_k H_k u_k and the next query
+    point is x_{k+1} = z_{k+1} + momentum(k) (z_{k+1} - z_k); the loop calls
+    it once per iteration, in order.
     """
 
     mode: str
@@ -226,8 +215,7 @@ class _Plan:
     pair_mu: Callable[[int], Optional[float]] = lambda k: None
     pair_eta: Callable[[int], Optional[float]] = lambda k: None
     advance: Callable[[int], None] = lambda k: None
-    mu_log: Callable[[int], Optional[float]] = lambda k: None
-    eta_log: Callable[[int], Optional[float]] = lambda k: None
+    momentum: Optional[Callable[[int], float]] = None
     weight: Optional[Callable[[int], float]] = None  # averaged-iterate weight
     delta: float = 1.0
     delta_bar: float = 1.0
@@ -258,8 +246,9 @@ def _gap_of(problem, f_value) -> Optional[float]:
 def _qn_loop(problem, config: SolverConfig, plan: _Plan,
              theoretical_step: Optional[float]) -> RunResult:
     x = _initial_point(problem, config)
+    z = x  # the reported iterate; a sequence of its own only under momentum
     rng = RngStream(config.seed, stream_id=0)
-    mem = LbfgsMemory(config.m, plan.mode, plan.delta, plan.delta_bar)
+    mem = LbfgsMemory(config.m)
     records: list[IterateRecord] = []
     trace = [] if config.record_trace else None
     samples = 0
@@ -317,38 +306,35 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
 
         if plan.weight is not None:
             w = plan.weight(k)
-            avg_acc += w * x
+            avg_acc += w * z
             avg_weight += w
         elif config.average_iterates:
-            avg_acc += x
+            avg_acc += z
             avg_count += 1
 
         want_value = iters % config.value_every == 0
-        f_value = _value_of(problem, x) if want_value else None
+        f_value = _value_of(problem, z) if want_value else None
         records.append(IterateRecord(
             k, samples, grad_evals, f_value, _gap_of(problem, f_value),
             float(np.linalg.norm(g)), float(np.linalg.norm(step_vec)),
             time.perf_counter() - t0, gamma_k=gamma,
-            mu_k=plan.mu_log(k), eta_k=plan.eta_log(k),
         ))
         if trace is not None:
             trace.append({"k": k, "x": x.copy(), "handle": handle,
                           "gamma": gamma, "pairs": list(mem.pairs)})
 
-        if not np.any(step_vec):
-            termination = "zero-step"
-            iters += 1
-            k += 1
-            break
         prev = (x, handle, n_k, level, raw)
-        x = x - step_vec
+        z_next = x - step_vec
+        x = z_next if plan.momentum is None else (
+            z_next + plan.momentum(k) * (z_next - z))
+        z = z_next
         iters += 1
         k += 1
         if config.sample_budget is not None and samples >= config.sample_budget:
             termination = "budget"
             break
 
-    f_final = _value_of(problem, x)
+    f_final = _value_of(problem, z)
     records.append(IterateRecord(
         k, samples, grad_evals, f_final, _gap_of(problem, f_final),
         float("nan"), 0.0, time.perf_counter() - t0,
@@ -359,7 +345,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
     elif config.average_iterates and avg_count > 0:
         x_avg = avg_acc / avg_count
     return RunResult(
-        scheme=config.scheme, records=records, x_final=x, x_averaged=x_avg,
+        scheme=config.scheme, records=records, x_final=z, x_averaged=x_avg,
         termination=termination, theoretical_step=theoretical_step,
         used_step=records[0].gamma_k if records else None,
         extras=counters, trace=trace,
@@ -413,14 +399,6 @@ def run_vs_sqn(problem, config: SolverConfig) -> RunResult:
     return _qn_loop(problem, config, plan, theoretical)
 
 
-def run_svs_sqn(problem, config: SolverConfig) -> RunResult:
-    """Dispatch between the fixed-eta envelope variant and the
-    diminishing-eta smoothed variant."""
-    if config.scheme == "svs_sqn_moreau":
-        return _run_svs_moreau(problem, config)
-    return _run_svs_diminishing(problem, config)
-
-
 def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
     if not hasattr(problem, "envelope_gradient"):
         raise ConfigError("scheme", "svs_sqn_moreau needs a composite problem "
@@ -454,7 +432,6 @@ def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
         step_level=lambda k: eta,
         pair_level=lambda k: eta,
         pair_eta=lambda k: eta,
-        eta_log=lambda k: eta,
     )
     return _qn_loop(problem, config, plan, theoretical)
 
@@ -502,7 +479,6 @@ def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
         step_level=eta_at,
         pair_level=eta_at,
         pair_eta=eta_at,
-        eta_log=eta_at,
     )
     return _qn_loop(problem, config, plan, theoretical)
 
@@ -554,7 +530,6 @@ def run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
         regularizer=lambda x, k: mu_sched.eval(k) * (x - x0),
         pair_mu=lambda k: holder["state"].mu_current,
         advance=advance,
-        mu_log=lambda k: mu_sched.eval(k),
         delta=1.0, delta_bar=delta_bar,
     )
     result = _qn_loop(problem, config, plan, theoretical)
@@ -607,8 +582,6 @@ def run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
         regularizer=lambda x, k: mu * (x - x0),
         pair_mu=lambda k: mu,
         pair_eta=lambda k: eta,
-        mu_log=lambda k: mu,
-        eta_log=lambda k: eta,
         weight=lambda k: bounds.lambda_lo * mu * gamma - C / batch.eval(k),
         delta=delta, delta_bar=delta_bar,
     )
@@ -618,14 +591,6 @@ def run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
          "delta_bar": delta_bar, "noise_constant_C": C}
     )
     return result
-
-
-def run_baseline(problem, config: SolverConfig) -> RunResult:
-    if config.scheme == "sgd":
-        return _run_sgd(problem, config)
-    if config.scheme == "sqn_unit":
-        return _run_sqn_unit(problem, config)
-    return _run_apg(problem, config)
 
 
 def _run_sqn_unit(problem, config: SolverConfig) -> RunResult:
@@ -672,74 +637,43 @@ def _run_apg(problem, config: SolverConfig) -> RunResult:
         raise ConfigError("step", "apg_baseline needs lipschitz_L or a step")
     step = config.step or ScalarSchedule("constant", 1.0 / meta.lipschitz_L)
     batch = config.batch or BatchSchedule("constant", N0=1)
-    strongly = meta.tau is not None and meta.lipschitz_L is not None
-    if strongly:
+    if meta.tau is not None and meta.lipschitz_L is not None:
         root = math.sqrt(meta.lipschitz_L / meta.tau)
-        beta_const = (root - 1.0) / (root + 1.0)
+        beta = (root - 1.0) / (root + 1.0)
+        momentum = lambda k: beta
+    else:
+        betas = _vanishing_momentum()
+        momentum = lambda k: next(betas)
+    plan = _Plan(
+        mode="SC", start_k=0,
+        gamma=lambda k: step.eval(k, horizon=config.horizon),
+        batch_n=batch.eval,
+        oracle=_batch_oracle(problem),
+        pair_level=None,
+        momentum=momentum,
+    )
+    return _qn_loop(problem, config, plan, None)
 
-    x = _initial_point(problem, config)
-    z = x.copy()
-    rng = RngStream(config.seed, stream_id=0)
-    records: list[IterateRecord] = []
-    samples = 0
-    t_mom = 1.0
-    t0 = time.perf_counter()
-    avg_acc = np.zeros_like(x)
-    avg_count = 0
-    termination = "horizon"
-    k = 0
+
+def _vanishing_momentum():
+    """beta_k = (t_k - 1)/t_{k+1} with t_0 = 1 and
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2."""
+    t = 1.0
     while True:
-        if plan_horizon_reached(config, k):
-            termination = "horizon"
-            break
-        n_k = batch.eval(k)
-        handle = rng.next_handle(n_k)
-        g = evaluate_on_handle(problem, x, handle)
-        samples += n_k
-        gamma = step.eval(k, horizon=config.horizon)
-        z_new = x - gamma * g
-        if strongly:
-            beta = beta_const
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            beta = (t_mom - 1.0) / t_next
-            t_mom = t_next
-        x = z_new + beta * (z_new - z)
-        step_norm = float(np.linalg.norm(z_new - z))
-        z = z_new
-        if config.average_iterates:
-            avg_acc += z
-            avg_count += 1
-        want_value = k % config.value_every == 0
-        f_value = _value_of(problem, z) if want_value else None
-        records.append(IterateRecord(
-            k, samples, samples, f_value, _gap_of(problem, f_value),
-            float(np.linalg.norm(g)), step_norm,
-            time.perf_counter() - t0, gamma_k=gamma,
-        ))
-        k += 1
-        if config.sample_budget is not None and samples >= config.sample_budget:
-            termination = "budget"
-            break
-    f_final = _value_of(problem, z)
-    records.append(IterateRecord(
-        k, samples, samples, f_final, _gap_of(problem, f_final),
-        float("nan"), 0.0, time.perf_counter() - t0,
-    ))
-    x_avg = avg_acc / avg_count if avg_count else None
-    return RunResult(config.scheme, records, z, x_avg, termination,
-                     None, records[0].gamma_k if records else None)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        yield (t - 1.0) / t_next
+        t = t_next
 
 
 _RUNNERS = {
     "vs_sqn": run_vs_sqn,
-    "svs_sqn_moreau": run_svs_sqn,
-    "svs_sqn_diminishing": run_svs_sqn,
+    "svs_sqn_moreau": _run_svs_moreau,
+    "svs_sqn_diminishing": _run_svs_diminishing,
     "rvs_sqn": run_rvs_sqn,
     "rsvs_sqn": run_rsvs_sqn,
-    "sgd": run_baseline,
-    "sqn_unit": run_baseline,
-    "apg_baseline": run_baseline,
+    "sgd": _run_sgd,
+    "sqn_unit": _run_sqn_unit,
+    "apg_baseline": _run_apg,
 }
 
 

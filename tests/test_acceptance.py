@@ -57,7 +57,7 @@ def report(criterion, detail):
 def random_walk_pairs(problem, gen, rng, count, grad, mode="SC", mus=None,
                       etas=None, delta=1.0, delta_bar=1.0, m=3):
     """Fill a memory from a random walk with fresh replayable batches."""
-    mem = LbfgsMemory(m, mode, delta=delta, delta_bar=delta_bar)
+    mem = LbfgsMemory(m)
     x = gen.standard_normal(problem.meta.n)
     for i in range(count):
         handle = rng.next_handle(int(gen.integers(1, 6)))
@@ -173,7 +173,7 @@ def test_criterion_3_two_loop_vs_dense_and_inverse():
     for trial in range(100):
         m = int(gen.integers(1, 6))
         n = int(gen.integers(2, 51))
-        mem = LbfgsMemory(m, "SC")
+        mem = LbfgsMemory(m)
         for i in range(m):
             root = gen.standard_normal((n, n))
             spd = root @ root.T + np.eye(n)

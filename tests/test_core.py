@@ -11,9 +11,7 @@ from vsqn.core import (
     SampleHandle,
     ScalarSchedule,
     evaluate_on_handle,
-    pilot_noise_estimate,
     sample_average_gradient,
-    schedule_eval,
 )
 from vsqn.problems import quad_make
 
@@ -31,13 +29,6 @@ def test_polynomial_schedule_value():
 
 def test_constant_schedule():
     assert BatchSchedule("constant", 7).eval(123) == 7
-
-
-def test_schedule_eval_dispatch():
-    assert schedule_eval(BatchSchedule("geometric", 1, rate=0.5), 3) == 8
-    assert schedule_eval(ScalarSchedule("power", 2.0, exponent=-1.0), 4) == 0.5
-    with pytest.raises(TypeError):
-        schedule_eval(object(), 0)
 
 
 def test_invalid_schedules_rejected_at_construction():
@@ -198,13 +189,6 @@ def test_non_finite_query_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         sample_average_gradient(prob, np.array([1.0, np.inf, 0.0, 0.0]), 2,
                                 RngStream(0, 0))
-
-
-def test_pilot_noise_estimate_positive_and_deterministic():
-    prob = quad_make(5, 10.0, "SC", RngStream(3, 1), noise_half_width=0.5)
-    v1 = pilot_noise_estimate(prob, np.ones(5), RngStream(8, 2))
-    v2 = pilot_noise_estimate(prob, np.ones(5), RngStream(8, 2))
-    assert v1 == v2 > 0
 
 
 # --- problem metadata --------------------------------------------------------

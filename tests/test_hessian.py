@@ -6,7 +6,6 @@ from vsqn.hessian import (
     CurvaturePair,
     LbfgsMemory,
     SecantError,
-    apply_inverse_hessian,
     collect_pair,
     materialize_dense,
     materialize_inverse,
@@ -16,9 +15,9 @@ from vsqn.hessian import (
 from vsqn.problems import quad_make
 
 
-def random_memory(gen, m, n, mode="SC"):
+def random_memory(gen, m, n):
     """Memory filled from random SPD maps; pairs always satisfy s.y > 0."""
-    mem = LbfgsMemory(m, mode)
+    mem = LbfgsMemory(m)
     for i in range(m):
         root = gen.standard_normal((n, n))
         spd = root @ root.T + np.eye(n)
@@ -77,7 +76,7 @@ def test_convex_mode_needs_mu():
 # --- applying the approximation ----------------------------------------------
 
 def test_empty_memory_is_identity():
-    mem = LbfgsMemory(3, "SC")
+    mem = LbfgsMemory(3)
     v = np.array([1.0, -2.0, 3.0])
     assert np.array_equal(mem.apply(v), v)
     assert np.allclose(materialize_dense(mem, 3), np.eye(3))
@@ -85,7 +84,7 @@ def test_empty_memory_is_identity():
 
 
 def test_pair_with_s_equal_y_collapses_to_identity():
-    mem = LbfgsMemory(1, "SC")
+    mem = LbfgsMemory(1)
     s = np.array([1.0, 2.0])
     mem.push(CurvaturePair(s, s.copy(), 1))
     assert np.allclose(materialize_dense(mem, 2), np.eye(2), atol=1e-14)
@@ -95,11 +94,11 @@ def test_pair_with_s_equal_y_collapses_to_identity():
 
 def test_single_pair_scaled_identity_map():
     # pair from A = 2 I determines H = I/2 everywhere
-    mem = LbfgsMemory(1, "SC")
+    mem = LbfgsMemory(1)
     s = np.array([1.0, 2.0])
     mem.push(CurvaturePair(s, 2.0 * s, 1))
     v = np.array([3.0, -0.5])
-    assert np.allclose(apply_inverse_hessian(mem, v), v / 2, atol=1e-14)
+    assert np.allclose(mem.apply(v), v / 2, atol=1e-14)
 
 
 def test_two_loop_matches_dense_many_memories():
@@ -145,7 +144,7 @@ def test_newest_secant_equation():
 
 
 def test_push_requires_increasing_iteration():
-    mem = LbfgsMemory(2, "SC")
+    mem = LbfgsMemory(2)
     s = np.array([1.0, 0.0])
     mem.push(CurvaturePair(s, s, 3))
     with pytest.raises(ValueError):
@@ -178,7 +177,7 @@ def test_verify_secant_flags_injected_negative_pair():
 
 def test_verify_secant_needs_pairs():
     with pytest.raises(ValueError):
-        verify_secant(LbfgsMemory(2, "SC"))
+        verify_secant(LbfgsMemory(2))
 
 
 # --- eigenvalue envelopes ----------------------------------------------------
@@ -230,7 +229,7 @@ def test_memory_eigenvalues_within_sc_bounds():
     for seed in range(25):
         prob = quad_make(6, 10.0, "SC", RngStream(seed, 1), noise_half_width=0.3)
         rng = RngStream(seed, 0)
-        mem = LbfgsMemory(3, "SC")
+        mem = LbfgsMemory(3)
         x = gen.standard_normal(6)
         for i in range(5):
             handle = rng.next_handle(int(gen.integers(1, 5)))

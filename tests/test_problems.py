@@ -362,7 +362,7 @@ def _slot_cases():
     quad = lambda: quad_make(6, 10.0, "SC", RngStream(1, 1))
     return [
         ("quad_gradient", quad, lambda p, x, h: p.batch_gradient(x, h)),
-        ("quad_value", quad, lambda p, x, h: np.array([p.batch_value(x, h)])),
+        ("quad_value", quad, lambda p, x, h: np.array([p.frozen_batch(h).value(x)])),
         ("quad_frozen", quad, lambda p, x, h: p.frozen_batch(h).grad(x)),
         ("logistic", logistic, lambda p, x, h: p.batch_gradient(x, h)),
         ("logistic_smoothed", logistic,

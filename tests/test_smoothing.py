@@ -10,11 +10,9 @@ from vsqn.harness.checks import fd_check
 from vsqn.problems import quad_make
 from vsqn.smoothing import (
     CompositeProxFunction,
-    IndicatorFunction,
     L1Function,
     ProxSpec,
     ProxSolverError,
-    SmoothedView,
     check_smoothing_chain,
     eta_schedule_diminishing,
     huber_l1,
@@ -80,8 +78,18 @@ def test_moreau_l1_scalar_closed_form():
     assert min(np.abs(grid) + 0.5 * (grid - 2.0) ** 2) == pytest.approx(1.5, abs=1e-8)
 
 
+class _Box:
+    """Indicator of [-1, 1]^n: value 0 inside, prox the projection."""
+
+    def value(self, u):
+        return 0.0 if np.all(np.abs(u) <= 1.0) else math.inf
+
+    def prox(self, x, t):
+        return np.clip(x, -1.0, 1.0)
+
+
 def test_moreau_indicator_inside_set():
-    box = IndicatorFunction(lambda x: np.clip(x, -1.0, 1.0))
+    box = _Box()
     value, grad = moreau_value_grad(box, np.array([0.5]), 0.7)
     assert value == 0.0
     assert grad[0] == 0.0
@@ -295,32 +303,36 @@ def test_chain_rejects_increasing_levels():
         check_smoothing_chain((None, None), 0.5, 1.0, 1.0, [])
 
 
-# --- smoothed views ----------------------------------------------------------
+# --- smoothing constants ------------------------------------------------------
 
+# view: (eta, beta, dimension, value and gradient of the eta-smoothed
+# function), checked against f_eta <= f <= f_eta + eta*beta
 @pytest.mark.parametrize("view,original", [
-    (SmoothedView.norm2(0.3), lambda x: np.linalg.norm(x)),
-    (SmoothedView.huber(0.3, 4), lambda x: np.sum(np.abs(x))),
-    (SmoothedView.lse(TWO_TERM_A, np.zeros(2), 0.3), lambda x: max(x[0], x[1])),
+    ((0.3, 1.0, 4, lambda x: norm2_smooth(x, 0.3)), lambda x: np.linalg.norm(x)),
+    ((0.3, 4 / 2, 4, lambda x: huber_l1(x, 0.3)), lambda x: np.sum(np.abs(x))),
+    ((0.3, math.log(2), 2, lambda x: lse_smooth_max(TWO_TERM_A, np.zeros(2), x, 0.3)),
+     lambda x: max(x[0], x[1])),
 ])
 def test_view_sandwich_and_gradient(view, original):
+    eta, beta, dim, value_grad = view
     gen = np.random.default_rng(7)
-    dim = 2 if view.beta == math.log(2) else 4
     for _ in range(200):
         x = gen.standard_normal(dim) * 2
-        v = view.value(x)
+        v = value_grad(x)[0]
         f = original(x)
         assert v <= f + 1e-12
-        assert f <= v + view.eta * view.beta + 1e-12
+        assert f <= v + eta * beta + 1e-12
     points = [gen.standard_normal(dim) * 2 + 0.31 for _ in range(25)]
-    report = fd_check(lambda x: (view.value(x), view.gradient(x)), points)
+    report = fd_check(value_grad, points)
     assert report.passed, report
 
 
 def test_view_gradient_lipschitz_certificate():
-    view = SmoothedView.norm2(0.25)
+    # the norm smoother's gradient is (alpha/eta)-Lipschitz with alpha = 1
+    eta = 0.25
     gen = np.random.default_rng(9)
-    bound = view.grad_lipschitz
+    bound = 1.0 / eta
     for _ in range(300):
         x, y = gen.standard_normal(3), gen.standard_normal(3)
-        lhs = np.linalg.norm(view.gradient(x) - view.gradient(y))
+        lhs = np.linalg.norm(norm2_smooth(x, eta)[1] - norm2_smooth(y, eta)[1])
         assert lhs <= bound * np.linalg.norm(x - y) + 1e-12

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from vsqn.core import (
     ScalarSchedule,
     evaluate_on_handle,
 )
+from vsqn.harness.config import build_problem
+from vsqn.harness.presets import preset_cells
 from vsqn.hessian import LbfgsMemory, collect_pair
 from vsqn.problems import (
     CompositeProblem,
@@ -15,36 +20,12 @@ from vsqn.problems import (
     LewisOvertonProblem,
     quad_make,
 )
-from vsqn.smoothing import L1Function
-from vsqn.solvers import ConfigError, SolverConfig, run, weighted_average
+from vsqn.smoothing import L1Function, eta_schedule_diminishing
+from vsqn.solvers import ConfigError, SolverConfig, run
 
 
 def sc_quad(seed=0, n=6, kappa=10.0, noise=0.5):
     return quad_make(n, kappa, "SC", RngStream(seed, 1), noise_half_width=noise)
-
-
-# --- weighted average ---------------------------------------------------------
-
-def test_weighted_average_uniform_is_mean():
-    xs = [np.array([0.0]), np.array([4.0])]
-    assert weighted_average(xs, [1.0, 1.0])[0] == pytest.approx(2.0)
-
-
-def test_weighted_average_single_element():
-    x = np.array([1.0, 2.0])
-    assert np.array_equal(weighted_average([x], [3.0]), x)
-
-
-def test_weighted_average_hand_case():
-    xs = [np.array([0.0]), np.array([4.0])]
-    assert weighted_average(xs, [1.0, 3.0])[0] == pytest.approx(3.0)
-
-
-def test_weighted_average_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        weighted_average([np.zeros(1)], [0.0])
-    with pytest.raises(ValueError):
-        weighted_average([np.zeros(1)], [1.0, 2.0])
 
 
 # --- config validation ---------------------------------------------------------
@@ -175,7 +156,7 @@ def test_update_rule_fidelity_bitwise():
                        record_trace=True)
     res = run(prob, cfg)
     for before, after in zip(res.trace, res.trace[1:]):
-        mem = LbfgsMemory(3, "SC")
+        mem = LbfgsMemory(3)
         for pair in before["pairs"]:
             mem.push(pair)
         g = evaluate_on_handle(prob, before["x"], before["handle"])
@@ -184,14 +165,32 @@ def test_update_rule_fidelity_bitwise():
 
 
 def test_zero_step_terminates_as_converged():
+    # zero steps leave x in place and skip their pairs; the run goes on
     prob = quad_make(3, 1.0, "SC", RngStream(0, 1), noise_half_width=0.0)
     cfg = SolverConfig("vs_sqn", m=1, horizon=50,
                        batch=BatchSchedule("constant", 1),
                        step=ScalarSchedule("constant", 0.5),
                        x0=prob.x_true.copy(), seed=0)
     res = run(prob, cfg)
-    assert res.termination == "zero-step"
+    assert res.termination == "horizon"
     assert np.array_equal(res.x_final, prob.x_true)
+    assert res.extras["pairs_skipped"] == 25       # k = 1, 3, ..., 49
+
+
+@pytest.mark.parametrize("data_seed", [1, 2])
+def test_zero_feature_row_does_not_end_the_run(data_seed):
+    # these c_smooth data sets hold an all-zero feature row; drawing it
+    # gives a zero sample gradient and so a zero unit-batch step
+    cell = next(c for c in preset_cells("c_smooth")
+                if c.name == "c_smooth_sqn_unit")
+    problem = build_problem(cell, data_seed)
+    assert not problem.features.any(axis=1).all()
+    res = run(problem, replace(cell.solver_config(0), sample_budget=2000))
+    assert res.termination == "budget"
+    assert len(res.records) - 1 == 2000
+    assert res.extras["pairs_skipped"] > 0
+    # one pair opportunity at each odd k = 3, 5, ..., 1999
+    assert res.extras["pairs_formed"] + res.extras["pairs_skipped"] == 999
 
 
 def test_median_descent_after_burn_in():
@@ -239,26 +238,37 @@ def test_vs_sqn_batch_floor_honored_when_noise_known():
 def test_svs_diminishing_schedule_logged():
     prob = L1LocationProblem(np.array([1.0, -1.0, 0.5]), noise_half_width=1.0,
                              sc_weight=1.0)
-    cfg = SolverConfig("svs_sqn_diminishing", m=1, horizon=12, seed=0)
+    cfg = SolverConfig("svs_sqn_diminishing", m=1, horizon=12, seed=0,
+                       record_trace=True)
     res = run(prob, cfg)
-    etas = [r.eta_k for r in res.records if r.eta_k is not None]
-    assert all(a > b for a, b in zip(etas, etas[1:]))
     n, tau = 3, 1.0
-    assert etas[0] == pytest.approx((2 * (n + 1) ** 2 / (tau**2 * 2)) ** (1 / 3))
-    # steplength follows eta_k^2 for m=1
-    gammas = [r.gamma_k for r in res.records if r.eta_k is not None]
-    assert gammas[0] == pytest.approx(tau * etas[0] ** 2 / (1 + n))
+    steps = res.records[:-1]
+    assert [r.k for r in steps] == list(range(12))
+    # steplength follows eta_k^2 for m=1: gamma_k = tau eta_k^2 / (n + 1)
+    for r in steps:
+        eta = eta_schedule_diminishing(n, tau, r.k)
+        assert r.gamma_k == pytest.approx(tau * eta**2 / (n + 1))
+    assert all(a.gamma_k > b.gamma_k for a, b in zip(steps, steps[1:]))
+    pairs = {p.formed_at: p for e in res.trace for p in e["pairs"]}
+    assert sorted(pairs) == [1, 3, 5, 7, 9, 11]
+    for k, pair in pairs.items():
+        assert pair.eta_used == eta_schedule_diminishing(n, tau, k)
 
 
 def test_rvs_sqn_schedules_and_monotone_mu():
     prob = quad_make(6, 5.0, "C", RngStream(7, 1))
-    cfg = SolverConfig("rvs_sqn", m=2, horizon=20, epsilon=0.3, seed=0)
+    cfg = SolverConfig("rvs_sqn", m=2, horizon=20, epsilon=0.3, seed=0,
+                       record_trace=True)
     res = run(prob, cfg)
-    mus = [r.mu_k for r in res.records if r.mu_k is not None]
-    assert all(a >= b for a, b in zip(mus, mus[1:]))
-    assert mus[0] == pytest.approx(1.0)
+    pairs = {p.formed_at: p for e in res.trace for p in e["pairs"]}
+    # the loop starts at k = 1, so pairs form at k = 3, 5, ..., 19
+    assert sorted(pairs) == list(range(3, 21, 2))
+    # mu changes at even k only, so a pair at odd k holds mu(k - 1)
     c = 1 - 2 * 0.3 / 3
-    assert mus[4] == pytest.approx(5.0 ** -c)  # k = 5 on the mu schedule
+    for k, pair in pairs.items():
+        assert pair.mu_used == pytest.approx((k - 1) ** -c)
+    mus = [pairs[k].mu_used for k in sorted(pairs)]
+    assert all(a > b for a, b in zip(mus, mus[1:]))
     assert res.extras["delta_bar"] == pytest.approx(0.3 / (2 * (6 + 2)))
 
 
@@ -370,6 +380,60 @@ def test_apg_beats_plain_descent_on_noiseless_quadratic():
         return np.inf
 
     assert iterations_to("apg_baseline") < iterations_to("sgd")
+
+
+def _apg_reference(problem, x0, batch, seed, horizon, beta_at):
+    """Two-sequence accelerated gradient: z_{k+1} = x_k - g_k / L and
+    x_{k+1} = z_{k+1} + beta_k (z_{k+1} - z_k); returns z and step norms."""
+    gamma = 1.0 / problem.meta.lipschitz_L
+    x, z = x0.copy(), x0.copy()
+    rng = RngStream(seed, stream_id=0)
+    step_norms = []
+    for k in range(horizon):
+        g = problem.batch_gradient(x, rng.next_handle(batch.eval(k)))
+        z_next = x - gamma * g
+        step_norms.append(float(np.linalg.norm(gamma * g)))
+        x = z_next + beta_at(k) * (z_next - z)
+        z = z_next
+    return z, step_norms
+
+
+def _vanishing_betas():
+    betas, t = [], 1.0
+    for _ in range(100):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        betas.append((t - 1.0) / t_next)
+        t = t_next
+    return betas
+
+
+@pytest.mark.parametrize("convexity", ["SC", "C"])
+def test_apg_matches_reference_loop(convexity):
+    prob = quad_make(6, 25.0, convexity, RngStream(13, 1))
+    if convexity == "SC":
+        root = math.sqrt(prob.meta.lipschitz_L / prob.meta.tau)
+        beta_at = lambda k: (root - 1.0) / (root + 1.0)
+    else:
+        assert prob.meta.tau is None
+        betas = _vanishing_betas()
+        beta_at = lambda k: betas[k]
+    batch = BatchSchedule("geometric", 1, rate=0.9)
+    x0 = np.linspace(-1.0, 1.0, 6)
+    res = run(prob, SolverConfig("apg_baseline", horizon=40, batch=batch,
+                                 x0=x0, seed=3))
+    z, step_norms = _apg_reference(prob, x0, batch, 3, 40, beta_at)
+    assert res.termination == "horizon"
+    assert np.array_equal(res.x_final, z)
+    closing = res.records[-1]
+    samples = sum(batch.eval(k) for k in range(40))
+    assert (closing.k, closing.samples_cum, closing.grad_evals_cum) == (
+        40, samples, samples)
+    assert closing.f_value == prob.true_value(z)
+    assert closing.step_norm == 0.0
+    assert res.records[0].f_value == prob.true_value(x0)
+    assert [r.step_norm for r in res.records[:-1]] == step_norms
+    assert res.extras == {"pairs_formed": 0, "pairs_skipped": 0,
+                          "pair_grads_reused": 0}
 
 
 def test_results_have_closing_record():
