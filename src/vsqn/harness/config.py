@@ -2,8 +2,8 @@
 
 A config file fully determines a run given the code version: one problem,
 one solver, a seed list, and output/metric toggles.  Unknown keys and bad
-values are rejected with the offending key named.  See the README for the
-full key table.
+values are rejected with the offending key named.  ``KNOWN_KEYS`` lists
+every key and ``config_from_keys`` shows where each one goes.
 """
 
 from __future__ import annotations
@@ -260,8 +260,5 @@ def build_problem(cfg: ExperimentConfig, seed: int):
     # l1_quadratic: l1 piece + strongly convex sampled quadratic
     quad = quad_make(p.get("n", 10), p.get("kappa", 10.0), "SC", rng,
                      noise_half_width=p.get("noise", 0.5))
-    lam = p.get("l1_weight", 0.5)
-    return CompositeProblem(
-        L1Function(lam), quad, prox_spec=ProxSpec(),
-        subgradient_bound=lam * np.sqrt(p.get("n", 10)),
-    )
+    return CompositeProblem(L1Function(p.get("l1_weight", 0.5)), quad,
+                            prox_spec=ProxSpec())

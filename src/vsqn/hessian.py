@@ -70,15 +70,14 @@ def collect_pair(
     formed_at: int,
     mu_i: Optional[float] = None,
     eta_i: Optional[float] = None,
-    delta: float = 1.0,
     delta_bar: float = 1.0,
 ) -> CurvaturePair:
     """Build a curvature pair from gradients on one sample batch.
 
     Both gradients must come from the identical sample handle; in C mode
-    they must additionally be gradients of the eta_i**delta-smoothed
-    surrogate, and the mu_i**delta_bar * s regularization term is added
-    here.
+    they must additionally be gradients of the smoothed surrogate (level
+    eta_i**delta, chosen by the caller), and the mu_i**delta_bar * s
+    regularization term is added here.
     """
     if mode not in MODES:
         raise ValueError(f"unknown pair mode {mode!r}")

@@ -11,7 +11,6 @@ re-evaluating that batch at another point (a curvature pair) draws nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -75,12 +74,11 @@ class QuadraticEnsemble(_LastBatchSlot):
     """
 
     def __init__(self, frame: Array, eigs: Array, x_true: Array,
-                 noise_half_width: float, convexity: str):
+                 noise_half_width: float):
         self.frame = np.asarray(frame, dtype=float)
         self.eigs = np.asarray(eigs, dtype=float)
         self.x_true = np.asarray(x_true, dtype=float)
         self.noise = float(noise_half_width)
-        self.convexity = convexity
         if not (0 <= self.noise < 1):
             raise ValueError("noise_half_width must lie in [0, 1)")
         n = self.eigs.size
@@ -173,7 +171,7 @@ def quad_make(n: int, kappa: float, convexity: str, rng,
     q, r = np.linalg.qr(raw)
     q *= np.sign(np.diag(r))
     x_true = gen.standard_normal(n)
-    return QuadraticEnsemble(q, eigs, x_true, noise_half_width, convexity)
+    return QuadraticEnsemble(q, eigs, x_true, noise_half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,6 @@ class IsotonicLasso(_LastBatchSlot):
             raise ValueError("eta must be > 0")
         self.p, n = self.A.shape
         gram_norm = float(np.linalg.eigvalsh(self.A.T @ self.A)[-1])
-        self.data_lipschitz = gram_norm
         self.meta = ProblemMeta(n=n, lipschitz_L=gram_norm + 1.0 / self.default_eta)
 
     def _draw(self, handle: SampleHandle) -> Array:
@@ -502,7 +499,6 @@ class L1LocationProblem(_LastBatchSlot):
         if self.w <= 0:
             raise ValueError("noise_half_width must be > 0")
         n = self.center.size
-        self.subgradient_bound = math.sqrt(n)
         self.meta = ProblemMeta(
             n=n,
             tau=self.sc if self.sc > 0 else None,
@@ -607,12 +603,10 @@ class CompositeProblem(_LastBatchSlot):
     per sample; envelope gradients of the sample-average composite are
     computed through an inner prox solve on the frozen batch."""
 
-    def __init__(self, h, smooth, prox_spec: ProxSpec = ProxSpec(),
-                 subgradient_bound: Optional[float] = None):
+    def __init__(self, h, smooth, prox_spec: ProxSpec = ProxSpec()):
         self.h = h
         self.smooth = smooth
         self.prox_spec = prox_spec
-        self.subgradient_bound = subgradient_bound
         base = smooth.meta
         self.meta = ProblemMeta(
             n=base.n,

@@ -46,7 +46,6 @@ from .core import (
     evaluate_on_handle,
 )
 from .hessian import LbfgsMemory, collect_pair, theoretical_bounds
-from .regularization import AlternationState, alternation_step
 from .smoothing import eta_schedule_diminishing
 
 SCHEMES = (
@@ -192,43 +191,32 @@ class RunResult:
 
 @dataclass
 class _Plan:
-    """One scheme's ingredients for the shared loop.
+    """One scheme's schedules for the shared loop.
 
     ``oracle(x, handle, level)`` is a raw batch gradient at smoothing level
-    ``level`` (None: unsmoothed).  The step direction at iteration k is
-    oracle(x_k, S_k, step_level(k)) plus ``regularizer(x_k, k)`` when set;
-    pairs use oracle(., S_{k-1}, pair_level(k)) and are not formed when
-    ``pair_level`` is None.  With ``momentum`` set, the step lands on the
-    reported iterate z_{k+1} = x_k - gamma_k H_k u_k and the next query
-    point is x_{k+1} = z_{k+1} + momentum(k) (z_{k+1} - z_k); the loop calls
-    it once per iteration, in order.
+    ``level`` (None: unsmoothed), by default ``evaluate_on_handle``.  The
+    step direction at k is oracle(x_k, S_k, level(k)), plus mu(k) (x_k - x_0)
+    when ``mu`` is set.  With ``pairs`` set, the pair at odd k is taken on
+    S_{k-1} at level level(k)**delta with eta_i = level(k); with ``mu`` set
+    it is a C-mode pair holding mu_i = mu(k - 1), the weight of the even
+    step before it, since the weight changes only at even k.  With
+    ``momentum`` set, the step lands on the reported iterate
+    z_{k+1} = x_k - gamma_k H_k u_k and the next query point is
+    x_{k+1} = z_{k+1} + momentum(k) (z_{k+1} - z_k); the loop calls it once
+    per iteration, in order.
     """
 
-    mode: str
     start_k: int
     gamma: Callable[[int], float]
     batch_n: Callable[[int], int]
-    oracle: Callable[[Array, SampleHandle, Optional[float]], Array]
-    step_level: Callable[[int], Optional[float]] = lambda k: None
-    pair_level: Optional[Callable[[int], Optional[float]]] = lambda k: None
-    regularizer: Optional[Callable[[Array, int], Array]] = None
-    pair_mu: Callable[[int], Optional[float]] = lambda k: None
-    pair_eta: Callable[[int], Optional[float]] = lambda k: None
-    advance: Callable[[int], None] = lambda k: None
+    oracle: Optional[Callable[[Array, SampleHandle, Optional[float]], Array]] = None
+    level: Callable[[int], Optional[float]] = lambda k: None
+    pairs: bool = True
+    mu: Optional[Callable[[int], float]] = None
     momentum: Optional[Callable[[int], float]] = None
     weight: Optional[Callable[[int], float]] = None  # averaged-iterate weight
     delta: float = 1.0
     delta_bar: float = 1.0
-
-
-def _batch_oracle(problem):
-    return lambda x, h, level: evaluate_on_handle(problem, x, h, eta=level)
-
-
-def _initial_point(problem, config) -> Array:
-    if config.x0 is not None:
-        return assert_finite(config.x0, "x0").copy()
-    return np.zeros(problem.meta.n)
 
 
 def _value_of(problem, x) -> Optional[float]:
@@ -245,8 +233,17 @@ def _gap_of(problem, f_value) -> Optional[float]:
 
 def _qn_loop(problem, config: SolverConfig, plan: _Plan,
              theoretical_step: Optional[float]) -> RunResult:
-    x = _initial_point(problem, config)
+    x = (np.zeros(problem.meta.n) if config.x0 is None
+         else assert_finite(config.x0, "x0").copy())
+    x0 = x  # the regularization center; no iterate is updated in place
     z = x  # the reported iterate; a sequence of its own only under momentum
+    # looked up at call time, so the module global can be wrapped
+    oracle = plan.oracle or (
+        lambda point, h, level: evaluate_on_handle(problem, point, h, eta=level))
+    mode = "SC" if plan.mu is None else "C"
+    max_iters = MAX_ITERS_DEFAULT if config.max_iters is None else config.max_iters
+    if config.horizon is not None:
+        max_iters = min(max_iters, config.horizon)
     rng = RngStream(config.seed, stream_id=0)
     mem = LbfgsMemory(config.m)
     records: list[IterateRecord] = []
@@ -266,29 +263,29 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
     termination = "horizon"
 
     while True:
-        if plan_horizon_reached(config, iters):
+        if iters >= max_iters:
             termination = "horizon"
             break
-        plan.advance(k)
 
-        if plan.pair_level is not None and k % 2 == 1 and prev is not None:
+        if plan.pairs and k % 2 == 1 and prev is not None:
             x_prev, h_prev, n_prev, level_prev, g_prev = prev
             # a step at rounding scale carries no curvature information:
             # y would be pure cancellation noise, so skip the pair
             s_scale = float(np.linalg.norm(x - x_prev))
             if s_scale > 1e-13 * (1.0 + float(np.linalg.norm(x))):
-                level = plan.pair_level(k)
-                g_hi = plan.oracle(x, h_prev, level)
+                eta = plan.level(k)
+                level = None if eta is None else eta ** plan.delta
+                g_hi = oracle(x, h_prev, level)
                 if level == level_prev:
                     g_lo = g_prev
                     counters["pair_grads_reused"] += 1
                 else:
-                    g_lo = plan.oracle(x_prev, h_prev, level)
+                    g_lo = oracle(x_prev, h_prev, level)
                 grad_evals += 2 * n_prev
                 mem.push(collect_pair(
-                    plan.mode, x, x_prev, g_hi, g_lo, k,
-                    mu_i=plan.pair_mu(k), eta_i=plan.pair_eta(k),
-                    delta=plan.delta, delta_bar=plan.delta_bar,
+                    mode, x, x_prev, g_hi, g_lo, k,
+                    mu_i=None if plan.mu is None else plan.mu(k - 1),
+                    eta_i=eta, delta_bar=plan.delta_bar,
                 ))
                 counters["pairs_formed"] += 1
             else:
@@ -296,9 +293,9 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
 
         n_k = plan.batch_n(k)
         handle = rng.next_handle(n_k)
-        level = plan.step_level(k)
-        raw = plan.oracle(x, handle, level)
-        g = raw if plan.regularizer is None else raw + plan.regularizer(x, k)
+        level = plan.level(k)
+        raw = oracle(x, handle, level)
+        g = raw if plan.mu is None else raw + plan.mu(k) * (x - x0)
         samples += n_k
         grad_evals += n_k
         gamma = plan.gamma(k)
@@ -352,13 +349,6 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
     )
 
 
-def plan_horizon_reached(config: SolverConfig, iters: int) -> bool:
-    if config.horizon is not None and iters >= config.horizon:
-        return True
-    cap = MAX_ITERS_DEFAULT if config.max_iters is None else config.max_iters
-    return iters >= cap
-
-
 # ---------------------------------------------------------------------------
 # scheme setups
 # ---------------------------------------------------------------------------
@@ -391,10 +381,9 @@ def run_vs_sqn(problem, config: SolverConfig) -> RunResult:
     step = config.step or ScalarSchedule("constant", theoretical)
 
     plan = _Plan(
-        mode="SC", start_k=0,
+        start_k=0,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        oracle=_batch_oracle(problem),
     )
     return _qn_loop(problem, config, plan, theoretical)
 
@@ -425,13 +414,11 @@ def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
     batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.9)
 
     plan = _Plan(
-        mode="SC", start_k=0,
+        start_k=0,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
         oracle=lambda x, h, level: problem.envelope_gradient(x, h, level),
-        step_level=lambda k: eta,
-        pair_level=lambda k: eta,
-        pair_eta=lambda k: eta,
+        level=lambda k: eta,
     )
     return _qn_loop(problem, config, plan, theoretical)
 
@@ -471,15 +458,7 @@ def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
         batch = BatchSchedule("polynomial", N0=max(1, n0),
                               exponent=1.5 + 2.0 / 3.0, offset=2)
 
-    plan = _Plan(
-        mode="SC", start_k=0,
-        gamma=gamma_at,
-        batch_n=batch.eval,
-        oracle=_batch_oracle(problem),
-        step_level=eta_at,
-        pair_level=eta_at,
-        pair_eta=eta_at,
-    )
+    plan = _Plan(start_k=0, gamma=gamma_at, batch_n=batch.eval, level=eta_at)
     return _qn_loop(problem, config, plan, theoretical)
 
 
@@ -492,6 +471,9 @@ def run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
         eps / (2.0 * (n + m)))
     mu_sched = config.mu or ScalarSchedule("power", base=1.0,
                                            exponent=-(1.0 - 2.0 * eps / 3.0))
+    if mu_sched.kind != "power" or not mu_sched.eval(2) < mu_sched.eval(1):
+        raise ConfigError("mu", "rvs_sqn needs a strictly decreasing power "
+                                "schedule (exponent < 0, offset >= 0; epsilon < 1.5)")
     mu0 = mu_sched.eval(1)
     L = meta.lipschitz_L
     bounds0 = None
@@ -513,24 +495,12 @@ def run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
         if batch.N0 < floor:
             batch = replace(batch, N0=int(math.ceil(floor)))
 
-    x0 = _initial_point(problem, config)
-    state = AlternationState(mu_sched.eval(1), 1.0, last_update_k=1)
-    holder = {"state": state, "k_seen": 0}
-
-    def advance(k):
-        if k > max(holder["k_seen"], 1):
-            holder["state"] = alternation_step(holder["state"], k, mu_sched, None)
-            holder["k_seen"] = k
-
     plan = _Plan(
-        mode="C", start_k=1,
+        start_k=1,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        oracle=_batch_oracle(problem),
-        regularizer=lambda x, k: mu_sched.eval(k) * (x - x0),
-        pair_mu=lambda k: holder["state"].mu_current,
-        advance=advance,
-        delta=1.0, delta_bar=delta_bar,
+        mu=mu_sched.eval,
+        delta_bar=delta_bar,
     )
     result = _qn_loop(problem, config, plan, theoretical)
     result.extras["delta_bar"] = delta_bar
@@ -570,18 +540,12 @@ def run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
             "batch", f"averaging weights need N0 > C/(lo*mu*gamma) = "
                      f"{ceiling:.6g}; got N0 = {batch.N0}")
 
-    x0 = _initial_point(problem, config)
-
     plan = _Plan(
-        mode="C", start_k=0,
+        start_k=0,
         gamma=lambda k: gamma,
         batch_n=batch.eval,
-        oracle=_batch_oracle(problem),
-        step_level=lambda k: eta,
-        pair_level=lambda k: eta**delta,
-        regularizer=lambda x, k: mu * (x - x0),
-        pair_mu=lambda k: mu,
-        pair_eta=lambda k: eta,
+        level=lambda k: eta,
+        mu=lambda k: mu,
         weight=lambda k: bounds.lambda_lo * mu * gamma - C / batch.eval(k),
         delta=delta, delta_bar=delta_bar,
     )
@@ -604,10 +568,9 @@ def _run_sqn_unit(problem, config: SolverConfig) -> RunResult:
         raise ConfigError("step", "sqn_unit needs tau/lipschitz_L or a step")
     step = config.step or ScalarSchedule("power", base=theoretical, exponent=-1.0)
     plan = _Plan(
-        mode="SC", start_k=1,
+        start_k=1,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=lambda k: 1,
-        oracle=_batch_oracle(problem),
     )
     return _qn_loop(problem, config, plan, theoretical)
 
@@ -619,11 +582,10 @@ def _run_sgd(problem, config: SolverConfig) -> RunResult:
     step = config.step or ScalarSchedule("constant", 1.0 / meta.lipschitz_L)
     batch = config.batch or BatchSchedule("constant", N0=1)
     plan = _Plan(
-        mode="SC", start_k=1,
+        start_k=1,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        oracle=_batch_oracle(problem),
-        pair_level=None,
+        pairs=False,
     )
     return _qn_loop(problem, config, plan, None)
 
@@ -645,11 +607,10 @@ def _run_apg(problem, config: SolverConfig) -> RunResult:
         betas = _vanishing_momentum()
         momentum = lambda k: next(betas)
     plan = _Plan(
-        mode="SC", start_k=0,
+        start_k=0,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        oracle=_batch_oracle(problem),
-        pair_level=None,
+        pairs=False,
         momentum=momentum,
     )
     return _qn_loop(problem, config, plan, None)

@@ -55,7 +55,7 @@ def report(criterion, detail):
 
 
 def random_walk_pairs(problem, gen, rng, count, grad, mode="SC", mus=None,
-                      etas=None, delta=1.0, delta_bar=1.0, m=3):
+                      etas=None, delta_bar=1.0, m=3):
     """Fill a memory from a random walk with fresh replayable batches."""
     mem = LbfgsMemory(m)
     x = gen.standard_normal(problem.meta.n)
@@ -64,7 +64,7 @@ def random_walk_pairs(problem, gen, rng, count, grad, mode="SC", mus=None,
         x_new = x + 0.5 * gen.standard_normal(x.size)
         kwargs = {}
         if mode == "C":
-            kwargs = {"mu_i": mus[i], "delta_bar": delta_bar, "delta": delta}
+            kwargs = {"mu_i": mus[i], "delta_bar": delta_bar}
             if etas is not None:
                 kwargs["eta_i"] = etas[i]
         mem.push(collect_pair(mode, x_new, x, grad(x_new, handle, i),
@@ -149,7 +149,7 @@ def test_criterion_2_eigenvalue_certificates():
                 grad = lambda x, h, i: prob.batch_gradient_smoothed(
                     x, h, etas[i] ** delta)
                 mem = random_walk_pairs(prob, gen, rng, m + 2, grad, mode="C",
-                                        mus=mus, etas=etas, delta=delta,
+                                        mus=mus, etas=etas,
                                         delta_bar=delta_bar, m=m)
                 bounds = theoretical_bounds(regime, m=m, n=n,
                                             eta_k=etas[m + 1], mu0=mus[0],
@@ -334,8 +334,7 @@ def test_criterion_7_moreau_scheme_accuracy_and_rate():
     errs, gap_rows = [], []
     for seed in range(20):
         quad = quad_make(10, 10.0, "SC", RngStream(seed, 1), noise_half_width=0.2)
-        prob = CompositeProblem(L1Function(lam), quad,
-                                subgradient_bound=lam * math.sqrt(10))
+        prob = CompositeProblem(L1Function(lam), quad)
         x_ref = _prox_gradient_reference(quad, lam)
         f_ref = prob.true_value(x_ref)
         cfg = SolverConfig("svs_sqn_moreau", m=3, sample_budget=3_000_000,

@@ -1,8 +1,9 @@
 """Guards against code with no caller, read from the source with ``ast``.
 
 Every public top-level function or class in ``src/vsqn`` must be named by
-another src line or exported in ``vsqn.__all__``, and every import must be
-used in its module.
+another src line or exported in ``vsqn.__all__``, every public method and
+``self.`` attribute of a src class must be read by src code, and every
+import must be used in its module.
 """
 
 import ast
@@ -20,6 +21,19 @@ ALLOWED = {
     "check_smoothing_chain": "smoothing chain inequality certificate (criterion 5)",
     "StochasticProblem": "the oracle contract, written as a Protocol",
     "save_sparse_dataset": "writer of the loader's format, for its round trip",
+}
+
+# Members no src code reads, kept on purpose ("Class.name").
+ALLOWED_MEMBERS = {
+    "OracleError.sample_index": "exception payload for the caller",
+    "SecantError.s_dot_y": "exception payload for the caller",
+    "ProxSolverError.residual": "exception payload for the caller",
+    "ConfigError.field": "exception payload: the offending config field",
+    "ConfigFileError.field": "exception payload: the offending config key",
+    "QuadraticEnsemble.true_gradient":
+        "exact gradient behind the finite-difference certificates",
+    "LogisticProblem.full_gradient":
+        "exact gradient behind the finite-difference certificates",
 }
 
 
@@ -55,14 +69,57 @@ def _uncalled_definitions() -> dict:
                         for other, names in named if other is not stmt)}
 
 
+def _read_names(modules: dict) -> set:
+    """Names src code reads: attribute loads and string constants, the
+    second because the loop and the CLI reach optional methods through
+    getattr/hasattr."""
+    names = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def _unread_members() -> dict:
+    """Module of each public method or ``self.`` attribute of a src class
+    whose name src code never reads, keyed "Class.name"."""
+    modules = _modules()
+    read = _read_names(modules)
+    unread = {}
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            members = {stmt.name for stmt in cls.body
+                       if isinstance(stmt, ast.FunctionDef)}
+            members.update(
+                node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+            unread.update({f"{cls.name}.{name}": module for name in members
+                           if not name.startswith("_") and name not in read})
+    return unread
+
+
 def test_every_public_definition_has_a_src_caller():
     uncalled = {name: module for name, module in _uncalled_definitions().items()
                 if name not in ALLOWED}
     assert not uncalled, f"no src caller and not exported: {uncalled}"
 
 
+def test_every_public_member_is_read():
+    unread = {name: module for name, module in _unread_members().items()
+              if name not in ALLOWED_MEMBERS}
+    assert not unread, f"never read by src: {unread}"
+
+
 def test_allowlist_names_only_uncalled_definitions():
     assert set(ALLOWED) <= set(_uncalled_definitions())
+    assert set(ALLOWED_MEMBERS) <= set(_unread_members())
 
 
 def test_every_import_is_used():

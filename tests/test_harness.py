@@ -197,6 +197,15 @@ def test_cli_invalid_scheme_exits_2(tmp_path):
     assert code == 2
 
 
+def test_cli_non_decreasing_mu_exits_2_naming_mu(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_c\nscheme = rvs_sqn\nmu_kind = constant\n"
+                   "mu_base = 0.5\nhorizon = 10\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error: mu:" in capsys.readouterr().err
+
+
 def test_cli_requires_config_or_preset(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
 

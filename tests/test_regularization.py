@@ -1,13 +1,7 @@
 import numpy as np
-import pytest
 
-from vsqn.core import RngStream, ScalarSchedule
+from vsqn.core import RngStream
 from vsqn.problems import quad_make
-from vsqn.regularization import (
-    AlternationError,
-    AlternationState,
-    alternation_step,
-)
 
 
 def test_strong_convexity_transfer():
@@ -49,34 +43,3 @@ def test_gradient_bounds_around_regularized_optimum():
         assert 2 * mu * gap <= g2 + 1e-9
         assert g2 <= 2 * (L + mu) * gap + 1e-9
 
-
-def test_alternation_holds_at_odd():
-    state = AlternationState(1.0, 1.0, last_update_k=1)
-    sched = ScalarSchedule("power", base=1.0, exponent=-0.5)
-    after = alternation_step(state, 3, sched, sched)
-    assert after is state
-
-
-def test_alternation_decreases_at_even():
-    state = AlternationState(1.0, 1.0, last_update_k=1)
-    mu_sched = ScalarSchedule("power", base=1.0, exponent=-0.5)
-    eta_sched = ScalarSchedule("power", base=1.0, exponent=-0.25)
-    after = alternation_step(state, 2, mu_sched, eta_sched)
-    assert after.mu_current == pytest.approx(2.0 ** -0.5)
-    assert after.eta_current == pytest.approx(2.0 ** -0.25)
-    assert after.mu_current < state.mu_current
-    assert after.last_update_k == 2
-
-
-def test_alternation_rejects_constant_schedule_at_even():
-    state = AlternationState(1.0, 1.0)
-    with pytest.raises(AlternationError):
-        alternation_step(state, 2, ScalarSchedule("constant", 1.0), None)
-
-
-def test_alternation_none_holds_that_parameter():
-    state = AlternationState(1.0, 0.9, last_update_k=1)
-    after = alternation_step(state, 4, ScalarSchedule("power", 1.0, exponent=-1.0),
-                             None)
-    assert after.eta_current == 0.9
-    assert after.mu_current == 0.25

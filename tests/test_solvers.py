@@ -101,13 +101,14 @@ def test_identity_memory_regime_matches_gradient_descent():
 
 def test_budget_respected_within_one_iteration():
     prob = sc_quad()
-    cfg = SolverConfig("vs_sqn", m=3, sample_budget=5000,
-                       batch=BatchSchedule("geometric", 1, rate=0.8),
+    batch = BatchSchedule("geometric", 1, rate=0.8)
+    cfg = SolverConfig("vs_sqn", m=3, sample_budget=5000, batch=batch,
                        step=ScalarSchedule("constant", 0.05), seed=1)
     res = run(prob, cfg)
     assert res.termination == "budget"
     below = res.records[-2]
-    assert below.samples_cum - 5000 < below.samples_cum - 0  # sanity
+    # the last iteration overshoots the budget by less than its own batch
+    assert res.records[-1].samples_cum - 5000 < batch.eval(below.k)
     # cumulative samples first reach the budget on the final iteration
     assert res.records[-1].samples_cum >= 5000
     prev = res.records[-3] if len(res.records) > 2 else None
@@ -266,10 +267,23 @@ def test_rvs_sqn_schedules_and_monotone_mu():
     # mu changes at even k only, so a pair at odd k holds mu(k - 1)
     c = 1 - 2 * 0.3 / 3
     for k, pair in pairs.items():
-        assert pair.mu_used == pytest.approx((k - 1) ** -c)
+        assert pair.mu_used == ScalarSchedule("power", 1.0, exponent=-c).eval(k - 1)
     mus = [pairs[k].mu_used for k in sorted(pairs)]
     assert all(a > b for a, b in zip(mus, mus[1:]))
     assert res.extras["delta_bar"] == pytest.approx(0.3 / (2 * (6 + 2)))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mu": ScalarSchedule("constant", 0.5)},
+    {"mu": ScalarSchedule("power", 1.0, exponent=-0.5, offset=-3)},
+    {"epsilon": 1.5},
+], ids=["constant", "power_offset_-3", "epsilon_1.5"])
+def test_rvs_sqn_rejects_non_decreasing_mu_before_the_loop(overrides):
+    prob = quad_make(6, 5.0, "C", RngStream(7, 1))
+    cfg = SolverConfig("rvs_sqn", m=2, horizon=20, seed=0, **overrides)
+    with pytest.raises(ConfigError) as info:
+        run(prob, cfg)
+    assert info.value.field == "mu"
 
 
 def test_rsvs_uniform_weights_without_noise_constants():
@@ -527,7 +541,6 @@ def test_pairs_bitwise_equal_fresh_two_point_evaluation(case):
                                level)
         expected = collect_pair(mode, x_hi, before["x"], g_hi, g_lo, k,
                                 mu_i=pair.mu_used, eta_i=pair.eta_used,
-                                delta=res.extras.get("delta", 1.0),
                                 delta_bar=res.extras.get("delta_bar", 1.0))
         assert np.array_equal(pair.s, expected.s), (label, k)
         assert np.array_equal(pair.y, expected.y), (label, k)
