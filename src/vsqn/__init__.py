@@ -7,7 +7,6 @@ from .core import (
     RngStream,
     SampleHandle,
     ScalarSchedule,
-    sample_average_gradient,
 )
 from .hessian import (
     CurvaturePair,
@@ -24,7 +23,7 @@ from .solvers import ConfigError, IterateRecord, RunResult, SolverConfig, run
 
 __all__ = [
     "BatchSchedule", "OracleError", "ProblemMeta", "RngStream", "SampleHandle",
-    "ScalarSchedule", "sample_average_gradient",
+    "ScalarSchedule",
     "CurvaturePair", "HessianBounds", "LbfgsMemory", "SecantError",
     "collect_pair", "materialize_dense", "materialize_inverse",
     "theoretical_bounds", "verify_secant",

@@ -1,6 +1,6 @@
 """Shared numerical plumbing: reproducible counter-based random streams,
-batch-size and steplength schedules, and the sampled-gradient oracle
-contract used by every solver.
+batch-size and steplength schedules, and the one oracle contract every
+solver queries (``StochasticProblem``, through ``evaluate_on_handle``).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ Array = np.ndarray
 
 BATCH_KINDS = ("geometric", "polynomial", "constant")
 SCALAR_KINDS = ("constant", "power", "horizon_constant")
+SMOOTHING_KINDS = (None, "smoothable", "moreau")
 
 
 class OracleError(RuntimeError):
@@ -39,8 +40,8 @@ class ProblemMeta:
     """Known analytic constants of a problem instance.
 
     All optional fields may be None when unknown; solvers fall back to
-    documented defaults in that case.  ``nu1``/``nu2`` parameterize the
-    state-dependent gradient-noise second moment (nu1^2*|x|^2 + nu2^2)/N.
+    documented defaults in that case.  ``nu1`` scales the state-dependent
+    part nu1^2 |x|^2 / N of the gradient-noise second moment.
     """
 
     n: int
@@ -50,7 +51,7 @@ class ProblemMeta:
     x_star: Optional[Array] = None
     alpha_growth: Optional[float] = None  # quadratic-growth modulus
     nu1: Optional[float] = None
-    nu2: Optional[float] = None
+    smoothing: Optional[str] = None      # oracle levels; see StochasticProblem
 
     def __post_init__(self):
         if self.n < 1:
@@ -65,16 +66,10 @@ class ProblemMeta:
             and self.lipschitz_L < self.tau
         ):
             raise ValueError("lipschitz_L must be >= tau")
-        for name in ("nu1", "nu2"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def kappa(self) -> Optional[float]:
-        if self.tau is None or self.lipschitz_L is None:
-            return None
-        return self.lipschitz_L / self.tau
+        if self.nu1 is not None and self.nu1 < 0:
+            raise ValueError("nu1 must be >= 0")
+        if self.smoothing not in SMOOTHING_KINDS:
+            raise ValueError(f"smoothing must be one of {SMOOTHING_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -134,21 +129,26 @@ class RngStream:
         return self.next_handle(1).generator()
 
 
-
 @runtime_checkable
 class StochasticProblem(Protocol):
-    """Oracle contract: a sample-average gradient over a replayable batch.
+    """The one oracle contract: ``batch_gradient(x, handle, eta=None)``.
 
-    ``batch_gradient`` must equal the fixed-index-order mean of
-    ``per_sample_gradients`` up to floating-point associativity, and must be
-    a pure function of (x, handle).
+    It returns the batch-average gradient of the sample functions drawn
+    from ``handle``, each smoothed at level ``eta`` (None: unsmoothed), as
+    a pure function of (x, handle, eta).  ``meta.smoothing`` declares the
+    levels it takes: None, eta must be None (the call may take two
+    arguments); "smoothable", None or eta; "moreau", eta only (the gradient
+    of the eta-Moreau envelope of the whole sample-average function).  An
+    unsmoothed call must equal the fixed-index-order mean of the rows of
+    the optional ``per_sample_gradients(x, handle)`` up to floating-point
+    associativity; ``evaluate_on_handle`` uses the rows to name the sample
+    behind a non-finite batch.
     """
 
     meta: ProblemMeta
 
-    def batch_gradient(self, x: Array, handle: SampleHandle) -> Array: ...
-
-    def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array: ...
+    def batch_gradient(self, x: Array, handle: SampleHandle,
+                       eta: Optional[float] = None) -> Array: ...
 
 
 def _ceil_stable(v: float) -> int:
@@ -233,15 +233,14 @@ class ScalarSchedule:
 
 
 def evaluate_on_handle(problem, x: Array, handle: SampleHandle, eta=None) -> Array:
-    """(Re-)evaluate a problem's batch-average gradient on a stored handle.
+    """(Re-)evaluate a problem's batch-average gradient on a stored handle
+    at smoothing level ``eta`` (None: unsmoothed, a two-argument call).
 
-    Raises OracleError carrying the offending sample index when the batch
-    average is non-finite and per-sample gradients can localize it.
+    Raises OracleError when the batch average is non-finite, carrying the
+    offending sample index when per-sample gradients can localize it.
     """
-    if eta is None:
-        g = problem.batch_gradient(x, handle)
-    else:
-        g = problem.batch_gradient_smoothed(x, handle, eta)
+    g = (problem.batch_gradient(x, handle) if eta is None
+         else problem.batch_gradient(x, handle, eta))
     if not np.all(np.isfinite(g)):
         index = None
         per_sample = getattr(problem, "per_sample_gradients", None)
@@ -252,14 +251,3 @@ def evaluate_on_handle(problem, x: Array, handle: SampleHandle, eta=None) -> Arr
                 index = handle.start + int(bad[0])
         raise OracleError("non-finite sample gradient in batch", sample_index=index)
     return g
-
-
-def sample_average_gradient(problem, x: Array, batch: int, rng: RngStream, eta=None):
-    """Draw a batch, return its average gradient and the replayable handle.
-
-    Advances ``rng`` by exactly ``batch`` draws.  Averaging is done in fixed
-    index order so repeated evaluation is bit-identical.
-    """
-    x = assert_finite(x, "query point")
-    handle = rng.next_handle(batch)
-    return evaluate_on_handle(problem, x, handle, eta=eta), handle

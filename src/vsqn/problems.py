@@ -3,8 +3,10 @@ conditioning, logistic regression with l1/l2 terms, isotonic-constrained
 least squares, an l1 location family for nonsmooth runs, a 2-D nonsmooth
 benchmark with a known optimum, and a sparse text dataset loader.
 
-All oracles draw their randomness from a replayable SampleHandle and reduce
-in fixed index order, so replays are bit-identical.  Each sampled problem
+Every problem answers ``batch_gradient(x, handle, eta)`` at the smoothing
+levels its ``meta.smoothing`` declares (``core.StochasticProblem``).  All
+oracles draw their randomness from a replayable SampleHandle and reduce in
+fixed index order, so replays are bit-identical.  Each sampled problem
 keeps the reduced draw of its most recent handle in a one-slot cache, so
 re-evaluating that batch at another point (a curvature pair) draws nothing.
 """
@@ -218,6 +220,7 @@ class LogisticProblem(_LastBatchSlot):
             n=n,
             tau=self.mu_l2 if self.mu_l2 > 0 else None,
             lipschitz_L=L if L > 0 else None,
+            smoothing="smoothable",
         )
 
     def _draw(self, handle: SampleHandle) -> Array:
@@ -233,12 +236,11 @@ class LogisticProblem(_LastBatchSlot):
                 g = g + self.lambda_l1 * np.sign(x)
         return g
 
-    def _penalty_value(self, x: Array, l1_eta: Optional[float] = None) -> float:
+    def _penalty_value(self, x: Array) -> float:
         v = 0.5 * self.mu_l2 * float(x @ x)
         if self.lambda_l1 > 0:
-            eta = self.l1_eta if l1_eta is None else l1_eta
-            if self.l1_smoothing == "huber" or l1_eta is not None:
-                v += self.lambda_l1 * huber_l1(x, eta)[0]
+            if self.l1_smoothing == "huber":
+                v += self.lambda_l1 * huber_l1(x, self.l1_eta)[0]
             else:
                 v += self.lambda_l1 * float(np.sum(np.abs(x)))
         return v
@@ -249,13 +251,9 @@ class LogisticProblem(_LastBatchSlot):
         s = _stable_sigmoid(-vb * (xb @ x))
         return -(xb * (vb * s)[:, None])
 
-    def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
-        x = np.asarray(x, dtype=float)
-        rows = self._batch(handle)
-        return self._loss_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x)
-
-    def batch_gradient_smoothed(self, x: Array, handle: SampleHandle,
-                                eta: float) -> Array:
+    def batch_gradient(self, x: Array, handle: SampleHandle,
+                       eta: Optional[float] = None) -> Array:
+        """eta, when given, Huber-smooths the l1 term in place of l1_eta."""
         x = np.asarray(x, dtype=float)
         rows = self._batch(handle)
         return self._loss_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x, eta)
@@ -422,7 +420,8 @@ class IsotonicLasso(_LastBatchSlot):
             raise ValueError("eta must be > 0")
         self.p, n = self.A.shape
         gram_norm = float(np.linalg.eigvalsh(self.A.T @ self.A)[-1])
-        self.meta = ProblemMeta(n=n, lipschitz_L=gram_norm + 1.0 / self.default_eta)
+        self.meta = ProblemMeta(n=n, lipschitz_L=gram_norm + 1.0 / self.default_eta,
+                                smoothing="smoothable")
 
     def _draw(self, handle: SampleHandle) -> Array:
         return handle.generator().integers(0, self.p, size=handle.batch)
@@ -435,13 +434,13 @@ class IsotonicLasso(_LastBatchSlot):
     def _penalty_grad(self, x: Array, eta: float) -> Array:
         return (x - pava_project(x)) / eta
 
-    def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
-        return self.batch_gradient_smoothed(x, handle, self.default_eta)
-
-    def batch_gradient_smoothed(self, x: Array, handle: SampleHandle,
-                                eta: float) -> Array:
+    def batch_gradient(self, x: Array, handle: SampleHandle,
+                       eta: Optional[float] = None) -> Array:
+        """eta, when given, smooths the constraint indicator in place of
+        the problem's own level."""
         x = np.asarray(x, dtype=float)
         rows = self._batch(handle)
+        eta = self.default_eta if eta is None else eta
         return self._data_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x, eta)
 
     def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
@@ -449,12 +448,11 @@ class IsotonicLasso(_LastBatchSlot):
         rows = self._draw(handle)
         return self._data_grad_rows(x, rows) + self._penalty_grad(x, self.default_eta)
 
-    def true_value(self, x: Array, eta: Optional[float] = None) -> float:
+    def true_value(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)
-        eta = self.default_eta if eta is None else eta
         res = self.A @ x - self.b
         d = x - pava_project(x)
-        return 0.5 * float(res @ res) + float(d @ d) / (2.0 * eta)
+        return 0.5 * float(res @ res) + float(d @ d) / (2.0 * self.default_eta)
 
     def violation(self, x: Array) -> float:
         return monotone_violation(x)
@@ -504,24 +502,23 @@ class L1LocationProblem(_LastBatchSlot):
             tau=self.sc if self.sc > 0 else None,
             f_star=n * self.w / 2.0,
             x_star=self.center.copy(),
+            smoothing="smoothable",
         )
 
     def _draw(self, handle: SampleHandle) -> Array:
         gen = handle.generator()
         return gen.uniform(-self.w, self.w, size=(handle.batch, self.center.size))
 
-    def batch_gradient_smoothed(self, x: Array, handle: SampleHandle,
-                                eta: float) -> Array:
+    def batch_gradient(self, x: Array, handle: SampleHandle,
+                       eta: Optional[float] = None) -> Array:
+        """Subgradients of |.|_1, or with eta its Huber smoothing."""
         x = np.asarray(x, dtype=float)
         diffs = (x - self.center)[None, :] - self._batch(handle)
-        quad = np.abs(diffs) <= eta
-        grads = np.where(quad, diffs / eta, np.sign(diffs))
+        if eta is None:
+            grads = np.sign(diffs)
+        else:
+            grads = np.where(np.abs(diffs) <= eta, diffs / eta, np.sign(diffs))
         return grads.mean(axis=0) + self.sc * (x - self.center)
-
-    def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
-        x = np.asarray(x, dtype=float)
-        diffs = (x - self.center)[None, :] - self._batch(handle)
-        return np.sign(diffs).mean(axis=0) + self.sc * (x - self.center)
 
     def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
         x = np.asarray(x, dtype=float)
@@ -577,17 +574,16 @@ class LewisOvertonProblem:
             lipschitz_L=1.0 + gram / self.eta,
             f_star=-0.5,
             x_star=LEWIS_OVERTON_OPT.copy(),
+            smoothing="smoothable",
         )
 
-    def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
-        return lewis_overton_oracle(x, self.eta)[1]
+    def batch_gradient(self, x: Array, handle: SampleHandle,
+                       eta: Optional[float] = None) -> Array:
+        """eta, when given, smooths the max term in place of self.eta."""
+        return lewis_overton_oracle(x, self.eta if eta is None else eta)[1]
 
     def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
         return np.tile(self.batch_gradient(x, handle), (handle.batch, 1))
-
-    def batch_gradient_smoothed(self, x: Array, handle: SampleHandle,
-                                eta: float) -> Array:
-        return lewis_overton_oracle(x, eta)[1]
 
     def true_value(self, x: Array) -> float:
         return lewis_overton_oracle(x, 0.0)[0]
@@ -612,6 +608,7 @@ class CompositeProblem(_LastBatchSlot):
             n=base.n,
             tau=base.tau,
             lipschitz_L=base.lipschitz_L,
+            smoothing="moreau",
         )
 
     @property
@@ -627,14 +624,11 @@ class CompositeProblem(_LastBatchSlot):
         return CompositeProxFunction(self.h, bf.value, bf.grad, bf.lipschitz_L,
                                      bf.tau, self.prox_spec)
 
-    def envelope_gradient(self, x: Array, handle: SampleHandle, eta: float) -> Array:
+    def batch_gradient(self, x: Array, handle: SampleHandle, eta: float) -> Array:
         """(x - prox of the sample-average composite)/eta."""
         x = np.asarray(x, dtype=float)
         u = self._batch(handle).prox(x, eta)
         return (x - u) / eta
-
-    def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
-        return self.smooth.per_sample_gradients(x, handle)
 
     def true_value(self, x: Array) -> float:
         return self.h.value(x) + self.smooth.true_value(x)

@@ -1,15 +1,16 @@
 """Variable sample-size stochastic quasi-Newton solvers and baselines.
 
 Eight schemes share one contract: an update x <- x - gamma_k H_k u_k where
-u_k is a batch-average (possibly smoothed and/or regularized) gradient and
-H_k is the limited-memory approximation rebuilt from curvature pairs formed
-at odd iterations.  A pair at iteration k uses the previous iteration's
-batch S_{k-1}: y = g(x_k; S_{k-1}) - g(x_{k-1}; S_{k-1}).  The second term
-is the previous step's raw oracle output whenever the pair is taken at the
-same smoothing level as that step, so it is reused rather than recomputed;
-the problem's one-slot batch cache serves the first term without a redraw.
-The schemes differ only in their schedules, in what u_k is, and in how
-pairs are built:
+u_k is a batch-average (possibly smoothed and/or regularized) gradient,
+queried through ``core.evaluate_on_handle`` at the scheme's smoothing level,
+and H_k is the limited-memory approximation rebuilt from curvature pairs
+formed at odd iterations.  A pair at iteration k uses the previous
+iteration's batch S_{k-1}: y = g(x_k; S_{k-1}) - g(x_{k-1}; S_{k-1}).  The
+second term is the previous step's raw oracle output whenever the pair is
+taken at the same smoothing level as that step, so it is reused rather than
+recomputed; the problem's one-slot batch cache serves the first term
+without a redraw.  The schemes differ only in their schedules, in what u_k
+is, and in how pairs are built:
 
   vs_sqn              strongly convex, smooth; geometric batches
   svs_sqn_moreau      strongly convex composite; envelope gradients, fixed eta
@@ -40,7 +41,6 @@ from .core import (
     Array,
     BatchSchedule,
     RngStream,
-    SampleHandle,
     ScalarSchedule,
     assert_finite,
     evaluate_on_handle,
@@ -48,32 +48,26 @@ from .core import (
 from .hessian import LbfgsMemory, collect_pair, theoretical_bounds
 from .smoothing import eta_schedule_diminishing
 
-SCHEMES = (
-    "vs_sqn",
-    "svs_sqn_moreau",
-    "svs_sqn_diminishing",
-    "rvs_sqn",
-    "rsvs_sqn",
-    "sgd",
-    "sqn_unit",
-    "apg_baseline",
-)
-
 MAX_ITERS_DEFAULT = 2_000_000
 
 # RunResult.extras keys of the quasi-Newton loop's pair counters
 PAIR_COUNTERS = ("pairs_formed", "pairs_skipped", "pair_grads_reused")
 
-_BATCH_KINDS_ALLOWED = {
-    "vs_sqn": ("geometric", "constant"),
-    "svs_sqn_moreau": ("geometric", "constant"),
-    "svs_sqn_diminishing": ("polynomial", "constant"),
-    "rvs_sqn": ("polynomial", "constant"),
-    "rsvs_sqn": ("polynomial", "constant"),
-    "sgd": ("constant",),
-    "sqn_unit": ("constant",),
-    "apg_baseline": ("geometric", "polynomial", "constant"),
+_UNSMOOTHED = (None, "smoothable")
+
+# per scheme: the batch kinds it takes, and the problem smoothing kinds
+# (ProblemMeta.smoothing) whose oracle answers the levels it queries
+_SCHEME_FITS = {
+    "vs_sqn": (("geometric", "constant"), _UNSMOOTHED),
+    "svs_sqn_moreau": (("geometric", "constant"), ("moreau",)),
+    "svs_sqn_diminishing": (("polynomial", "constant"), ("smoothable",)),
+    "rvs_sqn": (("polynomial", "constant"), _UNSMOOTHED),
+    "rsvs_sqn": (("polynomial", "constant"), ("smoothable",)),
+    "sgd": (("constant",), _UNSMOOTHED),
+    "sqn_unit": (("constant",), _UNSMOOTHED),
+    "apg_baseline": (("geometric", "polynomial", "constant"), _UNSMOOTHED),
 }
+SCHEMES = tuple(_SCHEME_FITS)
 
 
 class ConfigError(ValueError):
@@ -126,7 +120,7 @@ class SolverConfig:
         if self.sample_budget is not None and self.sample_budget < 1:
             raise ConfigError("sample_budget", "must be >= 1")
         if self.batch is not None:
-            allowed = _BATCH_KINDS_ALLOWED[self.scheme]
+            allowed = _SCHEME_FITS[self.scheme][0]
             if self.batch.kind not in allowed:
                 raise ConfigError(
                     "batch", f"{self.scheme} takes batch kinds {allowed}, "
@@ -193,28 +187,27 @@ class RunResult:
 class _Plan:
     """One scheme's schedules for the shared loop.
 
-    ``oracle(x, handle, level)`` is a raw batch gradient at smoothing level
-    ``level`` (None: unsmoothed), by default ``evaluate_on_handle``.  The
-    step direction at k is oracle(x_k, S_k, level(k)), plus mu(k) (x_k - x_0)
-    when ``mu`` is set.  With ``pairs`` set, the pair at odd k is taken on
-    S_{k-1} at level level(k)**delta with eta_i = level(k); with ``mu`` set
-    it is a C-mode pair holding mu_i = mu(k - 1), the weight of the even
-    step before it, since the weight changes only at even k.  With
-    ``momentum`` set, the step lands on the reported iterate
+    The raw gradient at k is ``evaluate_on_handle`` on S_k at smoothing
+    level ``level(k)`` (None: unsmoothed); the step direction is that, plus
+    mu(k) (x_k - x_0) when ``mu`` is set.  With ``pairs`` set, the pair at
+    odd k is taken on S_{k-1} at level level(k)**delta with eta_i =
+    level(k); with ``mu`` set it is a C-mode pair holding mu_i = mu(k - 1),
+    the weight of the even step before it, since the weight changes only at
+    even k.  With ``momentum`` set, the step lands on the reported iterate
     z_{k+1} = x_k - gamma_k H_k u_k and the next query point is
     x_{k+1} = z_{k+1} + momentum(k) (z_{k+1} - z_k); the loop calls it once
-    per iteration, in order.
+    per iteration, in order.  The averaged iterate is the mean of z_k
+    weighted by ``weight(k)``, or by 1 under ``SolverConfig.average_iterates``.
     """
 
     start_k: int
     gamma: Callable[[int], float]
     batch_n: Callable[[int], int]
-    oracle: Optional[Callable[[Array, SampleHandle, Optional[float]], Array]] = None
     level: Callable[[int], Optional[float]] = lambda k: None
     pairs: bool = True
     mu: Optional[Callable[[int], float]] = None
     momentum: Optional[Callable[[int], float]] = None
-    weight: Optional[Callable[[int], float]] = None  # averaged-iterate weight
+    weight: Optional[Callable[[int], float]] = None
     delta: float = 1.0
     delta_bar: float = 1.0
 
@@ -237,9 +230,9 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
          else assert_finite(config.x0, "x0").copy())
     x0 = x  # the regularization center; no iterate is updated in place
     z = x  # the reported iterate; a sequence of its own only under momentum
-    # looked up at call time, so the module global can be wrapped
-    oracle = plan.oracle or (
-        lambda point, h, level: evaluate_on_handle(problem, point, h, eta=level))
+    weight = plan.weight
+    if weight is None and config.average_iterates:
+        weight = lambda k: 1.0
     mode = "SC" if plan.mu is None else "C"
     max_iters = MAX_ITERS_DEFAULT if config.max_iters is None else config.max_iters
     if config.horizon is not None:
@@ -256,7 +249,6 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
     prev: Optional[tuple] = None
     avg_acc = np.zeros_like(x)
     avg_weight = 0.0
-    avg_count = 0
     t0 = time.perf_counter()
     k = plan.start_k
     iters = 0
@@ -275,12 +267,14 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
             if s_scale > 1e-13 * (1.0 + float(np.linalg.norm(x))):
                 eta = plan.level(k)
                 level = None if eta is None else eta ** plan.delta
-                g_hi = oracle(x, h_prev, level)
+                # evaluate_on_handle is looked up at call time, so the
+                # module global can be wrapped
+                g_hi = evaluate_on_handle(problem, x, h_prev, eta=level)
                 if level == level_prev:
                     g_lo = g_prev
                     counters["pair_grads_reused"] += 1
                 else:
-                    g_lo = oracle(x_prev, h_prev, level)
+                    g_lo = evaluate_on_handle(problem, x_prev, h_prev, eta=level)
                 grad_evals += 2 * n_prev
                 mem.push(collect_pair(
                     mode, x, x_prev, g_hi, g_lo, k,
@@ -294,20 +288,17 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
         n_k = plan.batch_n(k)
         handle = rng.next_handle(n_k)
         level = plan.level(k)
-        raw = oracle(x, handle, level)
+        raw = evaluate_on_handle(problem, x, handle, eta=level)
         g = raw if plan.mu is None else raw + plan.mu(k) * (x - x0)
         samples += n_k
         grad_evals += n_k
         gamma = plan.gamma(k)
         step_vec = gamma * mem.apply(g)
 
-        if plan.weight is not None:
-            w = plan.weight(k)
+        if weight is not None:
+            w = weight(k)
             avg_acc += w * z
             avg_weight += w
-        elif config.average_iterates:
-            avg_acc += z
-            avg_count += 1
 
         want_value = iters % config.value_every == 0
         f_value = _value_of(problem, z) if want_value else None
@@ -336,11 +327,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
         k, samples, grad_evals, f_final, _gap_of(problem, f_final),
         float("nan"), 0.0, time.perf_counter() - t0,
     ))
-    x_avg = None
-    if plan.weight is not None and avg_weight > 0:
-        x_avg = avg_acc / avg_weight
-    elif config.average_iterates and avg_count > 0:
-        x_avg = avg_acc / avg_count
+    x_avg = avg_acc / avg_weight if avg_weight > 0 else None
     return RunResult(
         scheme=config.scheme, records=records, x_final=z, x_averaged=x_avg,
         termination=termination, theoretical_step=theoretical_step,
@@ -389,9 +376,6 @@ def run_vs_sqn(problem, config: SolverConfig) -> RunResult:
 
 
 def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
-    if not hasattr(problem, "envelope_gradient"):
-        raise ConfigError("scheme", "svs_sqn_moreau needs a composite problem "
-                                    "with an envelope_gradient oracle")
     meta = problem.meta
     tau = getattr(problem, "sample_tau", None) or meta.tau
     L = getattr(problem, "sample_L", None) or meta.lipschitz_L
@@ -417,16 +401,12 @@ def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
         start_k=0,
         gamma=lambda k: step.eval(k, horizon=config.horizon),
         batch_n=batch.eval,
-        oracle=lambda x, h, level: problem.envelope_gradient(x, h, level),
         level=lambda k: eta,
     )
     return _qn_loop(problem, config, plan, theoretical)
 
 
 def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
-    if not hasattr(problem, "batch_gradient_smoothed"):
-        raise ConfigError("scheme", "svs_sqn_diminishing needs a smoothable "
-                                    "problem oracle")
     meta = problem.meta
     if meta.tau is None:
         raise ConfigError("step", "svs_sqn_diminishing needs tau")
@@ -508,8 +488,6 @@ def run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
 
 
 def run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
-    if not hasattr(problem, "batch_gradient_smoothed"):
-        raise ConfigError("scheme", "rsvs_sqn needs a smoothable problem oracle")
     meta = problem.meta
     n, m, eps = meta.n, config.m, config.epsilon
     K = config.horizon
@@ -639,5 +617,14 @@ _RUNNERS = {
 
 
 def run(problem, config: SolverConfig) -> RunResult:
-    """Run the configured scheme on a problem and return the full log."""
+    """Run the configured scheme on a problem and return the full log.
+
+    Raises ConfigError("scheme") when the problem's oracle does not take
+    the smoothing levels the scheme queries (``ProblemMeta.smoothing``).
+    """
+    fits = _SCHEME_FITS[config.scheme][1]
+    if problem.meta.smoothing not in fits:
+        raise ConfigError(
+            "scheme", f"{config.scheme} needs a problem whose meta.smoothing is "
+                      f"one of {fits}; this one's is {problem.meta.smoothing!r}")
     return _RUNNERS[config.scheme](problem, config)

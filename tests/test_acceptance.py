@@ -131,7 +131,7 @@ def test_criterion_2_eigenvalue_certificates():
                                  RngStream(seed, 1), 0.3)
                 prob = CompositeProblem(L1Function(0.5), quad)
                 eta = float(gen.uniform(0.05, 0.5))
-                grad = lambda x, h, i: prob.envelope_gradient(x, h, eta)
+                grad = lambda x, h, i: prob.batch_gradient(x, h, eta)
                 mem = random_walk_pairs(prob, gen, rng, m + 2, grad, m=m)
                 bounds = theoretical_bounds(regime, m=m, n=n, eta_k=eta,
                                             tau=prob.sample_tau)
@@ -146,7 +146,7 @@ def test_criterion_2_eigenvalue_certificates():
                                             delta_bar=delta_bar)
             else:
                 prob = L1LocationProblem(gen.uniform(-1, 1, n), 1.0)
-                grad = lambda x, h, i: prob.batch_gradient_smoothed(
+                grad = lambda x, h, i: prob.batch_gradient(
                     x, h, etas[i] ** delta)
                 mem = random_walk_pairs(prob, gen, rng, m + 2, grad, mode="C",
                                         mus=mus, etas=etas,

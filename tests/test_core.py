@@ -11,9 +11,9 @@ from vsqn.core import (
     SampleHandle,
     ScalarSchedule,
     evaluate_on_handle,
-    sample_average_gradient,
 )
 from vsqn.problems import quad_make
+from vsqn.solvers import SolverConfig, run
 
 
 # --- schedules ---------------------------------------------------------------
@@ -103,20 +103,20 @@ def test_different_streams_differ():
     assert not np.array_equal(a, b)
 
 
-def test_sample_average_gradient_replays_bitwise():
+def test_batch_gradient_replays_bitwise():
     prob = quad_make(6, 10.0, "SC", RngStream(7, 1))
-    rng = RngStream(3, 0)
+    handle = RngStream(3, 0).next_handle(40)
     x = np.ones(6)
-    g, handle = sample_average_gradient(prob, x, 40, rng)
-    again = evaluate_on_handle(prob, x, handle)
+    g = evaluate_on_handle(prob, x, handle)
+    again = evaluate_on_handle(quad_make(6, 10.0, "SC", RngStream(7, 1)), x, handle)
     assert np.array_equal(g, again)
 
 
 def test_handle_reusable_at_a_different_point():
     prob = quad_make(6, 10.0, "SC", RngStream(7, 1))
-    rng = RngStream(3, 0)
     x = np.ones(6)
-    _, handle = sample_average_gradient(prob, x, 40, rng)
+    handle = RngStream(3, 0).next_handle(40)
+    evaluate_on_handle(prob, x, handle)
     y = x + 0.5
     g1 = evaluate_on_handle(prob, y, handle)
     g2 = evaluate_on_handle(prob, y, handle)
@@ -125,9 +125,8 @@ def test_handle_reusable_at_a_different_point():
 
 def test_zero_noise_batch_equals_exact_gradient():
     prob = quad_make(5, 4.0, "SC", RngStream(11, 1), noise_half_width=0.0)
-    rng = RngStream(0, 0)
     x = np.arange(5, dtype=float)
-    g, _ = sample_average_gradient(prob, x, 3, rng)
+    g = evaluate_on_handle(prob, x, RngStream(0, 0).next_handle(3))
     assert np.allclose(g, prob.true_gradient(x), atol=1e-14)
 
 
@@ -135,9 +134,9 @@ def test_single_draw_replayable_independently():
     # batch=1 noisy gradient equals exact gradient plus the seeded draw,
     # reconstructed here directly from the handle's noise recipe
     prob = quad_make(4, 8.0, "SC", RngStream(5, 1), noise_half_width=0.4)
-    rng = RngStream(9, 0)
+    handle = RngStream(9, 0).next_handle(1)
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    g, handle = sample_average_gradient(prob, x, 1, rng)
+    g = evaluate_on_handle(prob, x, handle)
     factors = handle.generator().uniform(0.6, 1.4, size=(1, 4))[0]
     w = prob.frame.T @ (x - prob.x_true)
     expected = prob.frame @ (prob.eigs * factors * w)
@@ -154,7 +153,7 @@ def test_mean_consistency_statistical():
     sums = np.zeros(6)
     per_batch = np.zeros((M, 6))
     for i in range(M):
-        g, _ = sample_average_gradient(prob, x, batch, rng)
+        g = evaluate_on_handle(prob, x, rng.next_handle(batch))
         per_batch[i] = g
         sums += g
     mean = sums / M
@@ -178,17 +177,16 @@ def test_oracle_error_carries_sample_index():
             rows[2, 0] = np.nan
             return rows
 
-    rng = RngStream(0, 0)
     with pytest.raises(OracleError) as info:
-        sample_average_gradient(Broken(), np.zeros(4), 6, rng)
+        evaluate_on_handle(Broken(), np.zeros(4), RngStream(0, 0).next_handle(6))
     assert info.value.sample_index == 2
 
 
 def test_non_finite_query_rejected():
     prob = quad_make(4, 5.0, "SC", RngStream(1, 1))
+    cfg = SolverConfig("vs_sqn", horizon=2, x0=np.array([1.0, np.inf, 0.0, 0.0]))
     with pytest.raises(ValueError, match="non-finite"):
-        sample_average_gradient(prob, np.array([1.0, np.inf, 0.0, 0.0]), 2,
-                                RngStream(0, 0))
+        run(prob, cfg)
 
 
 # --- problem metadata --------------------------------------------------------
@@ -198,6 +196,5 @@ def test_meta_validation():
         ProblemMeta(n=3, tau=2.0, lipschitz_L=1.0)
     with pytest.raises(ValueError):
         ProblemMeta(n=0)
-    meta = ProblemMeta(n=3, tau=2.0, lipschitz_L=8.0)
-    assert meta.kappa == pytest.approx(4.0)
-    assert ProblemMeta(n=3).kappa is None
+    with pytest.raises(ValueError):
+        ProblemMeta(n=3, smoothing="huber")

@@ -19,7 +19,8 @@ ALLOWED = {
     "norm2_smooth": "norm smoothing certificate (criteria 4 and 5)",
     "indicator_smooth": "indicator smoothing gradient certificate (criterion 4)",
     "check_smoothing_chain": "smoothing chain inequality certificate (criterion 5)",
-    "StochasticProblem": "the oracle contract, written as a Protocol",
+    "StochasticProblem": "the one oracle contract, batch_gradient(x, handle, eta), "
+                         "and the meta.smoothing levels, written as a Protocol",
     "save_sparse_dataset": "writer of the loader's format, for its round trip",
 }
 

@@ -206,6 +206,14 @@ def test_cli_non_decreasing_mu_exits_2_naming_mu(tmp_path, capsys):
     assert "error: mu:" in capsys.readouterr().err
 
 
+def test_cli_scheme_unfit_for_problem_exits_2_naming_scheme(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = l1_quadratic\nscheme = vs_sqn\nhorizon = 10\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error: scheme:" in capsys.readouterr().err
+
+
 def test_cli_requires_config_or_preset(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
 

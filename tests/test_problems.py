@@ -290,7 +290,7 @@ def test_l1_location_smoothed_gradient_unbiased_for_large_batch():
     center = np.zeros(4)
     prob = L1LocationProblem(center, noise_half_width=1.0)
     x = np.array([0.3, -0.2, 0.1, 0.6])
-    g = prob.batch_gradient_smoothed(x, RngStream(1, 0).next_handle(200_000), 0.05)
+    g = prob.batch_gradient(x, RngStream(1, 0).next_handle(200_000), 0.05)
     # d inside the noise band: E huber'(d - u) -> d/w for small eta
     assert np.allclose(g, x / 1.0, atol=0.02)
 
@@ -346,7 +346,7 @@ def test_composite_envelope_gradient_fixed_point():
     # at the envelope's stationary point the prox returns x itself;
     # here just check consistency: grad = (x - prox)/eta with prox feasible
     x = np.array([1.0, -0.5, 0.2, 0.0, 2.0])
-    g = prob.envelope_gradient(x, handle, 0.2)
+    g = prob.batch_gradient(x, handle, 0.2)
     assert np.all(np.isfinite(g))
     assert prob.true_value(x) == pytest.approx(
         quad.true_value(x) + 0.3 * np.sum(np.abs(x)))
@@ -366,13 +366,13 @@ def _slot_cases():
         ("quad_frozen", quad, lambda p, x, h: p.frozen_batch(h).grad(x)),
         ("logistic", logistic, lambda p, x, h: p.batch_gradient(x, h)),
         ("logistic_smoothed", logistic,
-         lambda p, x, h: p.batch_gradient_smoothed(x, h, 0.05)),
+         lambda p, x, h: p.batch_gradient(x, h, 0.05)),
         ("isotonic", lambda: make_isotonic(6, 12, RngStream(3, 1)),
          lambda p, x, h: p.batch_gradient(x, h)),
         ("l1_location", lambda: L1LocationProblem(np.linspace(-1, 1, 6)),
-         lambda p, x, h: p.batch_gradient_smoothed(x, h, 0.2)),
+         lambda p, x, h: p.batch_gradient(x, h, 0.2)),
         ("composite", lambda: CompositeProblem(L1Function(0.5), quad()),
-         lambda p, x, h: p.envelope_gradient(x, h, 0.1)),
+         lambda p, x, h: p.batch_gradient(x, h, 0.1)),
     ]
 
 
