@@ -19,15 +19,11 @@ SMOOTHING_KINDS = (None, "smoothable", "moreau")
 
 
 class OracleError(RuntimeError):
-    """A stochastic oracle produced a non-finite sample gradient."""
-
-    def __init__(self, message: str, sample_index: Optional[int] = None):
-        super().__init__(message)
-        self.sample_index = sample_index
+    """A stochastic oracle returned a non-finite batch gradient."""
 
 
 def assert_finite(x, what: str = "vector") -> Array:
-    """Validate an API-boundary vector: dense, real, no NaN/Inf."""
+    """Validate an API-boundary array: dense, real, no NaN/Inf."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(x)))[0])
@@ -138,11 +134,10 @@ class StochasticProblem(Protocol):
     a pure function of (x, handle, eta).  ``meta.smoothing`` declares the
     levels it takes: None, eta must be None (the call may take two
     arguments); "smoothable", None or eta; "moreau", eta only (the gradient
-    of the eta-Moreau envelope of the whole sample-average function).  An
-    unsmoothed call must equal the fixed-index-order mean of the rows of
-    the optional ``per_sample_gradients(x, handle)`` up to floating-point
-    associativity; ``evaluate_on_handle`` uses the rows to name the sample
-    behind a non-finite batch.
+    of the eta-Moreau envelope of the whole sample-average function).  The
+    batch gradient is the only gradient a problem computes on a handle; the
+    problems that take outside data reject non-finite values at
+    construction.
     """
 
     meta: ProblemMeta
@@ -236,18 +231,12 @@ def evaluate_on_handle(problem, x: Array, handle: SampleHandle, eta=None) -> Arr
     """(Re-)evaluate a problem's batch-average gradient on a stored handle
     at smoothing level ``eta`` (None: unsmoothed, a two-argument call).
 
-    Raises OracleError when the batch average is non-finite, carrying the
-    offending sample index when per-sample gradients can localize it.
+    Raises OracleError when the batch average is non-finite.  The problems
+    that take outside data reject non-finite values at construction, so on
+    them this means the iterate has overflowed: the run has diverged.
     """
     g = (problem.batch_gradient(x, handle) if eta is None
          else problem.batch_gradient(x, handle, eta))
     if not np.all(np.isfinite(g)):
-        index = None
-        per_sample = getattr(problem, "per_sample_gradients", None)
-        if per_sample is not None and eta is None:
-            rows = per_sample(x, handle)
-            bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
-            if bad.size:
-                index = handle.start + int(bad[0])
-        raise OracleError("non-finite sample gradient in batch", sample_index=index)
+        raise OracleError("non-finite batch gradient")
     return g

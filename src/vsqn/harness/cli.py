@@ -18,7 +18,7 @@ import numpy as np
 
 from ..solvers import PAIR_COUNTERS, ConfigError, run
 from .checks import sparsity_count
-from .config import ConfigFileError, ExperimentConfig, build_problem, load_config
+from .config import ExperimentConfig, build_problem, load_config
 from .logs import write_csv, write_summary
 from .presets import PRESET_NAMES, preset_cells
 
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         else:
             for cell, seed in tasks:
                 _execute_cell(cell, seed, args.out)
-    except (ConfigError, ConfigFileError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

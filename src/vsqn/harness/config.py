@@ -24,13 +24,7 @@ from ..problems import (
     quad_make,
 )
 from ..smoothing import L1Function, ProxSpec
-from ..solvers import SCHEMES, SolverConfig
-
-
-class ConfigFileError(ValueError):
-    def __init__(self, key: str, message: str):
-        self.field = key
-        super().__init__(f"{key}: {message}")
+from ..solvers import SCHEMES, ConfigError, SolverConfig
 
 
 PROBLEM_KINDS = (
@@ -72,12 +66,12 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigFileError(f"line {lineno}", f"expected key = value, got {raw!r}")
+            raise ConfigError(f"line {lineno}", f"expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in KNOWN_KEYS:
-            raise ConfigFileError(key, "unknown configuration key")
+            raise ConfigError(key, "unknown configuration key")
         try:
             if key in _INT_KEYS:
                 out[key] = int(value)
@@ -90,7 +84,7 @@ def parse_config_text(text: str) -> dict:
             else:
                 out[key] = value
         except ValueError as exc:
-            raise ConfigFileError(key, f"bad value {value!r}") from exc
+            raise ConfigError(key, f"bad value {value!r}") from exc
     return out
 
 
@@ -119,7 +113,7 @@ def _schedule_from(keys: dict, prefix: str, batch: bool = False):
             offset=keys.get(f"{prefix}_offset", 0),
         )
     except ValueError as exc:
-        raise ConfigFileError(f"{prefix}_kind", str(exc)) from exc
+        raise ConfigError(f"{prefix}_kind", str(exc)) from exc
 
 
 @dataclass
@@ -137,12 +131,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.problem_kind not in PROBLEM_KINDS:
-            raise ConfigFileError("problem", f"unknown problem kind "
-                                             f"{self.problem_kind!r}")
+            raise ConfigError("problem", f"unknown problem kind "
+                                         f"{self.problem_kind!r}")
         scheme = self.solver_params.get("scheme")
         if scheme not in SCHEMES:
-            raise ConfigFileError("scheme", f"unknown scheme {scheme!r}; "
-                                            f"choose one of {', '.join(SCHEMES)}")
+            raise ConfigError("scheme", f"unknown scheme {scheme!r}; "
+                                        f"choose one of {', '.join(SCHEMES)}")
 
     def solver_config(self, seed: int) -> SolverConfig:
         params = dict(self.solver_params)
@@ -155,10 +149,10 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
     keys = dict(keys)
     problem_kind = keys.get("problem")
     if problem_kind is None:
-        raise ConfigFileError("problem", "missing (which problem to solve?)")
+        raise ConfigError("problem", "missing (which problem to solve?)")
     scheme = keys.get("scheme")
     if scheme is None:
-        raise ConfigFileError("scheme", "missing (which scheme to run?)")
+        raise ConfigError("scheme", "missing (which scheme to run?)")
 
     problem_keys = (
         "n", "kappa", "noise", "num_samples", "p", "mu_l2", "lambda_l1",
@@ -193,7 +187,7 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
     base_seed = keys.get("seed", 0)
     repeats = keys.get("repeats", 1)
     if repeats < 1:
-        raise ConfigFileError("repeats", "must be >= 1")
+        raise ConfigError("repeats", "must be >= 1")
     x0 = None
     if "x0_value" in keys and "n" in keys:
         x0 = np.full(keys["n"], keys["x0_value"], dtype=float)
@@ -241,7 +235,7 @@ def build_problem(cfg: ExperimentConfig, seed: int):
     if kind == "logistic_file":
         path = p.get("dataset_path")
         if path is None:
-            raise ConfigFileError("dataset_path", "required for logistic_file")
+            raise ConfigError("dataset_path", "required for logistic_file")
         return load_sparse_dataset(
             path, mu_l2=p.get("mu_l2", 0.0), lambda_l1=p.get("lambda_l1", 0.0),
             l1_smoothing=p.get("l1_smoothing", "none"),

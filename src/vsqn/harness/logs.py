@@ -42,10 +42,9 @@ def thin_indices(count: int) -> list[int]:
     return kept
 
 
-def write_csv(path, records, thin: bool = True) -> None:
-    indices = thin_indices(len(records)) if thin else range(len(records))
+def write_csv(path, records) -> None:
     lines = [CSV_HEADER]
-    for i in indices:
+    for i in thin_indices(len(records)):
         r = records[i]
         lines.append(",".join([
             str(r.k),

@@ -17,17 +17,6 @@ import numpy as np
 from ..core import BatchSchedule, ScalarSchedule
 from .config import ExperimentConfig
 
-PRESET_NAMES = (
-    "sc_smooth",
-    "sc_nonsmooth",
-    "c_smooth",
-    "c_nonsmooth",
-    "illcond_sweep",
-    "sparsity",
-    "isotonic",
-    "lewis_overton",
-)
-
 
 def _cells_sc_smooth():
     problem = dict(n=60, num_samples=800, mu_l2=0.1, density=0.1)
@@ -220,6 +209,7 @@ _BUILDERS = {
     "isotonic": _cells_isotonic,
     "lewis_overton": _cells_lewis_overton,
 }
+PRESET_NAMES = tuple(_BUILDERS)
 
 
 def preset_cells(name: str):

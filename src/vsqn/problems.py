@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, ProblemMeta, SampleHandle
+from .core import Array, ProblemMeta, SampleHandle, assert_finite
 from .smoothing import (
     CompositeProxFunction,
     ProxSpec,
@@ -36,7 +36,7 @@ class _LastBatchSlot:
     offsets, or a frozen batch function.  Handles compare by value, so a
     replayed handle hits the slot and any other one replaces it; the old
     draw is dropped before the new one is made, so at most one is held.
-    ``per_sample_gradients`` calls ``_draw`` directly.
+    ``_batch`` is the only caller of ``_draw``.
     """
 
     _slot_handle: Optional[SampleHandle] = None
@@ -57,7 +57,6 @@ class BatchFunction:
     grad: Callable[[Array], Array]
     value: Optional[Callable[[Array], float]]
     lipschitz_L: float
-    tau: float
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +105,17 @@ class QuadraticEnsemble(_LastBatchSlot):
     def sample_L(self) -> float:
         return self.meta.lipschitz_L * (1.0 + self.noise)
 
-    def _noise_factors(self, handle: SampleHandle) -> Array:
-        gen = handle.generator()
-        if self.noise == 0.0:
-            return np.ones((handle.batch, self.eigs.size))
-        return gen.uniform(1.0 - self.noise, 1.0 + self.noise,
-                           size=(handle.batch, self.eigs.size))
-
     def _draw(self, handle: SampleHandle) -> Array:
-        return self._noise_factors(handle).mean(axis=0)
+        gen = handle.generator()  # at noise 0 too: one generator per handle
+        if self.noise == 0.0:
+            return np.ones(self.eigs.size)
+        return gen.uniform(1.0 - self.noise, 1.0 + self.noise,
+                           size=(handle.batch, self.eigs.size)).mean(axis=0)
 
     def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
         mean_factors = self._batch(handle)
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
         return self.frame @ (self.eigs * mean_factors * w)
-
-    def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
-        factors = self._noise_factors(handle)
-        w = self.frame.T @ (np.asarray(x, float) - self.x_true)
-        return (factors * (self.eigs * w)) @ self.frame.T
 
     def frozen_batch(self, handle: SampleHandle) -> BatchFunction:
         scaled = self.eigs * self._batch(handle)
@@ -137,8 +128,7 @@ class QuadraticEnsemble(_LastBatchSlot):
             w = self.frame.T @ (np.asarray(u, float) - self.x_true)
             return 0.5 * float(scaled @ (w * w))
 
-        return BatchFunction(grad, value, float(scaled[-1]),
-                             float(scaled[0]) if scaled[0] > 0 else 0.0)
+        return BatchFunction(grad, value, float(scaled[-1]))
 
     def true_gradient(self, x: Array) -> Array:
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
@@ -257,11 +247,6 @@ class LogisticProblem(_LastBatchSlot):
         x = np.asarray(x, dtype=float)
         rows = self._batch(handle)
         return self._loss_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x, eta)
-
-    def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
-        x = np.asarray(x, dtype=float)
-        rows = self._draw(handle)
-        return self._loss_grad_rows(x, rows) + self._penalty_grad(x)[None, :]
 
     def full_gradient(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -413,8 +398,8 @@ class IsotonicLasso(_LastBatchSlot):
     """
 
     def __init__(self, A: Array, b: Array, eta: float = 1e-2):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        self.A = assert_finite(A, "A")
+        self.b = assert_finite(b, "b")
         self.default_eta = float(eta)
         if self.default_eta <= 0:
             raise ValueError("eta must be > 0")
@@ -442,11 +427,6 @@ class IsotonicLasso(_LastBatchSlot):
         rows = self._batch(handle)
         eta = self.default_eta if eta is None else eta
         return self._data_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x, eta)
-
-    def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
-        x = np.asarray(x, dtype=float)
-        rows = self._draw(handle)
-        return self._data_grad_rows(x, rows) + self._penalty_grad(x, self.default_eta)
 
     def true_value(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)
@@ -491,7 +471,7 @@ class L1LocationProblem(_LastBatchSlot):
 
     def __init__(self, center: Array, noise_half_width: float = 1.0,
                  sc_weight: float = 0.0):
-        self.center = np.asarray(center, dtype=float)
+        self.center = assert_finite(center, "center")
         self.w = float(noise_half_width)
         self.sc = float(sc_weight)
         if self.w <= 0:
@@ -519,11 +499,6 @@ class L1LocationProblem(_LastBatchSlot):
         else:
             grads = np.where(np.abs(diffs) <= eta, diffs / eta, np.sign(diffs))
         return grads.mean(axis=0) + self.sc * (x - self.center)
-
-    def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
-        x = np.asarray(x, dtype=float)
-        diffs = (x - self.center)[None, :] - self._draw(handle)
-        return np.sign(diffs) + (self.sc * (x - self.center))[None, :]
 
     def true_value(self, x: Array) -> float:
         d = np.abs(np.asarray(x, float) - self.center)
@@ -582,9 +557,6 @@ class LewisOvertonProblem:
         """eta, when given, smooths the max term in place of self.eta."""
         return lewis_overton_oracle(x, self.eta if eta is None else eta)[1]
 
-    def per_sample_gradients(self, x: Array, handle: SampleHandle) -> Array:
-        return np.tile(self.batch_gradient(x, handle), (handle.batch, 1))
-
     def true_value(self, x: Array) -> float:
         return lewis_overton_oracle(x, 0.0)[0]
 
@@ -622,7 +594,7 @@ class CompositeProblem(_LastBatchSlot):
     def _draw(self, handle: SampleHandle) -> CompositeProxFunction:
         bf = self.smooth.frozen_batch(handle)
         return CompositeProxFunction(self.h, bf.value, bf.grad, bf.lipschitz_L,
-                                     bf.tau, self.prox_spec)
+                                     self.prox_spec)
 
     def batch_gradient(self, x: Array, handle: SampleHandle, eta: float) -> Array:
         """(x - prox of the sample-average composite)/eta."""

@@ -80,13 +80,12 @@ class CompositeProxFunction:
     fixed-point map of that loop.
     """
 
-    def __init__(self, h, smooth_value, smooth_grad, lipschitz_L, tau=0.0,
+    def __init__(self, h, smooth_value, smooth_grad, lipschitz_L,
                  spec: ProxSpec = ProxSpec()):
         self.h = h
         self.smooth_value = smooth_value
         self.smooth_grad = smooth_grad
         self.lipschitz_L = float(lipschitz_L)
-        self.tau = float(tau)
         self.spec = spec
 
     def value(self, u: Array) -> float:

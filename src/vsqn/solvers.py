@@ -87,7 +87,7 @@ class SolverConfig:
     batch: Optional[BatchSchedule] = None
     step: Optional[ScalarSchedule] = None
     mu: Optional[ScalarSchedule] = None
-    eta: Union[None, float, ScalarSchedule] = None
+    eta: Union[None, float, ScalarSchedule] = None  # a float becomes "constant"
     epsilon: float = 0.1
     c_gamma: float = 1.0
     delta: Optional[float] = None
@@ -107,6 +107,11 @@ class SolverConfig:
             raise ConfigError("m", "memory depth must be >= 1")
         if self.epsilon <= 0:
             raise ConfigError("epsilon", "must be > 0")
+        if self.eta is not None and not isinstance(self.eta, ScalarSchedule):
+            if not self.eta > 0:
+                raise ConfigError("eta", f"smoothing level must be > 0, "
+                                         f"got {self.eta!r}")
+            self.eta = ScalarSchedule("constant", float(self.eta))
         if self.scheme == "rsvs_sqn" and self.horizon is None:
             raise ConfigError("horizon", "rsvs_sqn fixes its parameters from "
                                          "the horizon K; set horizon")
@@ -350,7 +355,7 @@ def _need_meta(problem, config, *names):
                 f"(or an explicit override)")
 
 
-def run_vs_sqn(problem, config: SolverConfig) -> RunResult:
+def _run_vs_sqn(problem, config: SolverConfig) -> RunResult:
     meta = problem.meta
     theoretical = None
     batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.95)
@@ -386,8 +391,7 @@ def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
     if config.eta is None:
         eta = 0.99 * cap
     else:
-        eta = float(config.eta if not isinstance(config.eta, ScalarSchedule)
-                    else config.eta.eval(0, horizon=config.horizon))
+        eta = config.eta.eval(0, horizon=config.horizon)
         if eta > cap:
             raise ConfigError(
                 "eta", f"fixed envelope smoothing must satisfy eta <= "
@@ -412,11 +416,8 @@ def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
         raise ConfigError("step", "svs_sqn_diminishing needs tau")
     n, tau, m = meta.n, meta.tau, config.m
 
-    if isinstance(config.eta, ScalarSchedule):
+    if config.eta is not None:
         eta_at = lambda k: config.eta.eval(k, horizon=config.horizon)
-    elif config.eta is not None:
-        eta_const = float(config.eta)
-        eta_at = lambda k: eta_const
     else:
         eta_at = lambda k: eta_schedule_diminishing(n, tau, k)
 
@@ -442,7 +443,7 @@ def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
     return _qn_loop(problem, config, plan, theoretical)
 
 
-def run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
+def _run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
     meta = problem.meta
     if meta.lipschitz_L is None and config.step is None:
         raise ConfigError("step", "rvs_sqn needs lipschitz_L or a step override")
@@ -487,18 +488,13 @@ def run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
     return result
 
 
-def run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
+def _run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
     meta = problem.meta
     n, m, eps = meta.n, config.m, config.epsilon
     K = config.horizon
     eps_bar = 5.0 * eps / 3.0
     mu = config.mu.eval(0, horizon=K) if config.mu else K ** (-1.0 / 3.0)
-    if isinstance(config.eta, ScalarSchedule):
-        eta = config.eta.eval(0, horizon=K)
-    elif config.eta is not None:
-        eta = float(config.eta)
-    else:
-        eta = K ** (-1.0 / 3.0)
+    eta = config.eta.eval(0, horizon=K) if config.eta else K ** (-1.0 / 3.0)
     gamma = (config.step.eval(0, horizon=K) if config.step
              else config.c_gamma * K ** (-1.0 / 3.0 + eps_bar))
     delta = config.delta if config.delta is not None else eps / (n + m - 1)
@@ -605,11 +601,11 @@ def _vanishing_momentum():
 
 
 _RUNNERS = {
-    "vs_sqn": run_vs_sqn,
+    "vs_sqn": _run_vs_sqn,
     "svs_sqn_moreau": _run_svs_moreau,
     "svs_sqn_diminishing": _run_svs_diminishing,
-    "rvs_sqn": run_rvs_sqn,
-    "rsvs_sqn": run_rsvs_sqn,
+    "rvs_sqn": _run_rvs_sqn,
+    "rsvs_sqn": _run_rsvs_sqn,
     "sgd": _run_sgd,
     "sqn_unit": _run_sqn_unit,
     "apg_baseline": _run_apg,

@@ -26,11 +26,9 @@ ALLOWED = {
 
 # Members no src code reads, kept on purpose ("Class.name").
 ALLOWED_MEMBERS = {
-    "OracleError.sample_index": "exception payload for the caller",
     "SecantError.s_dot_y": "exception payload for the caller",
     "ProxSolverError.residual": "exception payload for the caller",
     "ConfigError.field": "exception payload: the offending config field",
-    "ConfigFileError.field": "exception payload: the offending config key",
     "QuadraticEnsemble.true_gradient":
         "exact gradient behind the finite-difference certificates",
     "LogisticProblem.full_gradient":

@@ -6,7 +6,6 @@ import pytest
 from vsqn.harness.checks import fd_check, rate_fit, sparsity_count
 from vsqn.harness.cli import main
 from vsqn.harness.config import (
-    ConfigFileError,
     build_problem,
     config_from_keys,
     load_config,
@@ -14,7 +13,7 @@ from vsqn.harness.config import (
 )
 from vsqn.harness.logs import CSV_HEADER, read_csv, read_summary, thin_indices, write_csv
 from vsqn.harness.presets import PRESET_NAMES, preset_cells
-from vsqn.solvers import IterateRecord, run
+from vsqn.solvers import ConfigError, IterateRecord, run
 
 
 # --- finite differences ---------------------------------------------------------
@@ -140,20 +139,20 @@ def test_parse_good_config():
 
 
 def test_parse_unknown_key_named():
-    with pytest.raises(ConfigFileError) as info:
+    with pytest.raises(ConfigError) as info:
         parse_config_text("warp = 9")
     assert info.value.field == "warp"
 
 
 def test_parse_bad_value_named():
-    with pytest.raises(ConfigFileError) as info:
+    with pytest.raises(ConfigError) as info:
         parse_config_text("kappa = fast")
     assert info.value.field == "kappa"
 
 
 def test_unknown_scheme_rejected_with_field():
     keys = parse_config_text("problem = quadratic_sc\nscheme = sorcery\n")
-    with pytest.raises(ConfigFileError) as info:
+    with pytest.raises(ConfigError) as info:
         config_from_keys(keys)
     assert info.value.field == "scheme"
 
@@ -204,6 +203,15 @@ def test_cli_non_decreasing_mu_exits_2_naming_mu(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error: mu:" in capsys.readouterr().err
+
+
+def test_cli_non_positive_eta_exits_2_naming_eta(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = l1_location\nloc_sc = 0.5\n"
+                   "scheme = svs_sqn_diminishing\neta = 0\nhorizon = 10\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error: eta:" in capsys.readouterr().err
 
 
 def test_cli_scheme_unfit_for_problem_exits_2_naming_scheme(tmp_path, capsys):

@@ -70,22 +70,13 @@ def test_quad_noise_variance_scales_inversely_with_batch():
     assert -1.15 <= slope <= -0.85
 
 
-def test_quad_per_sample_rows_average_to_batch_gradient():
-    prob = quad_make(6, 8.0, "SC", RngStream(6, 1), noise_half_width=0.4)
-    handle = RngStream(7, 0).next_handle(50)
-    x = np.arange(6, dtype=float)
-    rows = prob.per_sample_gradients(x, handle)
-    assert rows.shape == (50, 6)
-    assert np.allclose(rows.mean(axis=0), prob.batch_gradient(x, handle), atol=1e-12)
-
-
 def test_quad_frozen_batch_consistent():
     prob = quad_make(5, 12.0, "SC", RngStream(8, 1), noise_half_width=0.5)
     handle = RngStream(9, 0).next_handle(20)
     frozen = prob.frozen_batch(handle)
     x = np.array([0.5, -1.0, 2.0, 0.0, 1.0])
     assert np.allclose(frozen.grad(x), prob.batch_gradient(x, handle), atol=1e-12)
-    assert frozen.tau > 0 and frozen.lipschitz_L >= frozen.tau
+    assert 0 < frozen.lipschitz_L <= prob.sample_L
 
 
 def test_quad_rejects_bad_arguments():
@@ -293,6 +284,23 @@ def test_l1_location_smoothed_gradient_unbiased_for_large_batch():
     g = prob.batch_gradient(x, RngStream(1, 0).next_handle(200_000), 0.05)
     # d inside the noise band: E huber'(d - u) -> d/w for small eta
     assert np.allclose(g, x / 1.0, atol=0.02)
+
+
+def _with_entry(array, value):
+    array = np.array(array, dtype=float)
+    array.flat[1] = value
+    return array
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_non_finite_problem_data_rejected_at_construction(value):
+    A, b = np.eye(3), np.ones(3)
+    with pytest.raises(ValueError, match="^A has a non-finite"):
+        IsotonicLasso(_with_entry(A, value), b)
+    with pytest.raises(ValueError, match="^b has a non-finite"):
+        IsotonicLasso(A, _with_entry(b, value))
+    with pytest.raises(ValueError, match="^center has a non-finite"):
+        L1LocationProblem(_with_entry(np.zeros(3), value))
 
 
 # --- 2-D nonsmooth benchmark --------------------------------------------------

@@ -119,7 +119,7 @@ def test_inner_prox_solver_matches_closed_form():
     zero = lambda u: 0.0
     zero_grad = lambda u: np.zeros_like(u)
     f = CompositeProxFunction(L1Function(1.0), zero, zero_grad,
-                              lipschitz_L=1.0, tau=0.0)
+                              lipschitz_L=1.0)
     x = np.array([2.0, -0.3, 0.9])
     u = f.prox(x, 1.0)
     assert np.allclose(u, prox_soft_threshold(x, 1.0), atol=1e-9)
@@ -129,7 +129,7 @@ def test_inner_prox_solver_budget_error():
     quad = quad_make(6, 50.0, "SC", RngStream(0, 1), noise_half_width=0.0)
     f = CompositeProxFunction(
         L1Function(1.0), quad.true_value, quad.true_gradient,
-        lipschitz_L=quad.meta.lipschitz_L, tau=quad.meta.tau,
+        lipschitz_L=quad.meta.lipschitz_L,
         spec=ProxSpec(tolerance=1e-14, max_inner_iters=3),
     )
     with pytest.raises(ProxSolverError) as info:
@@ -144,7 +144,7 @@ def test_moreau_fixed_eta_preserves_minimizer():
     lam = 0.4
     comp = CompositeProxFunction(
         L1Function(lam), quad.true_value, quad.true_gradient,
-        lipschitz_L=quad.meta.lipschitz_L, tau=quad.meta.tau,
+        lipschitz_L=quad.meta.lipschitz_L,
     )
     # proximal gradient on the composite to high precision
     L = quad.meta.lipschitz_L

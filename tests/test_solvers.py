@@ -323,6 +323,18 @@ def test_rvs_sqn_rejects_non_decreasing_mu_before_the_loop(overrides):
     assert info.value.field == "mu"
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.1])
+@pytest.mark.parametrize("scheme", ["svs_sqn_moreau", "svs_sqn_diminishing", "rsvs_sqn"])
+def test_smoothed_schemes_reject_non_positive_eta(scheme, eta):
+    if scheme == "svs_sqn_moreau":
+        prob = CompositeProblem(L1Function(0.5), sc_quad())
+    else:
+        prob = L1LocationProblem(np.array([0.4, -0.8]), sc_weight=0.5)
+    with pytest.raises(ConfigError) as info:
+        run(prob, SolverConfig(scheme, horizon=5, eta=eta))
+    assert info.value.field == "eta"
+
+
 def test_rsvs_uniform_weights_without_noise_constants():
     prob = L1LocationProblem(np.array([0.4, -0.8]), noise_half_width=1.0)
     K = 30
@@ -391,9 +403,6 @@ class _AdditiveNoiseQuadratic:
     def batch_gradient(self, x, handle):
         extra = self.sigma * self._noise(handle).mean(axis=0)
         return self.base.true_gradient(x) + extra
-
-    def per_sample_gradients(self, x, handle):
-        return self.base.true_gradient(x)[None, :] + self.sigma * self._noise(handle)
 
     def true_value(self, x):
         return self.base.true_value(x)
