@@ -1,12 +1,20 @@
 """Shared numerical plumbing: reproducible counter-based random streams,
 batch-size and steplength schedules, and the one oracle contract every
 solver queries (``StochasticProblem``, through ``evaluate_on_handle``).
+
+A sample handle's generator is ``Philox(SeedSequence(seed,
+spawn_key=(stream_id, start)))``.  Philox is counter-based: its whole state
+is a key and a counter, and the key is a pure function of (seed,
+stream_id, start).  So an ``RngStream`` keeps one generator and re-seats it
+for each of its handles, with the key computed by SeedSequence's own hash
+from a per-stream prefix; the draws are bit for bit those of a freshly
+built generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -68,21 +76,72 @@ class ProblemMeta:
             raise ValueError(f"smoothing must be one of {SMOOTHING_KINDS}")
 
 
+def _seed_sequence_generator(seed: int, stream_id: int,
+                             start: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, start))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): hashmix call
+# j (from 1) xors the word with INIT_A * MULT_A**(j-1) and multiplies it by
+# INIT_A * MULT_A**j; output word i of generate_state does the same with
+# INIT_B, MULT_B and powers i, i+1; mix(x, y) = MIX_L x - MIX_R y; each
+# product is folded by ``v ^= v >> 16``; all in uint32.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constant(init: int, mult: int, power: int) -> int:
+    return init * pow(mult, power, 1 << 32) & _MASK32
+
+
+# The entropy of SeedSequence(seed, spawn_key=(stream_id, start)) is the
+# seed's words padded to four, then stream_id, then start: six words when
+# each fits its slots.  The start word enters last, through hashmix calls
+# 21-24, one per pool word; per pool word i: (hashmix xor, hashmix
+# multiplier, output xor, output multiplier).
+_START_CONSTANTS = tuple(
+    (_hash_constant(_INIT_A, _MULT_A, 20 + i), _hash_constant(_INIT_A, _MULT_A, 21 + i),
+     _hash_constant(_INIT_B, _MULT_B, i), _hash_constant(_INIT_B, _MULT_B, i + 1))
+    for i in range(4)
+)
+_ZEROS4 = (0, 0, 0, 0)
+
+
+def _philox_key(lanes: tuple, start: int) -> tuple:
+    """The two Philox key words of SeedSequence(seed, spawn_key=(stream_id,
+    start)).generate_state(2, uint64), from the stream's ``lanes``."""
+    words = []
+    for mixed, hash_xor, hash_mult, out_xor, out_mult in lanes:
+        h = (start ^ hash_xor) * hash_mult & _MASK32
+        r = (mixed - _MIX_R * (h ^ h >> 16)) & _MASK32
+        v = (r ^ r >> 16 ^ out_xor) * out_mult & _MASK32
+        words.append(v ^ v >> 16)
+    return words[0] | words[1] << 32, words[2] | words[3] << 32
+
+
 @dataclass(frozen=True)
 class SampleHandle:
     """Replayable descriptor of one batch of oracle randomness.
 
     The handle stores the stream coordinates, not the drawn samples, so
     memory stays bounded for very large batches.  ``generator()`` returns a
-    fresh generator positioned at the handle's slot; replaying it yields
+    generator positioned at the handle's slot; replaying it yields
     bit-identical draws, which lets the same realizations be re-evaluated
     at a different point (curvature pairs need exactly this).
 
-    Handles are frozen and compare by value, so a problem may key a cache
-    on them: the built-in problems keep the reduced draw (row indices,
-    mean noise factors, a frozen batch function) of their most recent
-    handle and call ``generator()`` at most once per handle in a solver
-    run.
+    A handle made by an ``RngStream`` returns that stream's one generator,
+    re-seated at the handle's slot: it is valid until the next
+    ``generator()`` call on any handle of the same stream, so draw from it
+    at once.  A handle built on its own returns an independent generator.
+
+    Handles are frozen and compare by value (the stream takes no part), so
+    a problem may key a cache on them: the built-in problems keep the
+    reduced draw (row indices, mean noise factors, a frozen batch function)
+    of their most recent handle and call ``generator()`` at most once per
+    handle in a solver run.
 
     A problem must consume the generator with a fixed recipe (same calls,
     same shapes) for a given batch size; the recipe may not depend on the
@@ -93,17 +152,25 @@ class SampleHandle:
     stream_id: int
     start: int
     batch: int
+    stream: Optional[RngStream] = field(default=None, compare=False, repr=False)
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, self.start)
-        )
-        return np.random.Generator(np.random.Philox(ss))
+        if self.stream is None:
+            return _seed_sequence_generator(self.seed, self.stream_id, self.start)
+        return self.stream._seat(self.start)
 
 
 class RngStream:
     """Counter-based random stream; identical (seed, stream_id) replays
-    the identical sequence of handles."""
+    the identical sequence of handles.
+
+    The stream owns one generator.  Its first seat builds it through
+    SeedSequence, so a stream used once (problem construction) does no
+    other work; the second computes the per-stream hash prefix, and every
+    later seat re-seats the generator's Philox key from it.  A seed of
+    2**128 or more, a stream_id or start of 2**32 or more change
+    SeedSequence's word count, and take the SeedSequence path.
+    """
 
     def __init__(self, seed: int, stream_id: int = 0):
         if seed < 0 or stream_id < 0:
@@ -111,18 +178,43 @@ class RngStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.counter = 0
+        self._generator: Optional[np.random.Generator] = None
+        self._lanes: Optional[tuple] = None   # () when the prefix does not apply
 
     def next_handle(self, batch: int) -> SampleHandle:
         batch = int(batch)
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        handle = SampleHandle(self.seed, self.stream_id, self.counter, batch)
+        handle = SampleHandle(self.seed, self.stream_id, self.counter, batch, self)
         self.counter += batch
         return handle
 
     def generator(self) -> np.random.Generator:
-        """One-off generator occupying a single counter slot."""
+        """Generator of a one-slot handle (valid as ``SampleHandle`` says)."""
         return self.next_handle(1).generator()
+
+    def _seat(self, start: int) -> np.random.Generator:
+        gen = self._generator
+        if gen is None:
+            gen = _seed_sequence_generator(self.seed, self.stream_id, start)
+            self._generator = gen
+            return gen
+        if self._lanes is None:
+            self._lanes = ()
+            if self.seed >> 128 == 0 and self.stream_id <= _MASK32:
+                # the mixer state before the start word
+                pool = np.random.SeedSequence(
+                    self.seed, spawn_key=(self.stream_id,)).pool
+                self._lanes = tuple((_MIX_L * int(word),) + consts
+                                    for word, consts in zip(pool, _START_CONSTANTS))
+        if not self._lanes or start > _MASK32:
+            return _seed_sequence_generator(self.seed, self.stream_id, start)
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS4, "key": _philox_key(self._lanes, start)},
+            "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return gen
 
 
 @runtime_checkable
@@ -202,7 +294,8 @@ class ScalarSchedule:
     kinds:
       constant:         base
       power:            base * max(k+offset, 1)**exponent
-      horizon_constant: base * K**exponent for a run of fixed horizon K
+      horizon_constant: base * K**exponent for a run of fixed horizon K;
+                        ``SolverConfig`` resolves it to that constant
     """
 
     kind: str
@@ -216,13 +309,12 @@ class ScalarSchedule:
         if not (self.base > 0):
             raise ValueError("base must be > 0")
 
-    def eval(self, k: int, horizon: Optional[int] = None) -> float:
+    def eval(self, k: int) -> float:
         if self.kind == "constant":
             return self.base
         if self.kind == "horizon_constant":
-            if horizon is None or horizon < 1:
-                raise ValueError("horizon_constant schedule needs horizon >= 1")
-            return self.base * float(horizon) ** self.exponent
+            raise ValueError("a horizon_constant schedule takes its value from "
+                             "SolverConfig's horizon")
         t = max(k + self.offset, 1)
         return self.base * float(t) ** self.exponent
 
@@ -237,6 +329,6 @@ def evaluate_on_handle(problem, x: Array, handle: SampleHandle, eta=None) -> Arr
     """
     g = (problem.batch_gradient(x, handle) if eta is None
          else problem.batch_gradient(x, handle, eta))
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise OracleError("non-finite batch gradient")
     return g

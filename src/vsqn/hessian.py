@@ -55,10 +55,9 @@ class CurvaturePair:
         self.y = np.asarray(self.y, dtype=float)
         self.sy = float(self.s @ self.y)
         self.yy = float(self.y @ self.y)
-
-    @property
-    def rho(self) -> float:
-        return 1.0 / self.sy
+        # read 2m times per two-loop apply; s.y = 0 is a SecantError in
+        # collect_pair, not a ZeroDivisionError here
+        self.rho = 1.0 / self.sy if self.sy else math.inf
 
 
 def collect_pair(

@@ -23,6 +23,7 @@ from .smoothing import (
     CompositeProxFunction,
     ProxSpec,
     huber_l1,
+    huber_l1_grad,
     lse_smooth_max,
 )
 
@@ -172,6 +173,11 @@ def quad_make(n: int, kappa: float, convexity: str, rng,
 
 
 def _stable_sigmoid(t: Array) -> Array:
+    if t.size == 1:  # one sample: its branch's formula, without the masks
+        if t[0] >= 0:
+            return 1.0 / (1.0 + np.exp(-t))
+        e = np.exp(t)
+        return e / (1.0 + e)
     out = np.empty_like(t)
     pos = t >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
@@ -187,7 +193,8 @@ class LogisticProblem(_LastBatchSlot):
     def __init__(self, features: Array, labels: Array, mu_l2: float = 0.0,
                  lambda_l1: float = 0.0, l1_smoothing: str = "none",
                  l1_eta: float = 1e-3):
-        self.features = np.asarray(features, dtype=float)
+        # C order: a row gathered by index or sliced has one layout
+        self.features = np.ascontiguousarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
@@ -197,6 +204,8 @@ class LogisticProblem(_LastBatchSlot):
             raise ValueError("labels must be -1/+1")
         if l1_smoothing not in ("huber", "none"):
             raise ValueError("l1_smoothing must be 'huber' or 'none'")
+        if lambda_l1 > 0 and l1_smoothing == "huber" and not l1_eta > 0:
+            raise ValueError("l1_eta must be > 0")
         self.mu_l2 = float(mu_l2)
         self.lambda_l1 = float(lambda_l1)
         self.l1_smoothing = l1_smoothing
@@ -213,15 +222,21 @@ class LogisticProblem(_LastBatchSlot):
             smoothing="smoothable",
         )
 
-    def _draw(self, handle: SampleHandle) -> Array:
-        return handle.generator().integers(0, self.N, size=handle.batch)
+    def _draw(self, handle: SampleHandle):
+        gen = handle.generator()
+        if handle.batch == 1:
+            # the value integers(0, N, size=1) draws, without its size
+            # handling; a slice gathers the row as a view of the same layout
+            row = gen.integers(0, self.N)
+            return slice(row, row + 1)
+        return gen.integers(0, self.N, size=handle.batch)
 
     def _penalty_grad(self, x: Array, l1_eta: Optional[float] = None) -> Array:
         g = self.mu_l2 * x
         if self.lambda_l1 > 0:
             eta = self.l1_eta if l1_eta is None else l1_eta
             if self.l1_smoothing == "huber" or l1_eta is not None:
-                g = g + self.lambda_l1 * huber_l1(x, eta)[1]
+                g = g + self.lambda_l1 * huber_l1_grad(x, eta)
             else:
                 g = g + self.lambda_l1 * np.sign(x)
         return g
@@ -235,23 +250,25 @@ class LogisticProblem(_LastBatchSlot):
                 v += self.lambda_l1 * float(np.sum(np.abs(x)))
         return v
 
-    def _loss_grad_rows(self, x: Array, rows: Array) -> Array:
+    def _loss_grad(self, x: Array, rows: Array) -> Array:
+        """Mean loss gradient over the rows (indices or a slice), as np.mean
+        computes it (sum, then divide by the count) without its dispatch."""
         xb = self.features[rows]
         vb = self.labels[rows]
         s = _stable_sigmoid(-vb * (xb @ x))
-        return -(xb * (vb * s)[:, None])
+        return np.add.reduce(-(xb * (vb * s)[:, None]), axis=0) / len(vb)
 
     def batch_gradient(self, x: Array, handle: SampleHandle,
                        eta: Optional[float] = None) -> Array:
         """eta, when given, Huber-smooths the l1 term in place of l1_eta."""
         x = np.asarray(x, dtype=float)
         rows = self._batch(handle)
-        return self._loss_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x, eta)
+        return self._loss_grad(x, rows) + self._penalty_grad(x, eta)
 
     def full_gradient(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         rows = np.arange(self.N)
-        return self._loss_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x)
+        return self._loss_grad(x, rows) + self._penalty_grad(x)
 
     def true_value(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)
@@ -497,7 +514,7 @@ class L1LocationProblem(_LastBatchSlot):
         if eta is None:
             grads = np.sign(diffs)
         else:
-            grads = np.where(np.abs(diffs) <= eta, diffs / eta, np.sign(diffs))
+            grads = huber_l1_grad(diffs, eta)
         return grads.mean(axis=0) + self.sc * (x - self.center)
 
     def true_value(self, x: Array) -> float:

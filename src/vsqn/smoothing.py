@@ -149,7 +149,7 @@ def lse_smooth_max(A: Array, b: Array, x: Array, eta: float):
 
 
 def huber_l1(x: Array, eta: float):
-    """Componentwise Huber smoothing of |x|_1.
+    """Componentwise Huber smoothing of |x|_1 and its gradient.
 
     Per entry: x_i^2/(2 eta) on |x_i| <= eta, else |x_i| - eta/2.  The
     branch boundary goes to the quadratic side (both formulas coincide
@@ -159,10 +159,19 @@ def huber_l1(x: Array, eta: float):
         raise ValueError("eta must be > 0")
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    quad = ax <= eta
-    value = float(np.sum(np.where(quad, x * x / (2.0 * eta), ax - eta / 2.0)))
-    grad = np.where(quad, x / eta, np.sign(x))
-    return value, grad
+    value = float(np.sum(np.where(ax <= eta, x * x / (2.0 * eta), ax - eta / 2.0)))
+    return value, huber_l1_grad(x, eta)
+
+
+def huber_l1_grad(x: Array, eta: float) -> Array:
+    """Gradient of ``huber_l1`` for a float array x and eta > 0: x_i/eta on
+    |x_i| <= eta, else sign(x_i).
+
+    Computed as x/eta clipped to [-1, 1], which is that piecewise formula
+    bit for bit: rounding is monotone, so x_i/eta lands in [-1, 1] exactly
+    when |x_i| <= eta, and at +-1 or beyond otherwise; NaN propagates.
+    """
+    return np.minimum(np.maximum(x / eta, -1.0), 1.0)
 
 
 def norm2_smooth(x: Array, eta: float):

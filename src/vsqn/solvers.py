@@ -122,6 +122,14 @@ class SolverConfig:
             raise ConfigError("max_iters", "must be >= 1")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
+        for name in ("step", "mu", "eta"):
+            sched = getattr(self, name)
+            if sched is not None and sched.kind == "horizon_constant":
+                if self.horizon is None:
+                    raise ConfigError(name, "a horizon_constant schedule is "
+                                            "fixed from the horizon K; set horizon")
+                setattr(self, name, ScalarSchedule(
+                    "constant", sched.base * float(self.horizon) ** sched.exponent))
         if self.sample_budget is not None and self.sample_budget < 1:
             raise ConfigError("sample_budget", "must be >= 1")
         if self.batch is not None:
@@ -217,6 +225,12 @@ class _Plan:
     delta_bar: float = 1.0
 
 
+def _norm(v: Array) -> float:
+    """np.linalg.norm of a 1-D float array (that is sqrt(v . v)), without
+    its dispatch."""
+    return math.sqrt(float(v @ v))
+
+
 def _value_of(problem, x) -> Optional[float]:
     fn = getattr(problem, "true_value", None)
     return None if fn is None else float(fn(x))
@@ -268,8 +282,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
             x_prev, h_prev, n_prev, level_prev, g_prev = prev
             # a step at rounding scale carries no curvature information:
             # y would be pure cancellation noise, so skip the pair
-            s_scale = float(np.linalg.norm(x - x_prev))
-            if s_scale > 1e-13 * (1.0 + float(np.linalg.norm(x))):
+            if _norm(x - x_prev) > 1e-13 * (1.0 + _norm(x)):
                 eta = plan.level(k)
                 level = None if eta is None else eta ** plan.delta
                 # evaluate_on_handle is looked up at call time, so the
@@ -298,7 +311,8 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
         samples += n_k
         grad_evals += n_k
         gamma = plan.gamma(k)
-        step_vec = gamma * mem.apply(g)
+        # H is the identity while no pair is stored
+        step_vec = gamma * (mem.apply(g) if mem.pairs else g)
 
         if weight is not None:
             w = weight(k)
@@ -309,7 +323,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
         f_value = _value_of(problem, z) if want_value else None
         records.append(IterateRecord(
             k, samples, grad_evals, f_value, _gap_of(problem, f_value),
-            float(np.linalg.norm(g)), float(np.linalg.norm(step_vec)),
+            _norm(g), _norm(step_vec),
             time.perf_counter() - t0, gamma_k=gamma,
         ))
         if trace is not None:
@@ -346,15 +360,6 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
 # ---------------------------------------------------------------------------
 
 
-def _need_meta(problem, config, *names):
-    for name in names:
-        if getattr(problem.meta, name) is None:
-            raise ConfigError(
-                "step" if name in ("tau", "lipschitz_L") else name,
-                f"{config.scheme} needs problem meta field {name!r} "
-                f"(or an explicit override)")
-
-
 def _run_vs_sqn(problem, config: SolverConfig) -> RunResult:
     meta = problem.meta
     theoretical = None
@@ -369,12 +374,14 @@ def _run_vs_sqn(problem, config: SolverConfig) -> RunResult:
             if batch.N0 < floor:
                 batch = replace(batch, N0=int(math.ceil(floor)))
     if config.step is None and theoretical is None:
-        _need_meta(problem, config, "tau", "lipschitz_L")
+        missing = "tau" if meta.tau is None else "lipschitz_L"
+        raise ConfigError("step", f"vs_sqn needs problem meta field {missing!r} "
+                                  f"(or an explicit override)")
     step = config.step or ScalarSchedule("constant", theoretical)
 
     plan = _Plan(
         start_k=0,
-        gamma=lambda k: step.eval(k, horizon=config.horizon),
+        gamma=step.eval,
         batch_n=batch.eval,
     )
     return _qn_loop(problem, config, plan, theoretical)
@@ -391,7 +398,7 @@ def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
     if config.eta is None:
         eta = 0.99 * cap
     else:
-        eta = config.eta.eval(0, horizon=config.horizon)
+        eta = config.eta.eval(0)
         if eta > cap:
             raise ConfigError(
                 "eta", f"fixed envelope smoothing must satisfy eta <= "
@@ -403,7 +410,7 @@ def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
 
     plan = _Plan(
         start_k=0,
-        gamma=lambda k: step.eval(k, horizon=config.horizon),
+        gamma=step.eval,
         batch_n=batch.eval,
         level=lambda k: eta,
     )
@@ -417,7 +424,7 @@ def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
     n, tau, m = meta.n, meta.tau, config.m
 
     if config.eta is not None:
-        eta_at = lambda k: config.eta.eval(k, horizon=config.horizon)
+        eta_at = config.eta.eval
     else:
         eta_at = lambda k: eta_schedule_diminishing(n, tau, k)
 
@@ -427,7 +434,7 @@ def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
     if config.step is None:
         gamma_at = lambda k: eta_at(k) / lam_hi(eta_at(k))
     else:
-        gamma_at = lambda k: config.step.eval(k, horizon=config.horizon)
+        gamma_at = config.step.eval
     theoretical = eta_at(0) / lam_hi(eta_at(0))
 
     batch = config.batch
@@ -478,7 +485,7 @@ def _run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
 
     plan = _Plan(
         start_k=1,
-        gamma=lambda k: step.eval(k, horizon=config.horizon),
+        gamma=step.eval,
         batch_n=batch.eval,
         mu=mu_sched.eval,
         delta_bar=delta_bar,
@@ -493,9 +500,9 @@ def _run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
     n, m, eps = meta.n, config.m, config.epsilon
     K = config.horizon
     eps_bar = 5.0 * eps / 3.0
-    mu = config.mu.eval(0, horizon=K) if config.mu else K ** (-1.0 / 3.0)
-    eta = config.eta.eval(0, horizon=K) if config.eta else K ** (-1.0 / 3.0)
-    gamma = (config.step.eval(0, horizon=K) if config.step
+    mu = config.mu.eval(0) if config.mu else K ** (-1.0 / 3.0)
+    eta = config.eta.eval(0) if config.eta else K ** (-1.0 / 3.0)
+    gamma = (config.step.eval(0) if config.step
              else config.c_gamma * K ** (-1.0 / 3.0 + eps_bar))
     delta = config.delta if config.delta is not None else eps / (n + m - 1)
     delta_bar = config.delta_bar if config.delta_bar is not None else (
@@ -543,7 +550,7 @@ def _run_sqn_unit(problem, config: SolverConfig) -> RunResult:
     step = config.step or ScalarSchedule("power", base=theoretical, exponent=-1.0)
     plan = _Plan(
         start_k=1,
-        gamma=lambda k: step.eval(k, horizon=config.horizon),
+        gamma=step.eval,
         batch_n=lambda k: 1,
     )
     return _qn_loop(problem, config, plan, theoretical)
@@ -557,7 +564,7 @@ def _run_sgd(problem, config: SolverConfig) -> RunResult:
     batch = config.batch or BatchSchedule("constant", N0=1)
     plan = _Plan(
         start_k=1,
-        gamma=lambda k: step.eval(k, horizon=config.horizon),
+        gamma=step.eval,
         batch_n=batch.eval,
         pairs=False,
     )
@@ -582,7 +589,7 @@ def _run_apg(problem, config: SolverConfig) -> RunResult:
         momentum = lambda k: next(betas)
     plan = _Plan(
         start_k=0,
-        gamma=lambda k: step.eval(k, horizon=config.horizon),
+        gamma=step.eval,
         batch_n=batch.eval,
         pairs=False,
         momentum=momentum,

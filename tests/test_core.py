@@ -73,11 +73,10 @@ def test_power_schedule_positive_and_non_increasing():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_horizon_constant_needs_horizon():
-    sched = ScalarSchedule("horizon_constant", base=1.0, exponent=-1 / 3)
-    assert sched.eval(5, horizon=1000) == pytest.approx(1000 ** (-1 / 3))
+def test_horizon_constant_takes_its_value_from_the_config():
+    # SolverConfig resolves it (tests/test_solvers.py); on its own it has none
     with pytest.raises(ValueError):
-        sched.eval(5)
+        ScalarSchedule("horizon_constant", base=1.0, exponent=-1 / 3).eval(5)
 
 
 # --- random streams and the oracle contract ---------------------------------
@@ -95,6 +94,52 @@ def test_same_stream_coordinates_replay_bitwise():
     a = SampleHandle(42, 3, 17, 100).generator().standard_normal(100)
     b = SampleHandle(42, 3, 17, 100).generator().standard_normal(100)
     assert np.array_equal(a, b)
+
+
+def _seed_sequence_generator(seed, stream_id, start):
+    ss = np.random.SeedSequence(seed, spawn_key=(stream_id, start))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def _draws(gen):
+    # an unbounded 32-bit draw first: a bounded one rejects zero words, so
+    # it would not see a stale Philox buffer or a stale half word
+    return (gen.random(3, dtype=np.float32), gen.uniform(size=3),
+            gen.integers(0, 2**62, size=2), gen.integers(0, 1000, size=5),
+            gen.standard_normal(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**130)),
+    stream_id=st.one_of(st.integers(0, 3), st.integers(0, 2**32 + 1)),
+    start=st.one_of(st.integers(1, 2**20), st.integers(2**32 - 3, 2**32 + 2)),
+)
+def test_reseated_stream_generator_matches_seed_sequence(seed, stream_id, start):
+    # the first seat builds the generator; the later ones re-seat it, except
+    # on the SeedSequence fallback (a word count change: seed >= 2**128,
+    # stream_id or start >= 2**32)
+    stream = RngStream(seed, stream_id)
+    handles = [stream.next_handle(start)] + [stream.next_handle(1) for _ in range(4)]
+    for h in handles:
+        got = _draws(h.generator())
+        want = _draws(_seed_sequence_generator(seed, stream_id, h.start))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), h
+
+
+def test_stream_reseats_one_generator_and_a_lone_handle_gets_its_own():
+    stream = RngStream(5, 2)
+    first, second, third = (stream.next_handle(3) for _ in range(3))
+    gen = first.generator()
+    assert second.generator() is gen and third.generator() is gen
+    assert np.array_equal(first.generator().uniform(size=3),
+                          _seed_sequence_generator(5, 2, 0).uniform(size=3))
+    lone = SampleHandle(5, 2, 0, 3)
+    assert lone == first and hash(lone) == hash(first)   # the stream is not compared
+    a, b = lone.generator(), lone.generator()
+    assert a is not b and a is not gen
+    assert np.array_equal(a.uniform(size=3), b.uniform(size=3))
 
 
 def test_different_streams_differ():

@@ -214,6 +214,16 @@ def test_cli_non_positive_eta_exits_2_naming_eta(tmp_path, capsys):
     assert "error: eta:" in capsys.readouterr().err
 
 
+def test_cli_horizon_constant_without_horizon_exits_2_naming_eta(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = l1_location\nloc_sc = 0.5\n"
+                   "scheme = svs_sqn_diminishing\neta_kind = horizon_constant\n"
+                   "budget = 1000\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error: eta:" in capsys.readouterr().err
+
+
 def test_cli_scheme_unfit_for_problem_exits_2_naming_scheme(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("problem = l1_quadratic\nscheme = vs_sqn\nhorizon = 10\n")

@@ -166,11 +166,7 @@ def test_verify_secant_flags_injected_negative_pair():
     gen = np.random.default_rng(5)
     mem = random_memory(gen, 2, 5)
     s = gen.standard_normal(5)
-    bad = CurvaturePair.__new__(CurvaturePair)
-    bad.s, bad.y, bad.formed_at = s, -s, 99
-    bad.sy, bad.yy = float(s @ -s), float(s @ s)
-    bad.mu_used = bad.eta_used = None
-    mem.pairs.append(bad)
+    mem.pairs.append(CurvaturePair(s, -s, 99))   # s.y < 0, past collect_pair
     report = verify_secant(mem)
     assert not report.passed
 

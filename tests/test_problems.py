@@ -119,6 +119,62 @@ def test_logistic_full_gradient_fd():
     assert report.passed, report
 
 
+def _masked_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _reference_logistic_gradient(prob, x, rows, eta):
+    """The batch gradient by its plain formula: masked sigmoid, np.mean, and
+    the piecewise Huber gradient."""
+    xb, vb = prob.features[rows], prob.labels[rows]
+    loss = (-(xb * (vb * _masked_sigmoid(-vb * (xb @ x)))[:, None])).mean(axis=0)
+    penalty = prob.mu_l2 * x
+    if prob.l1_smoothing == "huber" or eta is not None:
+        level = prob.l1_eta if eta is None else eta
+        penalty = penalty + prob.lambda_l1 * np.where(
+            np.abs(x) <= level, x / level, np.sign(x))
+    else:
+        penalty = penalty + prob.lambda_l1 * np.sign(x)
+    return loss + penalty
+
+
+@pytest.mark.parametrize("smoothing,eta", [("huber", None), ("none", 0.3), ("none", None)])
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_logistic_batch_gradient_bitwise_equals_reference(smoothing, eta, batch):
+    # rows with sigmoid inputs 0, -800 and 800, and entries of x exactly at
+    # +-l1_eta and +-eta
+    gen = np.random.default_rng(2)
+    X = np.zeros((4, 7))
+    X[1, 5] = X[2, 5] = -400.0
+    X[3] = gen.standard_normal(7)
+    v = np.array([1.0, 1.0, -1.0, -1.0])
+    x = np.array([0.25, -0.25, 0.3, -0.3, -0.0, -2.0, 0.1])
+    prob = LogisticProblem(X, v, mu_l2=0.1, lambda_l1=0.5, l1_smoothing=smoothing,
+                           l1_eta=0.25)
+    assert sorted(-v[:3] * (X[:3] @ x)) == [-800.0, 0.0, 800.0]
+    stream = RngStream(4, 0)
+    seen = set()
+    for _ in range(40):
+        handle = stream.next_handle(batch)
+        got = prob.batch_gradient(x, handle, eta)
+        rows = SampleHandle(4, 0, handle.start, batch).generator().integers(
+            0, 4, size=batch)
+        seen.update(rows.tolist())
+        assert np.array_equal(got, _reference_logistic_gradient(prob, x, rows, eta))
+    assert seen == {0, 1, 2, 3}
+
+
+def test_logistic_huber_level_must_be_positive():
+    with pytest.raises(ValueError):
+        LogisticProblem(np.ones((2, 2)), np.array([1.0, -1.0]), lambda_l1=0.1,
+                        l1_smoothing="huber", l1_eta=0.0)
+
+
 def test_logistic_labels_validated():
     with pytest.raises(ValueError):
         LogisticProblem(np.ones((3, 2)), np.array([1.0, 2.0, -1.0]))

@@ -16,6 +16,7 @@ from vsqn.smoothing import (
     check_smoothing_chain,
     eta_schedule_diminishing,
     huber_l1,
+    huber_l1_grad,
     indicator_smooth,
     lse_smooth_max,
     moreau_value_grad,
@@ -217,6 +218,29 @@ def test_huber_linear_branch():
     value, grad = huber_l1(np.array([3.0]), 1.0)
     assert value == pytest.approx(2.5)
     assert grad[0] == pytest.approx(1.0)
+
+
+def _piecewise_huber_grad(x, eta):
+    return np.where(np.abs(x) <= eta, x / eta, np.sign(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=8),
+    eta=st.floats(min_value=1e-300, max_value=1e300),
+)
+def test_huber_grad_is_the_piecewise_formula_bitwise(x, eta):
+    x = np.array(x + [eta, -eta, np.nextafter(eta, 0.0), np.nextafter(eta, np.inf),
+                      -np.nextafter(eta, np.inf), 0.0, -0.0])
+    with np.errstate(over="ignore"):     # x/eta may overflow to +-inf
+        got, want = huber_l1_grad(x, eta), _piecewise_huber_grad(x, eta)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_huber_grad_propagates_nan():
+    got = huber_l1_grad(np.array([np.nan, 1.0]), 0.5)
+    assert np.isnan(got[0]) and got[1] == 1.0
 
 
 def test_norm2_zero_and_unit():

@@ -22,7 +22,7 @@ from vsqn.problems import (
     quad_make,
 )
 from vsqn.smoothing import L1Function, ProxSolverError, eta_schedule_diminishing
-from vsqn.solvers import SCHEMES, ConfigError, SolverConfig, run
+from vsqn.solvers import SCHEMES, ConfigError, SolverConfig, _norm, run
 
 
 def sc_quad(seed=0, n=6, kappa=10.0, noise=0.5):
@@ -41,6 +41,16 @@ def test_rsvs_requires_horizon():
     with pytest.raises(ConfigError) as info:
         SolverConfig("rsvs_sqn", sample_budget=100)
     assert info.value.field == "horizon"
+
+
+@pytest.mark.parametrize("name", ["step", "mu", "eta"])
+def test_horizon_constant_needs_horizon(name):
+    sched = ScalarSchedule("horizon_constant", base=2.0, exponent=-1 / 3)
+    cfg = SolverConfig("vs_sqn", horizon=1000, **{name: sched})
+    assert getattr(cfg, name) == ScalarSchedule("constant", 2.0 * 1000.0 ** (-1 / 3))
+    with pytest.raises(ConfigError) as info:
+        SolverConfig("vs_sqn", sample_budget=100, **{name: sched})
+    assert info.value.field == name
 
 
 def test_incompatible_batch_kind_rejected():
@@ -609,6 +619,14 @@ def test_one_generator_call_per_handle(case, monkeypatch):
     steps = len(res.records) - 1
     assert len(calls) == steps, label
     assert set(calls.values()) == {1}, label
+
+
+def test_record_norm_equals_numpy_norm_bitwise():
+    gen = np.random.default_rng(3)
+    for n in (1, 2, 6, 500, 5000):
+        for scale in (1e-200, 1e-3, 1.0, 1e150):
+            v = gen.standard_normal(n) * scale
+            assert _norm(v) == float(np.linalg.norm(v))
 
 
 def test_rounding_scale_steps_skip_pairs_and_count_them():
