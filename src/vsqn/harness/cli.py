@@ -1,21 +1,26 @@
 """Command line entry point.
 
-    vsqn run --config cfg.txt --out results/ [--seed 7] [--threads 1]
+    vsqn run --config cfg.txt --out results/ [--seed 7]
     vsqn run --preset lewis_overton --out results/
 
-Writes one CSV log and one key=value summary per (cell, seed).  Exit code 2
-signals a configuration error (the message names the offending field).
+Writes one CSV log and one key=value summary per (cell, seed), one after
+another.  Exit code 2 signals a configuration error (the message names the
+offending field); exit code 3 signals a run that broke down (a non-finite
+gradient, a pair with s.y <= 0, or a stalled inner prox solve), and the
+message names its cell and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from ..core import OracleError
+from ..hessian import SecantError
+from ..smoothing import ProxSolverError
 from ..solvers import PAIR_COUNTERS, ConfigError, run
 from .checks import sparsity_count
 from .config import ExperimentConfig, build_problem, load_config
@@ -43,12 +48,11 @@ def _execute_cell(cell: ExperimentConfig, seed: int, out_dir: Path) -> Path:
         "theoretical_step": result.theoretical_step,
         "used_step": result.used_step,
     }
-    summary.update({key: result.extras[key] for key in PAIR_COUNTERS
-                    if key in result.extras})
+    summary.update({key: result.extras[key] for key in PAIR_COUNTERS})
     estimator = result.x_averaged if result.x_averaged is not None else result.x_final
     if cell.sparsity_threshold is not None:
         summary["n0"] = sparsity_count(estimator, cell.sparsity_threshold)
-    if cell.track_violation and hasattr(problem, "violation"):
+    if hasattr(problem, "violation"):
         summary["final_violation"] = problem.violation(result.x_final)
     x_star = problem.meta.x_star
     if x_star is not None:
@@ -68,12 +72,10 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", type=Path, required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the base seed")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="independent cells run concurrently")
     args = parser.parse_args(argv)
 
-    if args.config is None and args.preset is None:
-        print("error: one of --config or --preset is required", file=sys.stderr)
+    if (args.config is None) == (args.preset is None):
+        print("error: give exactly one of --config or --preset", file=sys.stderr)
         return 2
     try:
         if args.preset is not None:
@@ -87,15 +89,12 @@ def main(argv=None) -> int:
             for seed in seeds:
                 tasks.append((cell, seed))
         args.out.mkdir(parents=True, exist_ok=True)
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                futures = [pool.submit(_execute_cell, cell, seed, args.out)
-                           for cell, seed in tasks]
-                for f in futures:
-                    f.result()
-        else:
-            for cell, seed in tasks:
+        for cell, seed in tasks:
+            try:
                 _execute_cell(cell, seed, args.out)
+            except (OracleError, SecantError, ProxSolverError) as exc:
+                print(f"error: {cell.name} seed {seed}: {exc}", file=sys.stderr)
+                return 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,9 @@
 
 A config file fully determines a run given the code version: one problem,
 one solver, a seed list, and output/metric toggles.  Unknown keys and bad
-values are rejected with the offending key named.  ``KNOWN_KEYS`` lists
-every key and ``config_from_keys`` shows where each one goes.
+values are rejected with the offending key named, before anything runs.
+``KNOWN_KEYS`` lists every key and ``config_from_keys`` shows where each
+one goes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..problems import (
     quad_make,
 )
 from ..smoothing import L1Function, ProxSpec
-from ..solvers import SCHEMES, ConfigError, SolverConfig
+from ..solvers import ConfigError, SolverConfig
 
 
 PROBLEM_KINDS = (
@@ -54,7 +55,7 @@ _FLOAT_KEYS = {
     "l1_eta", "density", "support_frac", "iso_eta", "lo_eta", "loc_width",
     "loc_sc", "l1_weight", "sparsity_threshold", "x0_value",
 }
-_BOOL_KEYS = {"average_iterates", "track_violation"}
+_BOOL_KEYS = {"average_iterates"}
 KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS
 
 
@@ -118,7 +119,12 @@ def _schedule_from(keys: dict, prefix: str, batch: bool = False):
 
 @dataclass
 class ExperimentConfig:
-    """One runnable cell family: a problem, a solver, and seeds."""
+    """One runnable cell family: a problem, a solver, and seeds.
+
+    ``solver_params`` holds the ``SolverConfig`` fields other than the seed,
+    the starting point ``x0`` among them; they are checked here, when the
+    cell is built.
+    """
 
     name: str
     problem_kind: str
@@ -126,23 +132,15 @@ class ExperimentConfig:
     solver_params: dict = field(default_factory=dict)
     seeds: tuple = (0,)
     sparsity_threshold: Optional[float] = None
-    track_violation: bool = False
-    x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.problem_kind not in PROBLEM_KINDS:
             raise ConfigError("problem", f"unknown problem kind "
                                          f"{self.problem_kind!r}")
-        scheme = self.solver_params.get("scheme")
-        if scheme not in SCHEMES:
-            raise ConfigError("scheme", f"unknown scheme {scheme!r}; "
-                                        f"choose one of {', '.join(SCHEMES)}")
+        SolverConfig(**self.solver_params)
 
     def solver_config(self, seed: int) -> SolverConfig:
-        params = dict(self.solver_params)
-        if self.x0 is not None:
-            params.setdefault("x0", self.x0)
-        return SolverConfig(seed=seed, **params)
+        return SolverConfig(seed=seed, **self.solver_params)
 
 
 def config_from_keys(keys: dict) -> ExperimentConfig:
@@ -188,9 +186,10 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
     repeats = keys.get("repeats", 1)
     if repeats < 1:
         raise ConfigError("repeats", "must be >= 1")
-    x0 = None
-    if "x0_value" in keys and "n" in keys:
-        x0 = np.full(keys["n"], keys["x0_value"], dtype=float)
+    if "x0_value" in keys:
+        if "n" not in keys:
+            raise ConfigError("x0_value", "needs n, the length of the start point")
+        solver_params["x0"] = np.full(keys["n"], keys["x0_value"], dtype=float)
 
     return ExperimentConfig(
         name=keys.get("name", f"{problem_kind}_{scheme}"),
@@ -199,8 +198,6 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
         solver_params=solver_params,
         seeds=tuple(range(base_seed, base_seed + repeats)),
         sparsity_threshold=keys.get("sparsity_threshold"),
-        track_violation=keys.get("track_violation", False),
-        x0=x0,
     )
 
 

@@ -174,7 +174,6 @@ def _cells_isotonic():
             "batch": BatchSchedule("polynomial", N0=2, exponent=1.1, offset=1),
         },
         seeds=(0,),
-        track_violation=True,
     )]
 
 
@@ -191,10 +190,9 @@ def _cells_lewis_overton():
             solver_params={
                 "scheme": "vs_sqn", "m": 5, "horizon": 500,
                 "batch": BatchSchedule("constant", N0=1),
-                "step": ScalarSchedule("constant", 0.5),
+                "step": ScalarSchedule("constant", 0.5), "x0": x0,
             },
             seeds=(0,),
-            x0=x0,
         ))
     return cells
 

@@ -6,7 +6,8 @@ the identical sample batch, the one drawn for the previous step: the
 gradient at the previous iterate is that step's own gradient when the
 smoothing levels agree, and the problem's batch cache serves the other
 without a redraw.  In strongly convex (SC) mode y is the
-raw gradient difference; in merely convex (C) mode the gradients are taken
+raw gradient difference; in merely convex (C) mode, which is the mode
+exactly when a regularization weight mu is given, the gradients are taken
 of a mildly smoothed surrogate (level eta**delta) and y gains a
 mu**delta_bar * s term so the secant condition survives without strong
 convexity.
@@ -26,7 +27,6 @@ import numpy as np
 
 from .core import Array
 
-MODES = ("SC", "C")
 REGIMES = ("SC-smooth", "SC-Moreau", "C-smooth", "C-smoothed")
 
 
@@ -61,7 +61,6 @@ class CurvaturePair:
 
 
 def collect_pair(
-    mode: str,
     x_i: Array,
     x_prev: Array,
     grad_at_xi: Array,
@@ -73,20 +72,18 @@ def collect_pair(
 ) -> CurvaturePair:
     """Build a curvature pair from gradients on one sample batch.
 
-    Both gradients must come from the identical sample handle; in C mode
-    they must additionally be gradients of the smoothed surrogate (level
-    eta_i**delta, chosen by the caller), and the mu_i**delta_bar * s
-    regularization term is added here.
+    Both gradients must come from the identical sample handle.  The pair
+    is a C-mode pair exactly when ``mu_i`` is given: then the gradients
+    must be of the smoothed surrogate (level eta_i**delta, chosen by the
+    caller), and the mu_i**delta_bar * s regularization term is added here.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown pair mode {mode!r}")
     s = np.asarray(x_i, float) - np.asarray(x_prev, float)
     if not np.any(s):
         raise ValueError("zero step: refusing to form a curvature pair")
     y = np.asarray(grad_at_xi, float) - np.asarray(grad_at_xprev, float)
-    if mode == "C":
-        if mu_i is None or mu_i <= 0:
-            raise ValueError("C mode needs mu_i > 0")
+    if mu_i is not None:
+        if not mu_i > 0:
+            raise ValueError(f"C mode needs mu_i > 0, got {mu_i!r}")
         y = y + (mu_i**delta_bar) * s
     pair = CurvaturePair(s, y, formed_at, mu_used=mu_i, eta_used=eta_i)
     if pair.sy <= 0:
@@ -110,9 +107,6 @@ class LbfgsMemory:
             raise ValueError("memory depth m must be >= 1")
         self.m = m
         self.pairs: deque[CurvaturePair] = deque(maxlen=m)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     def push(self, pair: CurvaturePair) -> None:
         if self.pairs and pair.formed_at <= self.pairs[-1].formed_at:
@@ -170,7 +164,6 @@ def materialize_inverse(mem: LbfgsMemory, n: int) -> Array:
 class HessianBounds:
     lambda_lo: float
     lambda_hi: float
-    regime: str
 
     def __post_init__(self):
         if not (0 < self.lambda_lo <= self.lambda_hi):
@@ -241,7 +234,7 @@ def theoretical_bounds(regime: str, *, m: int, n: int,
             - (n + m) * delta_bar * math.log(mu_k)
         )
         hi = _scaled_power(log_hi)
-    return HessianBounds(lo, hi, regime)
+    return HessianBounds(lo, hi)
 
 
 @dataclass

@@ -53,22 +53,6 @@ MAX_ITERS_DEFAULT = 2_000_000
 # RunResult.extras keys of the quasi-Newton loop's pair counters
 PAIR_COUNTERS = ("pairs_formed", "pairs_skipped", "pair_grads_reused")
 
-_UNSMOOTHED = (None, "smoothable")
-
-# per scheme: the batch kinds it takes, and the problem smoothing kinds
-# (ProblemMeta.smoothing) whose oracle answers the levels it queries
-_SCHEME_FITS = {
-    "vs_sqn": (("geometric", "constant"), _UNSMOOTHED),
-    "svs_sqn_moreau": (("geometric", "constant"), ("moreau",)),
-    "svs_sqn_diminishing": (("polynomial", "constant"), ("smoothable",)),
-    "rvs_sqn": (("polynomial", "constant"), _UNSMOOTHED),
-    "rsvs_sqn": (("polynomial", "constant"), ("smoothable",)),
-    "sgd": (("constant",), _UNSMOOTHED),
-    "sqn_unit": (("constant",), _UNSMOOTHED),
-    "apg_baseline": (("geometric", "polynomial", "constant"), _UNSMOOTHED),
-}
-SCHEMES = tuple(_SCHEME_FITS)
-
 
 class ConfigError(ValueError):
     """Invalid solver configuration; carries the offending field name."""
@@ -122,22 +106,24 @@ class SolverConfig:
             raise ConfigError("max_iters", "must be >= 1")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
+        _, batch_kinds, _, fixed = _SCHEMES[self.scheme]
         for name in ("step", "mu", "eta"):
             sched = getattr(self, name)
             if sched is not None and sched.kind == "horizon_constant":
                 if self.horizon is None:
                     raise ConfigError(name, "a horizon_constant schedule is "
                                             "fixed from the horizon K; set horizon")
-                setattr(self, name, ScalarSchedule(
-                    "constant", sched.base * float(self.horizon) ** sched.exponent))
+                sched = ScalarSchedule(
+                    "constant", sched.base * float(self.horizon) ** sched.exponent)
+                setattr(self, name, sched)
+            if sched is not None and name in fixed and sched.kind != "constant":
+                raise ConfigError(name, f"{self.scheme} holds {name} fixed over "
+                                        f"the run; got a {sched.kind!r} schedule")
         if self.sample_budget is not None and self.sample_budget < 1:
             raise ConfigError("sample_budget", "must be >= 1")
-        if self.batch is not None:
-            allowed = _SCHEME_FITS[self.scheme][0]
-            if self.batch.kind not in allowed:
-                raise ConfigError(
-                    "batch", f"{self.scheme} takes batch kinds {allowed}, "
-                             f"got {self.batch.kind!r}")
+        if self.batch is not None and self.batch.kind not in batch_kinds:
+            raise ConfigError("batch", f"{self.scheme} takes batch kinds "
+                                       f"{batch_kinds}, got {self.batch.kind!r}")
         for name in ("delta", "delta_bar"):
             v = getattr(self, name)
             if v is not None and not (0 < v <= 1):
@@ -252,7 +238,6 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
     weight = plan.weight
     if weight is None and config.average_iterates:
         weight = lambda k: 1.0
-    mode = "SC" if plan.mu is None else "C"
     max_iters = MAX_ITERS_DEFAULT if config.max_iters is None else config.max_iters
     if config.horizon is not None:
         max_iters = min(max_iters, config.horizon)
@@ -295,7 +280,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
                     g_lo = evaluate_on_handle(problem, x_prev, h_prev, eta=level)
                 grad_evals += 2 * n_prev
                 mem.push(collect_pair(
-                    mode, x, x_prev, g_hi, g_lo, k,
+                    x, x_prev, g_hi, g_lo, k,
                     mu_i=None if plan.mu is None else plan.mu(k - 1),
                     eta_i=eta, delta_bar=plan.delta_bar,
                 ))
@@ -548,10 +533,11 @@ def _run_sqn_unit(problem, config: SolverConfig) -> RunResult:
     if config.step is None and theoretical is None:
         raise ConfigError("step", "sqn_unit needs tau/lipschitz_L or a step")
     step = config.step or ScalarSchedule("power", base=theoretical, exponent=-1.0)
+    batch = config.batch or BatchSchedule("constant", N0=1)
     plan = _Plan(
         start_k=1,
         gamma=step.eval,
-        batch_n=lambda k: 1,
+        batch_n=batch.eval,
     )
     return _qn_loop(problem, config, plan, theoretical)
 
@@ -607,16 +593,26 @@ def _vanishing_momentum():
         t = t_next
 
 
-_RUNNERS = {
-    "vs_sqn": _run_vs_sqn,
-    "svs_sqn_moreau": _run_svs_moreau,
-    "svs_sqn_diminishing": _run_svs_diminishing,
-    "rvs_sqn": _run_rvs_sqn,
-    "rsvs_sqn": _run_rsvs_sqn,
-    "sgd": _run_sgd,
-    "sqn_unit": _run_sqn_unit,
-    "apg_baseline": _run_apg,
+_UNSMOOTHED = (None, "smoothable")
+
+# per scheme: its setup, the batch kinds it takes, the problem smoothing
+# kinds (ProblemMeta.smoothing) whose oracle answers the levels it queries,
+# and the schedules it fixes from their k = 0 value, which must be constant
+_SCHEMES = {
+    "vs_sqn": (_run_vs_sqn, ("geometric", "constant"), _UNSMOOTHED, ()),
+    "svs_sqn_moreau": (_run_svs_moreau, ("geometric", "constant"),
+                       ("moreau",), ("eta",)),
+    "svs_sqn_diminishing": (_run_svs_diminishing, ("polynomial", "constant"),
+                            ("smoothable",), ()),
+    "rvs_sqn": (_run_rvs_sqn, ("polynomial", "constant"), _UNSMOOTHED, ()),
+    "rsvs_sqn": (_run_rsvs_sqn, ("polynomial", "constant"), ("smoothable",),
+                 ("step", "mu", "eta")),
+    "sgd": (_run_sgd, ("constant",), _UNSMOOTHED, ()),
+    "sqn_unit": (_run_sqn_unit, ("constant",), _UNSMOOTHED, ()),
+    "apg_baseline": (_run_apg, ("geometric", "polynomial", "constant"),
+                     _UNSMOOTHED, ()),
 }
+SCHEMES = tuple(_SCHEMES)
 
 
 def run(problem, config: SolverConfig) -> RunResult:
@@ -625,9 +621,9 @@ def run(problem, config: SolverConfig) -> RunResult:
     Raises ConfigError("scheme") when the problem's oracle does not take
     the smoothing levels the scheme queries (``ProblemMeta.smoothing``).
     """
-    fits = _SCHEME_FITS[config.scheme][1]
+    setup, _, fits, _ = _SCHEMES[config.scheme]
     if problem.meta.smoothing not in fits:
         raise ConfigError(
             "scheme", f"{config.scheme} needs a problem whose meta.smoothing is "
                       f"one of {fits}; this one's is {problem.meta.smoothing!r}")
-    return _RUNNERS[config.scheme](problem, config)
+    return setup(problem, config)

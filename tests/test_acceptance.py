@@ -67,7 +67,7 @@ def random_walk_pairs(problem, gen, rng, count, grad, mode="SC", mus=None,
             kwargs = {"mu_i": mus[i], "delta_bar": delta_bar}
             if etas is not None:
                 kwargs["eta_i"] = etas[i]
-        mem.push(collect_pair(mode, x_new, x, grad(x_new, handle, i),
+        mem.push(collect_pair(x_new, x, grad(x_new, handle, i),
                               grad(x, handle, i), 2 * i + 1, **kwargs))
         x = x_new
     return mem
@@ -178,7 +178,7 @@ def test_criterion_3_two_loop_vs_dense_and_inverse():
             root = gen.standard_normal((n, n))
             spd = root @ root.T + np.eye(n)
             s = gen.standard_normal(n)
-            mem.push(collect_pair("SC", s, np.zeros(n), spd @ s, np.zeros(n),
+            mem.push(collect_pair(s, np.zeros(n), spd @ s, np.zeros(n),
                                   2 * i + 1))
         H = materialize_dense(mem, n)
         B = materialize_inverse(mem, n)
@@ -540,10 +540,8 @@ def test_criterion_13_determinism(tmp_path):
 
     for preset in ("lewis_overton", "isotonic"):
         out1, out2 = tmp_path / f"{preset}_a", tmp_path / f"{preset}_b"
-        assert cli_main(["run", "--preset", preset, "--out", str(out1),
-                         "--threads", "1"]) == 0
-        assert cli_main(["run", "--preset", preset, "--out", str(out2),
-                         "--threads", "1"]) == 0
+        assert cli_main(["run", "--preset", preset, "--out", str(out1)]) == 0
+        assert cli_main(["run", "--preset", preset, "--out", str(out2)]) == 0
         csvs = sorted(p.name for p in out1.glob("*.csv"))
         assert csvs
         for name in csvs:

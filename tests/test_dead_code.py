@@ -1,9 +1,9 @@
 """Guards against code with no caller, read from the source with ``ast``.
 
 Every public top-level function or class in ``src/vsqn`` must be named by
-another src line or exported in ``vsqn.__all__``, every public method and
-``self.`` attribute of a src class must be read by src code, and every
-import must be used in its module.
+another src line or exported in ``vsqn.__all__``, every public method,
+dataclass field and ``self.`` attribute of a src class must be read by src
+code, and every import must be used in its module.
 """
 
 import ast
@@ -33,6 +33,20 @@ ALLOWED_MEMBERS = {
         "exact gradient behind the finite-difference certificates",
     "LogisticProblem.full_gradient":
         "exact gradient behind the finite-difference certificates",
+    "RunResult.trace": "per-iteration replay log behind the bitwise pair and "
+                       "schedule certificates",
+    "CurvaturePair.mu_used": "the pair's regularization weight, checked by the "
+                             "schedule and bitwise pair certificates",
+    "CurvaturePair.eta_used": "the pair's smoothing level, checked by the "
+                              "schedule and bitwise pair certificates",
+}
+
+# Certificate reports: dataclasses whose fields the tests read, kept whole.
+ALLOWED_REPORTS = {
+    "FdReport": "finite-difference gradient certificate (criterion 4)",
+    "RateFit": "rate fit behind criteria 6 and 7",
+    "SecantReport": "secant certificate (criterion 1)",
+    "ChainReport": "smoothing chain inequality certificate (criterion 5)",
 }
 
 
@@ -82,9 +96,17 @@ def _read_names(modules: dict) -> set:
     return names
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def _unread_members() -> dict:
-    """Module of each public method or ``self.`` attribute of a src class
-    whose name src code never reads, keyed "Class.name"."""
+    """Module of each public method, dataclass field or ``self.`` attribute
+    of a src class whose name src code never reads, keyed "Class.name"."""
     modules = _modules()
     read = _read_names(modules)
     unread = {}
@@ -94,6 +116,10 @@ def _unread_members() -> dict:
                 continue
             members = {stmt.name for stmt in cls.body
                        if isinstance(stmt, ast.FunctionDef)}
+            if _is_dataclass(cls):
+                members.update(stmt.target.id for stmt in cls.body
+                               if isinstance(stmt, ast.AnnAssign)
+                               and isinstance(stmt.target, ast.Name))
             members.update(
                 node.attr for node in ast.walk(cls)
                 if isinstance(node, ast.Attribute)
@@ -112,13 +138,16 @@ def test_every_public_definition_has_a_src_caller():
 
 def test_every_public_member_is_read():
     unread = {name: module for name, module in _unread_members().items()
-              if name not in ALLOWED_MEMBERS}
+              if name not in ALLOWED_MEMBERS
+              and name.split(".")[0] not in ALLOWED_REPORTS}
     assert not unread, f"never read by src: {unread}"
 
 
 def test_allowlist_names_only_uncalled_definitions():
     assert set(ALLOWED) <= set(_uncalled_definitions())
-    assert set(ALLOWED_MEMBERS) <= set(_unread_members())
+    unread = set(_unread_members())
+    assert set(ALLOWED_MEMBERS) <= unread
+    assert set(ALLOWED_REPORTS) <= {name.split(".")[0] for name in unread}
 
 
 def test_every_import_is_used():

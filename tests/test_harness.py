@@ -236,6 +236,86 @@ def test_cli_requires_config_or_preset(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_config_and_preset_together_exit_2_naming_both(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(GOOD_CONFIG)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--preset", "isotonic",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "--preset" in err
+    assert not out.exists()
+
+
+def test_cli_x0_value_without_n_exits_2_naming_x0_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_sc\nscheme = vs_sqn\nx0_value = 3\n"
+                   "horizon = 10\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error: x0_value:" in capsys.readouterr().err
+
+
+def test_x0_value_sets_the_start_point(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_sc\nn = 5\nscheme = vs_sqn\n"
+                   "x0_value = 3\nhorizon = 10\n")
+    solver = load_config(cfg).solver_config(seed=0)
+    assert np.array_equal(solver.x0, np.full(5, 3.0))
+
+
+def test_cli_solver_config_error_exits_2_before_creating_out(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_sc\nscheme = vs_sqn\nm = 0\n"
+                   "horizon = 10\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "error: m:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_PROBLEM_FOR = {"rsvs_sqn": "problem = l1_location\nloc_sc = 0.5",
+                "svs_sqn_moreau": "problem = l1_quadratic"}
+
+
+@pytest.mark.parametrize("scheme, name", [
+    ("rsvs_sqn", "step"), ("rsvs_sqn", "mu"), ("rsvs_sqn", "eta"),
+    ("svs_sqn_moreau", "eta"),
+])
+def test_cli_schedule_held_fixed_exits_2_naming_it(tmp_path, capsys, scheme, name):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{_PROBLEM_FOR[scheme]}\nscheme = {scheme}\nhorizon = 50\n"
+                   f"{name}_kind = power\n{name}_base = 0.01\n"
+                   f"{name}_exponent = -1\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {name}:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cli_diverging_run_exits_3_naming_cell_and_seed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_sc\nn = 20\nkappa = 100\n"
+                   "scheme = vs_sqn\nstep_base = 50\nhorizon = 200\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert ("error: quadratic_sc_vs_sqn seed 0: non-finite batch gradient"
+            in capsys.readouterr().err)
+
+
+def test_cli_isotonic_config_reports_final_violation(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("name = iso\nproblem = isotonic\nn = 6\np = 10\n"
+                   "scheme = sgd\nstep_base = 0.01\nbudget = 50\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_summary(out / "iso_seed0_summary.txt")
+    assert float(summary["final_violation"]) >= 0.0
+
+
 def test_cli_rerun_byte_identical_modulo_wall_clock(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(GOOD_CONFIG)
@@ -250,10 +330,9 @@ def test_cli_rerun_byte_identical_modulo_wall_clock(tmp_path):
     assert strip_wall(out1 / "smoke_seed0.csv") == strip_wall(out2 / "smoke_seed0.csv")
 
 
-def test_cli_threads_run_all_cells(tmp_path):
+def test_cli_preset_runs_all_cells(tmp_path):
     out = tmp_path / "t"
-    code = main(["run", "--preset", "lewis_overton", "--out", str(out),
-                 "--threads", "4"])
+    code = main(["run", "--preset", "lewis_overton", "--out", str(out)])
     assert code == 0
     assert len(list(out.glob("*_summary.txt"))) == 9
 

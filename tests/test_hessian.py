@@ -30,7 +30,7 @@ def random_memory(gen, m, n):
 
 def test_pair_zero_function_convex_mode():
     s_from, s_to = np.zeros(3), np.array([1.0, -2.0, 0.5])
-    pair = collect_pair("C", s_to, s_from, np.zeros(3), np.zeros(3), 1,
+    pair = collect_pair(s_to, s_from, np.zeros(3), np.zeros(3), 1,
                         mu_i=0.25, delta_bar=0.5)
     s = s_to - s_from
     assert np.allclose(pair.y, 0.25**0.5 * s)
@@ -40,7 +40,7 @@ def test_pair_zero_function_convex_mode():
 def test_pair_quadratic_exact_difference():
     quad = quad_make(5, 6.0, "SC", RngStream(0, 1), noise_half_width=0.0)
     x0, x1 = np.zeros(5), np.array([1.0, 0.0, -1.0, 2.0, 0.5])
-    pair = collect_pair("SC", x1, x0, quad.true_gradient(x1),
+    pair = collect_pair(x1, x0, quad.true_gradient(x1),
                         quad.true_gradient(x0), 1)
     A = quad.frame @ np.diag(quad.eigs) @ quad.frame.T
     assert np.allclose(pair.y, A @ (x1 - x0), atol=1e-12)
@@ -51,7 +51,7 @@ def test_pair_convex_mode_secant_floor():
     gen = np.random.default_rng(2)
     for _ in range(50):
         x0, x1 = gen.standard_normal(6), gen.standard_normal(6)
-        pair = collect_pair("C", x1, x0, quad.true_gradient(x1),
+        pair = collect_pair(x1, x0, quad.true_gradient(x1),
                             quad.true_gradient(x0), 1, mu_i=0.3, delta_bar=0.7)
         assert pair.sy >= 0.3**0.7 * np.sum((x1 - x0) ** 2) - 1e-12
 
@@ -59,18 +59,19 @@ def test_pair_convex_mode_secant_floor():
 def test_pair_rejects_zero_step():
     x = np.ones(3)
     with pytest.raises(ValueError, match="zero step"):
-        collect_pair("SC", x, x, x, x, 1)
+        collect_pair(x, x, x, x, 1)
 
 
 def test_pair_rejects_negative_curvature():
     s = np.array([1.0, 0.0])
     with pytest.raises(SecantError):
-        collect_pair("SC", s, np.zeros(2), -s, np.zeros(2), 1)
+        collect_pair(s, np.zeros(2), -s, np.zeros(2), 1)
 
 
-def test_convex_mode_needs_mu():
-    with pytest.raises(ValueError):
-        collect_pair("C", np.ones(2), np.zeros(2), np.ones(2), np.zeros(2), 1)
+def test_convex_mode_needs_positive_mu():
+    with pytest.raises(ValueError, match="mu_i > 0"):
+        collect_pair(np.ones(2), np.zeros(2), np.ones(2), np.zeros(2), 1,
+                     mu_i=0.0)
 
 
 # --- applying the approximation ----------------------------------------------
@@ -230,7 +231,7 @@ def test_memory_eigenvalues_within_sc_bounds():
         for i in range(5):
             handle = rng.next_handle(int(gen.integers(1, 5)))
             x_new = x + gen.standard_normal(6)
-            mem.push(collect_pair("SC", x_new, x,
+            mem.push(collect_pair(x_new, x,
                                   prob.batch_gradient(x_new, handle),
                                   prob.batch_gradient(x, handle), 2 * i + 1))
             x = x_new

@@ -60,6 +60,26 @@ def test_incompatible_batch_kind_rejected():
     assert info.value.field == "batch"
 
 
+@pytest.mark.parametrize("scheme, name", [
+    ("rsvs_sqn", "step"), ("rsvs_sqn", "mu"), ("rsvs_sqn", "eta"),
+    ("svs_sqn_moreau", "eta"),
+])
+def test_schedules_held_fixed_must_be_constant(scheme, name):
+    power = ScalarSchedule("power", base=0.5, exponent=-1.0)
+    with pytest.raises(ConfigError) as info:
+        SolverConfig(scheme, horizon=100, **{name: power})
+    assert info.value.field == name
+    SolverConfig(scheme, horizon=100, **{name: ScalarSchedule("constant", 0.5)})
+
+
+def test_sqn_unit_honours_a_constant_batch():
+    res = run(sc_quad(), SolverConfig("sqn_unit", horizon=10, seed=0,
+                                      batch=BatchSchedule("constant", N0=5)))
+    # ten steps of 5 samples, then the closing record
+    assert [r.samples_cum for r in res.records] == [5, 10, 15, 20, 25, 30, 35, 40,
+                                                    45, 50, 50]
+
+
 def test_moreau_eta_cap_enforced():
     quad = sc_quad(kappa=20.0)
     prob = CompositeProblem(L1Function(0.5), quad)
@@ -585,13 +605,12 @@ def test_pairs_bitwise_equal_fresh_two_point_evaluation(case):
     by_k = {e["k"]: e for e in res.trace}
     pairs = {p.formed_at: p for e in res.trace for p in e["pairs"]}
     assert len(pairs) >= 3
-    mode = "C" if cfg.scheme in ("rvs_sqn", "rsvs_sqn") else "SC"
     for k, pair in pairs.items():
         x_hi, before = by_k[k]["x"], by_k[k - 1]
         level = pair_level(pair, res.extras)
         g_hi = _fresh_gradient(factory, x_hi, before["handle"], level)
         g_lo = _fresh_gradient(factory, before["x"], before["handle"], level)
-        expected = collect_pair(mode, x_hi, before["x"], g_hi, g_lo, k,
+        expected = collect_pair(x_hi, before["x"], g_hi, g_lo, k,
                                 mu_i=pair.mu_used, eta_i=pair.eta_used,
                                 delta_bar=res.extras.get("delta_bar", 1.0))
         assert np.array_equal(pair.s, expected.s), (label, k)
