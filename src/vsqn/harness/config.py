@@ -1,8 +1,9 @@
 """Flat key=value experiment configuration.
 
 A config file fully determines a run given the code version: one problem,
-one solver, a seed list, and output/metric toggles.  Unknown keys and bad
-values are rejected with the offending key named, before anything runs.
+one solver, a seed list, and output/metric toggles.  Unknown keys, bad
+values and keys that the chosen problem or schedule kind does not read are
+rejected with the offending key named, before anything runs.
 ``KNOWN_KEYS`` lists every key and ``config_from_keys`` shows where each
 one goes.
 """
@@ -28,16 +29,27 @@ from ..smoothing import L1Function, ProxSpec
 from ..solvers import ConfigError, SolverConfig
 
 
-PROBLEM_KINDS = (
-    "quadratic_sc",
-    "quadratic_c",
-    "logistic_synth",
-    "logistic_file",
-    "isotonic",
-    "lewis_overton",
-    "l1_location",
-    "l1_quadratic",
-)
+# per problem kind, the problem keys that build_problem reads for it; n is
+# legal for every kind, since x0_value reads it
+_LOGISTIC_KEYS = ("mu_l2", "lambda_l1", "l1_smoothing", "l1_eta")
+PROBLEM_KEYS = {
+    "quadratic_sc": ("n", "kappa", "noise"),
+    "quadratic_c": ("n", "kappa", "noise"),
+    "logistic_synth": ("n", "num_samples", "support_frac", "density",
+                       *_LOGISTIC_KEYS),
+    "logistic_file": ("n", "dataset_path", *_LOGISTIC_KEYS),
+    "isotonic": ("n", "p", "iso_eta"),
+    "lewis_overton": ("n", "lo_eta"),
+    "l1_location": ("n", "loc_width", "loc_sc"),
+    "l1_quadratic": ("n", "kappa", "noise", "l1_weight"),
+}
+PROBLEM_KINDS = tuple(PROBLEM_KEYS)
+
+# per schedule kind, the keys it reads, named without the schedule's prefix
+_SCALAR_READS = {"constant": ("base",), "power": ("base", "exponent", "offset"),
+                 "horizon_constant": ("base", "exponent")}
+_BATCH_READS = {"constant": ("n0",), "geometric": ("n0", "rate", "offset"),
+                "polynomial": ("n0", "exponent", "offset")}
 
 _STR_KEYS = {
     "name", "scheme", "problem", "batch_kind", "step_kind", "mu_kind",
@@ -46,7 +58,7 @@ _STR_KEYS = {
 _INT_KEYS = {
     "m", "horizon", "budget", "seed", "repeats", "n", "num_samples", "p",
     "batch_n0", "batch_offset", "step_offset", "mu_offset", "eta_offset",
-    "value_every", "max_iters",
+    "value_every",
 }
 _FLOAT_KEYS = {
     "kappa", "noise", "epsilon", "c_gamma", "delta", "delta_bar",
@@ -55,8 +67,7 @@ _FLOAT_KEYS = {
     "l1_eta", "density", "support_frac", "iso_eta", "lo_eta", "loc_width",
     "loc_sc", "l1_weight", "sparsity_threshold", "x0_value",
 }
-_BOOL_KEYS = {"average_iterates"}
-KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS
+KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
 
 
 def parse_config_text(text: str) -> dict:
@@ -78,10 +89,6 @@ def parse_config_text(text: str) -> dict:
                 out[key] = int(value)
             elif key in _FLOAT_KEYS:
                 out[key] = float(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(value)
-                out[key] = value.lower() in ("true", "1")
             else:
                 out[key] = value
         except ValueError as exc:
@@ -90,29 +97,30 @@ def parse_config_text(text: str) -> dict:
 
 
 def _schedule_from(keys: dict, prefix: str, batch: bool = False):
+    """The schedule that the ``<prefix>_*`` keys give, or None if none is
+    set.  Without ``<prefix>_kind`` a lone ``<prefix>_base`` is a constant;
+    any other key needs the kind, and every key must be one its kind reads."""
+    reads = _BATCH_READS if batch else _SCALAR_READS
+    names = dict.fromkeys(name for kind_reads in reads.values() for name in kind_reads)
+    given = {name: keys[f"{prefix}_{name}"] for name in names
+             if f"{prefix}_{name}" in keys}
     kind = keys.get(f"{prefix}_kind")
     if kind is None:
-        if batch:
+        if not given:
             return None
-        base = keys.get(f"{prefix}_base")
-        if base is None:
-            return None
+        lone = [name for name in given if name != "base"]
+        if lone:
+            raise ConfigError(f"{prefix}_{lone[0]}", f"needs {prefix}_kind")
         kind = "constant"
+    for name in given:  # an unknown kind is left to the constructor to reject
+        if name not in reads.get(kind, names):
+            raise ConfigError(
+                f"{prefix}_{name}", f"a {kind} {prefix} schedule does not read it; "
+                f"it reads {', '.join(f'{prefix}_{n}' for n in reads[kind])}")
     try:
         if batch:
-            return BatchSchedule(
-                kind,
-                N0=keys.get(f"{prefix}_n0", 1),
-                rate=keys.get(f"{prefix}_rate"),
-                exponent=keys.get(f"{prefix}_exponent"),
-                offset=keys.get(f"{prefix}_offset", 0),
-            )
-        return ScalarSchedule(
-            kind,
-            base=keys.get(f"{prefix}_base", 1.0),
-            exponent=keys.get(f"{prefix}_exponent", 0.0),
-            offset=keys.get(f"{prefix}_offset", 0),
-        )
+            return BatchSchedule(kind, N0=given.pop("n0", 1), **given)
+        return ScalarSchedule(kind, base=given.pop("base", 1.0), **given)
     except ValueError as exc:
         raise ConfigError(f"{prefix}_kind", str(exc)) from exc
 
@@ -121,9 +129,10 @@ def _schedule_from(keys: dict, prefix: str, batch: bool = False):
 class ExperimentConfig:
     """One runnable cell family: a problem, a solver, and seeds.
 
-    ``solver_params`` holds the ``SolverConfig`` fields other than the seed,
-    the starting point ``x0`` among them; they are checked here, when the
-    cell is built.
+    ``problem_params`` holds only keys that ``build_problem`` reads for
+    ``problem_kind`` (``PROBLEM_KEYS``).  ``solver_params`` holds the
+    ``SolverConfig`` fields other than the seed, the starting point ``x0``
+    among them.  Both are checked here, when the cell is built.
     """
 
     name: str
@@ -137,6 +146,11 @@ class ExperimentConfig:
         if self.problem_kind not in PROBLEM_KINDS:
             raise ConfigError("problem", f"unknown problem kind "
                                          f"{self.problem_kind!r}")
+        reads = PROBLEM_KEYS[self.problem_kind]
+        for key in self.problem_params:
+            if key not in reads:
+                raise ConfigError(key, f"problem {self.problem_kind} does not "
+                                       f"read it; it reads {', '.join(reads)}")
         SolverConfig(**self.solver_params)
 
     def solver_config(self, seed: int) -> SolverConfig:
@@ -152,16 +166,12 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
     if scheme is None:
         raise ConfigError("scheme", "missing (which scheme to run?)")
 
-    problem_keys = (
-        "n", "kappa", "noise", "num_samples", "p", "mu_l2", "lambda_l1",
-        "l1_smoothing", "l1_eta", "density", "support_frac", "iso_eta",
-        "lo_eta", "loc_width", "loc_sc", "l1_weight", "dataset_path",
-    )
+    problem_keys = dict.fromkeys(k for ks in PROBLEM_KEYS.values() for k in ks)
     problem_params = {k: keys[k] for k in problem_keys if k in keys}
 
     solver_params: dict = {"scheme": scheme}
     for k in ("m", "horizon", "epsilon", "c_gamma", "delta", "delta_bar",
-              "average_iterates", "value_every", "max_iters"):
+              "value_every"):
         if k in keys:
             solver_params[k] = keys[k]
     if "budget" in keys:
@@ -176,6 +186,10 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
     if mu is not None:
         solver_params["mu"] = mu
     if "eta" in keys:
+        clash = [k for k in keys if k.startswith("eta_")]
+        if clash:
+            raise ConfigError(clash[0], "a constant eta is given; set eta or "
+                                        "an eta schedule, not both")
         solver_params["eta"] = keys["eta"]
     else:
         eta_sched = _schedule_from(keys, "eta")

@@ -154,7 +154,7 @@ def _cells_sparsity():
             solver_params={
                 "scheme": "sgd", "sample_budget": budget,
                 "step": ScalarSchedule("power", base=0.5, exponent=-0.5),
-                "average_iterates": True, "value_every": 5000,
+                "value_every": 5000,
             },
             seeds=(0,),
             sparsity_threshold=1e-4,

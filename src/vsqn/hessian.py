@@ -105,7 +105,6 @@ class LbfgsMemory:
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("memory depth m must be >= 1")
-        self.m = m
         self.pairs: deque[CurvaturePair] = deque(maxlen=m)
 
     def push(self, pair: CurvaturePair) -> None:

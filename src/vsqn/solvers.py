@@ -20,8 +20,9 @@ is, and in how pairs are built:
                       plus a weighted averaged iterate
   sgd, sqn_unit, apg_baseline   comparison baselines
 
-apg_baseline takes that step with H = I from an extrapolated query point,
-through the loop's momentum hook.
+sgd takes that step with H = I and reports the uniformly averaged iterate;
+apg_baseline takes it with H = I from an extrapolated query point, through
+the loop's momentum hook.
 
 Theorem-prescribed default schedules are built when the config leaves them
 unset; explicit overrides are honored and the theoretical steplength is
@@ -64,6 +65,17 @@ class ConfigError(ValueError):
 
 @dataclass
 class SolverConfig:
+    """One run of one scheme.
+
+    Stopping rules: ``horizon`` is the iteration count K, honoured exactly
+    up to ``MAX_ITERS_DEFAULT``; ``sample_budget`` stops the run once
+    sum N_k reaches it.  Set at least one; a budget-only run also stops
+    at ``MAX_ITERS_DEFAULT`` iterations, so record memory stays bounded.
+    Every other rule (schedule defaults, the theorem steplength, averaging
+    weights) is the scheme's own and lives in its plan: rsvs_sqn weights
+    its averaged iterate, sgd averages uniformly, the rest do not average.
+    """
+
     scheme: str
     m: int = 5
     horizon: Optional[int] = None          # iteration count K
@@ -78,8 +90,6 @@ class SolverConfig:
     delta_bar: Optional[float] = None
     seed: int = 0
     x0: Optional[Array] = None
-    max_iters: Optional[int] = None  # iteration cap; None means MAX_ITERS_DEFAULT
-    average_iterates: bool = False   # uniform averaging (sgd baseline)
     value_every: int = 1             # objective evaluation cadence in records
     record_trace: bool = False
 
@@ -99,13 +109,10 @@ class SolverConfig:
         if self.scheme == "rsvs_sqn" and self.horizon is None:
             raise ConfigError("horizon", "rsvs_sqn fixes its parameters from "
                                          "the horizon K; set horizon")
-        if (self.horizon is None and self.sample_budget is None
-                and self.max_iters is None):
-            raise ConfigError("horizon", "set horizon, sample_budget or max_iters")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ConfigError("max_iters", "must be >= 1")
-        if self.horizon is not None and self.horizon < 1:
-            raise ConfigError("horizon", "must be >= 1")
+        if self.horizon is None and self.sample_budget is None:
+            raise ConfigError("horizon", "set horizon or sample_budget")
+        if self.horizon is not None and not 1 <= self.horizon <= MAX_ITERS_DEFAULT:
+            raise ConfigError("horizon", f"must lie in [1, {MAX_ITERS_DEFAULT}]")
         _, batch_kinds, _, fixed = _SCHEMES[self.scheme]
         for name in ("step", "mu", "eta"):
             sched = getattr(self, name)
@@ -162,7 +169,9 @@ class RunResult:
     records: list
     x_final: Array
     x_averaged: Optional[Array]
-    termination: str               # budget | horizon
+    # "budget": sum N_k reached sample_budget; "horizon": the loop ran its
+    # iteration cap, horizon or, for a budget-only run, MAX_ITERS_DEFAULT
+    termination: str
     theoretical_step: Optional[float] = None
     used_step: Optional[float] = None
     extras: dict = field(default_factory=dict)
@@ -195,8 +204,10 @@ class _Plan:
     even k.  With ``momentum`` set, the step lands on the reported iterate
     z_{k+1} = x_k - gamma_k H_k u_k and the next query point is
     x_{k+1} = z_{k+1} + momentum(k) (z_{k+1} - z_k); the loop calls it once
-    per iteration, in order.  The averaged iterate is the mean of z_k
-    weighted by ``weight(k)``, or by 1 under ``SolverConfig.average_iterates``.
+    per iteration, in order.  With ``weight`` set, the result also carries
+    the mean of z_k weighted by ``weight(k)``.  ``theoretical`` is the
+    theorem steplength recorded beside the used one, and ``extras`` the
+    scheme's constants, reported after the loop's pair counters.
     """
 
     start_k: int
@@ -209,6 +220,8 @@ class _Plan:
     weight: Optional[Callable[[int], float]] = None
     delta: float = 1.0
     delta_bar: float = 1.0
+    theoretical: Optional[float] = None
+    extras: dict = field(default_factory=dict)
 
 
 def _norm(v: Array) -> float:
@@ -229,18 +242,13 @@ def _gap_of(problem, f_value) -> Optional[float]:
     return f_value - f_star
 
 
-def _qn_loop(problem, config: SolverConfig, plan: _Plan,
-             theoretical_step: Optional[float]) -> RunResult:
+def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     x = (np.zeros(problem.meta.n) if config.x0 is None
          else assert_finite(config.x0, "x0").copy())
     x0 = x  # the regularization center; no iterate is updated in place
     z = x  # the reported iterate; a sequence of its own only under momentum
     weight = plan.weight
-    if weight is None and config.average_iterates:
-        weight = lambda k: 1.0
-    max_iters = MAX_ITERS_DEFAULT if config.max_iters is None else config.max_iters
-    if config.horizon is not None:
-        max_iters = min(max_iters, config.horizon)
+    max_iters = config.horizon or MAX_ITERS_DEFAULT
     rng = RngStream(config.seed, stream_id=0)
     mem = LbfgsMemory(config.m)
     records: list[IterateRecord] = []
@@ -334,18 +342,18 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan,
     x_avg = avg_acc / avg_weight if avg_weight > 0 else None
     return RunResult(
         scheme=config.scheme, records=records, x_final=z, x_averaged=x_avg,
-        termination=termination, theoretical_step=theoretical_step,
+        termination=termination, theoretical_step=plan.theoretical,
         used_step=records[0].gamma_k if records else None,
-        extras=counters, trace=trace,
+        extras={**counters, **plan.extras}, trace=trace,
     )
 
 
 # ---------------------------------------------------------------------------
-# scheme setups
+# scheme plans: each builds its _Plan from the problem and the config
 # ---------------------------------------------------------------------------
 
 
-def _run_vs_sqn(problem, config: SolverConfig) -> RunResult:
+def _plan_vs_sqn(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     theoretical = None
     batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.95)
@@ -363,16 +371,11 @@ def _run_vs_sqn(problem, config: SolverConfig) -> RunResult:
         raise ConfigError("step", f"vs_sqn needs problem meta field {missing!r} "
                                   f"(or an explicit override)")
     step = config.step or ScalarSchedule("constant", theoretical)
-
-    plan = _Plan(
-        start_k=0,
-        gamma=step.eval,
-        batch_n=batch.eval,
-    )
-    return _qn_loop(problem, config, plan, theoretical)
+    return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval,
+                 theoretical=theoretical)
 
 
-def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
+def _plan_svs_moreau(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     tau = getattr(problem, "sample_tau", None) or meta.tau
     L = getattr(problem, "sample_L", None) or meta.lipschitz_L
@@ -392,17 +395,11 @@ def _run_svs_moreau(problem, config: SolverConfig) -> RunResult:
     theoretical = eta / (4.0 * bounds.lambda_hi)
     step = config.step or ScalarSchedule("constant", theoretical)
     batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.9)
-
-    plan = _Plan(
-        start_k=0,
-        gamma=step.eval,
-        batch_n=batch.eval,
-        level=lambda k: eta,
-    )
-    return _qn_loop(problem, config, plan, theoretical)
+    return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval,
+                 level=lambda k: eta, theoretical=theoretical)
 
 
-def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
+def _plan_svs_diminishing(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     if meta.tau is None:
         raise ConfigError("step", "svs_sqn_diminishing needs tau")
@@ -431,11 +428,11 @@ def _run_svs_diminishing(problem, config: SolverConfig) -> RunResult:
         batch = BatchSchedule("polynomial", N0=max(1, n0),
                               exponent=1.5 + 2.0 / 3.0, offset=2)
 
-    plan = _Plan(start_k=0, gamma=gamma_at, batch_n=batch.eval, level=eta_at)
-    return _qn_loop(problem, config, plan, theoretical)
+    return _Plan(start_k=0, gamma=gamma_at, batch_n=batch.eval, level=eta_at,
+                 theoretical=theoretical)
 
 
-def _run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
+def _plan_rvs_sqn(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     if meta.lipschitz_L is None and config.step is None:
         raise ConfigError("step", "rvs_sqn needs lipschitz_L or a step override")
@@ -467,20 +464,12 @@ def _run_rvs_sqn(problem, config: SolverConfig) -> RunResult:
                  / (meta.alpha_growth * bounds0.lambda_lo * mu0))
         if batch.N0 < floor:
             batch = replace(batch, N0=int(math.ceil(floor)))
-
-    plan = _Plan(
-        start_k=1,
-        gamma=step.eval,
-        batch_n=batch.eval,
-        mu=mu_sched.eval,
-        delta_bar=delta_bar,
-    )
-    result = _qn_loop(problem, config, plan, theoretical)
-    result.extras["delta_bar"] = delta_bar
-    return result
+    return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval,
+                 mu=mu_sched.eval, delta_bar=delta_bar, theoretical=theoretical,
+                 extras={"delta_bar": delta_bar})
 
 
-def _run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
+def _plan_rsvs_sqn(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     n, m, eps = meta.n, config.m, config.epsilon
     K = config.horizon
@@ -505,25 +494,17 @@ def _run_rsvs_sqn(problem, config: SolverConfig) -> RunResult:
         raise ConfigError(
             "batch", f"averaging weights need N0 > C/(lo*mu*gamma) = "
                      f"{ceiling:.6g}; got N0 = {batch.N0}")
-
-    plan = _Plan(
-        start_k=0,
-        gamma=lambda k: gamma,
-        batch_n=batch.eval,
-        level=lambda k: eta,
-        mu=lambda k: mu,
+    return _Plan(
+        start_k=0, gamma=lambda k: gamma, batch_n=batch.eval,
+        level=lambda k: eta, mu=lambda k: mu,
         weight=lambda k: bounds.lambda_lo * mu * gamma - C / batch.eval(k),
         delta=delta, delta_bar=delta_bar,
+        extras={"mu": mu, "eta": eta, "gamma": gamma, "delta": delta,
+                "delta_bar": delta_bar, "noise_constant_C": C},
     )
-    result = _qn_loop(problem, config, plan, None)
-    result.extras.update(
-        {"mu": mu, "eta": eta, "gamma": gamma, "delta": delta,
-         "delta_bar": delta_bar, "noise_constant_C": C}
-    )
-    return result
 
 
-def _run_sqn_unit(problem, config: SolverConfig) -> RunResult:
+def _plan_sqn_unit(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     theoretical = None
     if meta.tau is not None and meta.lipschitz_L is not None:
@@ -534,30 +515,21 @@ def _run_sqn_unit(problem, config: SolverConfig) -> RunResult:
         raise ConfigError("step", "sqn_unit needs tau/lipschitz_L or a step")
     step = config.step or ScalarSchedule("power", base=theoretical, exponent=-1.0)
     batch = config.batch or BatchSchedule("constant", N0=1)
-    plan = _Plan(
-        start_k=1,
-        gamma=step.eval,
-        batch_n=batch.eval,
-    )
-    return _qn_loop(problem, config, plan, theoretical)
+    return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval,
+                 theoretical=theoretical)
 
 
-def _run_sgd(problem, config: SolverConfig) -> RunResult:
+def _plan_sgd(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     if config.step is None and meta.lipschitz_L is None:
         raise ConfigError("step", "sgd needs lipschitz_L or a step schedule")
     step = config.step or ScalarSchedule("constant", 1.0 / meta.lipschitz_L)
     batch = config.batch or BatchSchedule("constant", N0=1)
-    plan = _Plan(
-        start_k=1,
-        gamma=step.eval,
-        batch_n=batch.eval,
-        pairs=False,
-    )
-    return _qn_loop(problem, config, plan, None)
+    return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval, pairs=False,
+                 weight=lambda k: 1.0)
 
 
-def _run_apg(problem, config: SolverConfig) -> RunResult:
+def _plan_apg(problem, config: SolverConfig) -> _Plan:
     """Two-sequence accelerated gradient with the compared scheme's batch
     schedule; momentum from tau/L when strongly convex, otherwise the
     vanishing-momentum sequence."""
@@ -573,14 +545,8 @@ def _run_apg(problem, config: SolverConfig) -> RunResult:
     else:
         betas = _vanishing_momentum()
         momentum = lambda k: next(betas)
-    plan = _Plan(
-        start_k=0,
-        gamma=step.eval,
-        batch_n=batch.eval,
-        pairs=False,
-        momentum=momentum,
-    )
-    return _qn_loop(problem, config, plan, None)
+    return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval, pairs=False,
+                 momentum=momentum)
 
 
 def _vanishing_momentum():
@@ -595,21 +561,22 @@ def _vanishing_momentum():
 
 _UNSMOOTHED = (None, "smoothable")
 
-# per scheme: its setup, the batch kinds it takes, the problem smoothing
-# kinds (ProblemMeta.smoothing) whose oracle answers the levels it queries,
-# and the schedules it fixes from their k = 0 value, which must be constant
+# per scheme: the function that makes its plan, the batch kinds it takes, the
+# problem smoothing kinds (ProblemMeta.smoothing) whose oracle answers the
+# levels it queries, and the schedules it fixes from their k = 0 value, which
+# must be constant
 _SCHEMES = {
-    "vs_sqn": (_run_vs_sqn, ("geometric", "constant"), _UNSMOOTHED, ()),
-    "svs_sqn_moreau": (_run_svs_moreau, ("geometric", "constant"),
+    "vs_sqn": (_plan_vs_sqn, ("geometric", "constant"), _UNSMOOTHED, ()),
+    "svs_sqn_moreau": (_plan_svs_moreau, ("geometric", "constant"),
                        ("moreau",), ("eta",)),
-    "svs_sqn_diminishing": (_run_svs_diminishing, ("polynomial", "constant"),
+    "svs_sqn_diminishing": (_plan_svs_diminishing, ("polynomial", "constant"),
                             ("smoothable",), ()),
-    "rvs_sqn": (_run_rvs_sqn, ("polynomial", "constant"), _UNSMOOTHED, ()),
-    "rsvs_sqn": (_run_rsvs_sqn, ("polynomial", "constant"), ("smoothable",),
+    "rvs_sqn": (_plan_rvs_sqn, ("polynomial", "constant"), _UNSMOOTHED, ()),
+    "rsvs_sqn": (_plan_rsvs_sqn, ("polynomial", "constant"), ("smoothable",),
                  ("step", "mu", "eta")),
-    "sgd": (_run_sgd, ("constant",), _UNSMOOTHED, ()),
-    "sqn_unit": (_run_sqn_unit, ("constant",), _UNSMOOTHED, ()),
-    "apg_baseline": (_run_apg, ("geometric", "polynomial", "constant"),
+    "sgd": (_plan_sgd, ("constant",), _UNSMOOTHED, ()),
+    "sqn_unit": (_plan_sqn_unit, ("constant",), _UNSMOOTHED, ()),
+    "apg_baseline": (_plan_apg, ("geometric", "polynomial", "constant"),
                      _UNSMOOTHED, ()),
 }
 SCHEMES = tuple(_SCHEMES)
@@ -621,9 +588,9 @@ def run(problem, config: SolverConfig) -> RunResult:
     Raises ConfigError("scheme") when the problem's oracle does not take
     the smoothing levels the scheme queries (``ProblemMeta.smoothing``).
     """
-    setup, _, fits, _ = _SCHEMES[config.scheme]
+    plan_of, _, fits, _ = _SCHEMES[config.scheme]
     if problem.meta.smoothing not in fits:
         raise ConfigError(
             "scheme", f"{config.scheme} needs a problem whose meta.smoothing is "
                       f"one of {fits}; this one's is {problem.meta.smoothing!r}")
-    return setup(problem, config)
+    return _qn_loop(problem, config, plan_of(problem, config))

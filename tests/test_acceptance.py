@@ -462,7 +462,7 @@ def test_criterion_11_sparsity_ordering():
         sgd = run(prob, SolverConfig(
             "sgd", sample_budget=budget,
             step=ScalarSchedule("power", base=0.5, exponent=-0.5),
-            average_iterates=True, seed=seed, value_every=20_000))
+            seed=seed, value_every=20_000))
         sgd_counts.append(sparsity_count(sgd.x_averaged))
     assert np.median(qn_counts) > np.median(sgd_counts)
     elapsed = time.time() - t0

@@ -3,13 +3,17 @@
 Every public top-level function or class in ``src/vsqn`` must be named by
 another src line or exported in ``vsqn.__all__``, every public method,
 dataclass field and ``self.`` attribute of a src class must be read by src
-code, and every import must be used in its module.
+code, and every import must be used in its module.  A knob ledger pins
+the number of ``SolverConfig`` fields and config keys.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import vsqn
+from vsqn.harness.config import KNOWN_KEYS
+from vsqn.solvers import SolverConfig
 
 SRC = Path(vsqn.__file__).resolve().parent
 
@@ -169,3 +173,14 @@ def test_every_import_is_used():
         unused += [f"{module}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_knob_ledger():
+    # every option is a configuration a test must cover: adding or removing
+    # one is a deliberate edit, logged in CHANGES.md along with these counts
+    assert len(dataclasses.fields(SolverConfig)) == 16, (
+        "SolverConfig fields changed: log the change in CHANGES.md, then "
+        "update this count")
+    assert len(KNOWN_KEYS) == 50, (
+        "config keys changed: log the change in CHANGES.md, then update "
+        "this count")

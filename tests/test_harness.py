@@ -6,6 +6,7 @@ import pytest
 from vsqn.harness.checks import fd_check, rate_fit, sparsity_count
 from vsqn.harness.cli import main
 from vsqn.harness.config import (
+    ExperimentConfig,
     build_problem,
     config_from_keys,
     load_config,
@@ -155,6 +156,78 @@ def test_unknown_scheme_rejected_with_field():
     with pytest.raises(ConfigError) as info:
         config_from_keys(keys)
     assert info.value.field == "scheme"
+
+
+_SVS = {"problem": "l1_location", "loc_sc": 0.5,
+        "scheme": "svs_sqn_diminishing", "horizon": 10}
+
+
+def _config_error_field(keys: dict) -> str:
+    with pytest.raises(ConfigError) as info:
+        config_from_keys(keys)
+    return info.value.field
+
+
+def test_eta_with_an_eta_schedule_key_is_rejected():
+    assert _config_error_field(
+        {**_SVS, "eta": 0.1, "eta_kind": "power", "eta_base": 0.1}) == "eta_kind"
+
+
+def test_batch_key_without_batch_kind_is_rejected():
+    assert _config_error_field({**_SVS, "batch_n0": 50}) == "batch_n0"
+
+
+@pytest.mark.parametrize("key, value", [("step_exponent", -1.0),
+                                        ("step_offset", 2)])
+def test_scalar_schedule_shape_key_without_kind_is_rejected(key, value):
+    assert _config_error_field({**_SVS, "step_base": 0.1, key: value}) == key
+
+
+@pytest.mark.parametrize("kind_keys, unread", [
+    ({"step_kind": "constant", "step_base": 0.1}, "step_exponent"),
+    ({"eta_kind": "horizon_constant", "eta_base": 0.1}, "eta_offset"),
+    ({"batch_kind": "constant"}, "batch_rate"),
+    ({"batch_kind": "geometric", "batch_rate": 0.9}, "batch_exponent"),
+    ({"batch_kind": "polynomial", "batch_exponent": 1.5}, "batch_rate"),
+])
+def test_schedule_key_its_kind_does_not_read_is_rejected(kind_keys, unread):
+    assert _config_error_field({**_SVS, **kind_keys, unread: 0.5}) == unread
+
+
+def test_lone_step_base_is_a_constant_schedule():
+    solver = config_from_keys({**_SVS, "step_base": 0.1}).solver_config(0)
+    assert solver.step.kind == "constant" and solver.step.base == 0.1
+
+
+def test_cli_batch_key_without_batch_kind_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_sc\nscheme = vs_sqn\nbatch_n0 = 50\n"
+                   "horizon = 10\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error: batch_n0:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("kappa", 5.0), ("loc_sc", 3.0)])
+def test_problem_key_its_kind_does_not_read_is_rejected(key, value):
+    assert _config_error_field({"problem": "logistic_synth", "scheme": "sgd",
+                                "budget": 10, key: value}) == key
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig("cell", "logistic_synth", problem_params={key: value},
+                         solver_params={"scheme": "sgd", "sample_budget": 10})
+    assert info.value.field == key
+
+
+@pytest.mark.parametrize("line, key", [("average_iterates = true", "average_iterates"),
+                                       ("max_iters = 7", "max_iters"),
+                                       ("horizon = 2000001", "horizon")])
+def test_load_config_rejects_removed_knobs_and_a_horizon_above_the_cap(
+        tmp_path, line, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"problem = quadratic_sc\nscheme = sgd\nbudget = 100\n{line}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg)
+    assert info.value.field == key
 
 
 def test_build_problem_each_kind():

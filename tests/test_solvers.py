@@ -22,7 +22,14 @@ from vsqn.problems import (
     quad_make,
 )
 from vsqn.smoothing import L1Function, ProxSolverError, eta_schedule_diminishing
-from vsqn.solvers import SCHEMES, ConfigError, SolverConfig, _norm, run
+from vsqn.solvers import (
+    MAX_ITERS_DEFAULT,
+    SCHEMES,
+    ConfigError,
+    SolverConfig,
+    _norm,
+    run,
+)
 
 
 def sc_quad(seed=0, n=6, kappa=10.0, noise=0.5):
@@ -131,19 +138,17 @@ def test_stopping_rule_required():
         SolverConfig("vs_sqn")
 
 
-def test_explicit_iteration_cap_is_a_stopping_rule():
-    for cap in (1_000_000, 2_000_000, 3_000_000):
-        assert SolverConfig("sgd", max_iters=cap).max_iters == cap
-    with pytest.raises(ConfigError) as info:
-        SolverConfig("sgd")
-    assert info.value.field == "horizon"
-    with pytest.raises(ConfigError) as info:
-        SolverConfig("sgd", max_iters=0)
-    assert info.value.field == "max_iters"
+def test_horizon_is_the_iteration_cap():
+    for horizon in (1, 1_000_000, MAX_ITERS_DEFAULT):
+        assert SolverConfig("sgd", horizon=horizon).horizon == horizon
+    for horizon in (None, 0, MAX_ITERS_DEFAULT + 1):
+        with pytest.raises(ConfigError) as info:
+            SolverConfig("sgd", horizon=horizon)
+        assert info.value.field == "horizon"
 
 
 def test_iteration_cap_stops_the_run():
-    res = run(sc_quad(), SolverConfig("sgd", max_iters=7, seed=0))
+    res = run(sc_quad(), SolverConfig("sgd", horizon=7, seed=0))
     assert res.termination == "horizon"
     assert len(res.records) == 8
 
@@ -410,11 +415,20 @@ def test_sgd_matches_plain_descent_on_noiseless_problem():
 
 def test_sgd_averaging_returns_mean_iterate():
     prob = sc_quad(seed=3)
-    cfg = SolverConfig("sgd", horizon=30, seed=3, average_iterates=True,
+    cfg = SolverConfig("sgd", horizon=30, seed=3,
                        step=ScalarSchedule("power", base=0.1, exponent=-0.5))
     res = run(prob, cfg)
     assert res.x_averaged is not None
     assert np.all(np.isfinite(res.x_averaged))
+
+
+def test_sgd_averaged_iterate_is_the_mean_of_its_iterates():
+    prob = sc_quad(seed=3)
+    cfg = SolverConfig("sgd", horizon=30, seed=3, record_trace=True,
+                       step=ScalarSchedule("power", base=0.1, exponent=-0.5))
+    res = run(prob, cfg)
+    xs = [e["x"] for e in res.trace]
+    assert np.allclose(res.x_averaged, np.mean(xs, axis=0), atol=1e-12)
 
 
 class _AdditiveNoiseQuadratic:
