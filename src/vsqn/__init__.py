@@ -2,6 +2,7 @@
 
 from .core import (
     BatchSchedule,
+    ConfigError,
     OracleError,
     ProblemMeta,
     RngStream,
@@ -19,7 +20,7 @@ from .hessian import (
     theoretical_bounds,
     verify_secant,
 )
-from .solvers import ConfigError, IterateRecord, RunResult, SolverConfig, run
+from .solvers import IterateRecord, RunResult, SolverConfig, run
 
 __all__ = [
     "BatchSchedule", "OracleError", "ProblemMeta", "RngStream", "SampleHandle",

@@ -14,16 +14,27 @@ built generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
 Array = np.ndarray
 
-BATCH_KINDS = ("geometric", "polynomial", "constant")
-SCALAR_KINDS = ("constant", "power", "horizon_constant")
+# per schedule kind, the fields it reads; any other field must keep its default
+BATCH_READS = {"geometric": ("N0", "rate", "offset"),
+               "polynomial": ("N0", "exponent", "offset"), "constant": ("N0",)}
+SCALAR_READS = {"constant": ("base",), "power": ("base", "exponent", "offset"),
+                "horizon_constant": ("base", "exponent")}
 SMOOTHING_KINDS = (None, "smoothable", "moreau")
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; carries the offending field name."""
+
+    def __init__(self, field_name: str, message: str):
+        self.field = field_name
+        super().__init__(f"{field_name}: {message}")
 
 
 class OracleError(RuntimeError):
@@ -246,11 +257,23 @@ def _ceil_stable(v: float) -> int:
     return int(math.ceil(v))
 
 
+def _check_reads(schedule, reads: dict) -> None:
+    """ConfigError naming an unknown kind or an unread field off its default."""
+    if schedule.kind not in reads:
+        raise ConfigError("kind", f"unknown schedule kind {schedule.kind!r}; "
+                                  f"choose one of {', '.join(reads)}")
+    read = reads[schedule.kind]
+    for f in fields(schedule):
+        if f.name not in ("kind", *read) and getattr(schedule, f.name) != f.default:
+            raise ConfigError(f.name, f"a {schedule.kind} schedule does not read "
+                                      f"it; it reads {', '.join(read)}")
+
+
 @dataclass(frozen=True)
 class BatchSchedule:
     """Sample-size rule N_k.
 
-    kinds:
+    kinds (the fields each reads are ``BATCH_READS``):
       geometric:  N_k = ceil(N0 * rate**-(k+offset)),   rate in (0, 1)
       polynomial: N_k = ceil(N0 * (k+offset)**exponent), exponent > 0
       constant:   N_k = N0
@@ -263,18 +286,17 @@ class BatchSchedule:
     offset: int = 0
 
     def __post_init__(self):
-        if self.kind not in BATCH_KINDS:
-            raise ValueError(f"unknown batch schedule kind {self.kind!r}")
+        _check_reads(self, BATCH_READS)
         if self.N0 < 1:
-            raise ValueError("N0 must be >= 1")
+            raise ConfigError("N0", "must be >= 1")
         if self.offset < 0:
-            raise ValueError("offset must be >= 0")
+            raise ConfigError("offset", "must be >= 0")
         if self.kind == "geometric":
             if self.rate is None or not (0.0 < self.rate < 1.0):
-                raise ValueError("geometric schedule needs rate in (0, 1)")
+                raise ConfigError("rate", "a geometric schedule needs it in (0, 1)")
         if self.kind == "polynomial":
             if self.exponent is None or self.exponent <= 0:
-                raise ValueError("polynomial schedule needs exponent > 0")
+                raise ConfigError("exponent", "a polynomial schedule needs it > 0")
 
     def eval(self, k: int) -> int:
         if k < 0:
@@ -291,7 +313,7 @@ class BatchSchedule:
 class ScalarSchedule:
     """Scalar-parameter rule (steplengths, regularization, smoothing).
 
-    kinds:
+    kinds (the fields each reads are ``SCALAR_READS``):
       constant:         base
       power:            base * max(k+offset, 1)**exponent
       horizon_constant: base * K**exponent for a run of fixed horizon K;
@@ -304,10 +326,9 @@ class ScalarSchedule:
     offset: int = 0
 
     def __post_init__(self):
-        if self.kind not in SCALAR_KINDS:
-            raise ValueError(f"unknown scalar schedule kind {self.kind!r}")
+        _check_reads(self, SCALAR_READS)
         if not (self.base > 0):
-            raise ValueError("base must be > 0")
+            raise ConfigError("base", "must be > 0")
 
     def eval(self, k: int) -> float:
         if self.kind == "constant":

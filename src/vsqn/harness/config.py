@@ -1,11 +1,13 @@
 """Flat key=value experiment configuration.
 
 A config file fully determines a run given the code version: one problem,
-one solver, a seed list, and output/metric toggles.  Unknown keys, bad
-values and keys that the chosen problem or schedule kind does not read are
-rejected with the offending key named, before anything runs.
-``KNOWN_KEYS`` lists every key and ``config_from_keys`` shows where each
-one goes.
+one solver, a seed list, and output/metric toggles.  ``KNOWN_KEYS`` lists
+every key and ``config_from_keys`` maps each to its field.  Each rule lives
+with the value it governs: the fields a schedule kind reads in ``core``, the
+fields a scheme reads in ``solvers``, a problem kind's keys and defaults in
+``PROBLEM_KEYS``.  Only the file's own rules live here, in
+``_schedule_from`` and ``config_from_keys``.  Every fault is a
+``ConfigError`` naming its key, raised before anything runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import BatchSchedule, RngStream, ScalarSchedule
+from ..core import (BATCH_READS, SCALAR_READS, BatchSchedule, ConfigError,
+                    RngStream, ScalarSchedule)
 from ..problems import (
     CompositeProblem,
     L1LocationProblem,
@@ -26,30 +29,26 @@ from ..problems import (
     quad_make,
 )
 from ..smoothing import L1Function, ProxSpec
-from ..solvers import ConfigError, SolverConfig
+from ..solvers import SolverConfig
 
 
-# per problem kind, the problem keys that build_problem reads for it; n is
-# legal for every kind, since x0_value reads it
-_LOGISTIC_KEYS = ("mu_l2", "lambda_l1", "l1_smoothing", "l1_eta")
+# per problem kind, the keys that build_problem reads and their defaults; n
+# is legal for every kind, since x0_value reads it (None: read from the file);
+# the logistic kinds pass theirs to the builder by name
+_LOGISTIC_KEYS = {"mu_l2": 0.0, "lambda_l1": 0.0, "l1_smoothing": "none",
+                  "l1_eta": 1e-3}
 PROBLEM_KEYS = {
-    "quadratic_sc": ("n", "kappa", "noise"),
-    "quadratic_c": ("n", "kappa", "noise"),
-    "logistic_synth": ("n", "num_samples", "support_frac", "density",
-                       *_LOGISTIC_KEYS),
-    "logistic_file": ("n", "dataset_path", *_LOGISTIC_KEYS),
-    "isotonic": ("n", "p", "iso_eta"),
-    "lewis_overton": ("n", "lo_eta"),
-    "l1_location": ("n", "loc_width", "loc_sc"),
-    "l1_quadratic": ("n", "kappa", "noise", "l1_weight"),
+    "quadratic_sc": {"n": 20, "kappa": 100.0, "noise": 0.5},
+    "quadratic_c": {"n": 20, "kappa": 100.0, "noise": 0.5},
+    "logistic_synth": {"n": 100, "num_samples": 1000, "support_frac": 0.1,
+                       "density": 0.05, **_LOGISTIC_KEYS},
+    "logistic_file": {"n": None, "dataset_path": None, **_LOGISTIC_KEYS},
+    "isotonic": {"n": 12, "p": 24, "iso_eta": 1e-2},
+    "lewis_overton": {"n": 2, "lo_eta": 0.05},
+    "l1_location": {"n": 10, "loc_width": 1.0, "loc_sc": 0.0},
+    "l1_quadratic": {"n": 10, "kappa": 10.0, "noise": 0.5, "l1_weight": 0.5},
 }
 PROBLEM_KINDS = tuple(PROBLEM_KEYS)
-
-# per schedule kind, the keys it reads, named without the schedule's prefix
-_SCALAR_READS = {"constant": ("base",), "power": ("base", "exponent", "offset"),
-                 "horizon_constant": ("base", "exponent")}
-_BATCH_READS = {"constant": ("n0",), "geometric": ("n0", "rate", "offset"),
-                "polynomial": ("n0", "exponent", "offset")}
 
 _STR_KEYS = {
     "name", "scheme", "problem", "batch_kind", "step_kind", "mu_kind",
@@ -99,30 +98,30 @@ def parse_config_text(text: str) -> dict:
 def _schedule_from(keys: dict, prefix: str, batch: bool = False):
     """The schedule that the ``<prefix>_*`` keys give, or None if none is
     set.  Without ``<prefix>_kind`` a lone ``<prefix>_base`` is a constant;
-    any other key needs the kind, and every key must be one its kind reads."""
-    reads = _BATCH_READS if batch else _SCALAR_READS
+    any other key needs the kind, and every key must be one its kind reads.
+    Field N0's key is ``batch_n0``: ``<prefix>_<field>`` in lower case."""
+    reads = BATCH_READS if batch else SCALAR_READS
+    key = lambda name: f"{prefix}_{name.lower()}"
     names = dict.fromkeys(name for kind_reads in reads.values() for name in kind_reads)
-    given = {name: keys[f"{prefix}_{name}"] for name in names
-             if f"{prefix}_{name}" in keys}
+    given = {name: keys[key(name)] for name in names if key(name) in keys}
     kind = keys.get(f"{prefix}_kind")
     if kind is None:
         if not given:
             return None
         lone = [name for name in given if name != "base"]
         if lone:
-            raise ConfigError(f"{prefix}_{lone[0]}", f"needs {prefix}_kind")
+            raise ConfigError(key(lone[0]), f"needs {prefix}_kind")
         kind = "constant"
     for name in given:  # an unknown kind is left to the constructor to reject
         if name not in reads.get(kind, names):
-            raise ConfigError(
-                f"{prefix}_{name}", f"a {kind} {prefix} schedule does not read it; "
-                f"it reads {', '.join(f'{prefix}_{n}' for n in reads[kind])}")
+            raise ConfigError(key(name), f"a {kind} {prefix} schedule does not "
+                              f"read it; it reads {', '.join(map(key, reads[kind]))}")
     try:
-        if batch:
-            return BatchSchedule(kind, N0=given.pop("n0", 1), **given)
-        return ScalarSchedule(kind, base=given.pop("base", 1.0), **given)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}_kind", str(exc)) from exc
+        return (BatchSchedule(kind, **given) if batch
+                else ScalarSchedule(kind, **{"base": 1.0, **given}))
+    except ConfigError as exc:
+        raise ConfigError(key(exc.field),
+                          str(exc).removeprefix(f"{exc.field}: ")) from exc
 
 
 @dataclass
@@ -151,6 +150,9 @@ class ExperimentConfig:
             if key not in reads:
                 raise ConfigError(key, f"problem {self.problem_kind} does not "
                                        f"read it; it reads {', '.join(reads)}")
+        n = self.problem_params.get("n", 2)
+        if self.problem_kind == "lewis_overton" and n != 2:
+            raise ConfigError("n", f"lewis_overton is a 2-D problem; got n = {n}")
         SolverConfig(**self.solver_params)
 
     def solver_config(self, seed: int) -> SolverConfig:
@@ -176,25 +178,16 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
             solver_params[k] = keys[k]
     if "budget" in keys:
         solver_params["sample_budget"] = keys["budget"]
-    batch = _schedule_from(keys, "batch", batch=True)
-    if batch is not None:
-        solver_params["batch"] = batch
-    step = _schedule_from(keys, "step")
-    if step is not None:
-        solver_params["step"] = step
-    mu = _schedule_from(keys, "mu")
-    if mu is not None:
-        solver_params["mu"] = mu
     if "eta" in keys:
         clash = [k for k in keys if k.startswith("eta_")]
         if clash:
             raise ConfigError(clash[0], "a constant eta is given; set eta or "
                                         "an eta schedule, not both")
         solver_params["eta"] = keys["eta"]
-    else:
-        eta_sched = _schedule_from(keys, "eta")
-        if eta_sched is not None:
-            solver_params["eta"] = eta_sched
+    for prefix in ("batch", "step", "mu", "eta"):
+        schedule = _schedule_from(keys, prefix, batch=prefix == "batch")
+        if schedule is not None:
+            solver_params[prefix] = schedule
 
     base_seed = keys.get("seed", 0)
     repeats = keys.get("repeats", 1)
@@ -224,46 +217,28 @@ def build_problem(cfg: ExperimentConfig, seed: int):
     """Instantiate the problem for one cell; construction randomness comes
     from a stream disjoint from the solver's."""
     rng = RngStream(seed, stream_id=1)
-    p = cfg.problem_params
     kind = cfg.problem_kind
+    p = {**PROBLEM_KEYS[kind], **cfg.problem_params}
     if kind in ("quadratic_sc", "quadratic_c"):
-        return quad_make(
-            p.get("n", 20), p.get("kappa", 100.0),
-            "SC" if kind == "quadratic_sc" else "C",
-            rng, noise_half_width=p.get("noise", 0.5),
-        )
+        return quad_make(p["n"], p["kappa"], "SC" if kind == "quadratic_sc" else "C",
+                         rng, noise_half_width=p["noise"])
     if kind == "logistic_synth":
         problem, _ = make_synthetic_sparse_logistic(
-            p.get("n", 100), p.get("num_samples", 1000), rng,
-            support_frac=p.get("support_frac", 0.1),
-            density=p.get("density", 0.05),
-            mu_l2=p.get("mu_l2", 0.0),
-            lambda_l1=p.get("lambda_l1", 0.0),
-            l1_smoothing=p.get("l1_smoothing", "none"),
-            l1_eta=p.get("l1_eta", 1e-3),
-        )
+            p.pop("n"), p.pop("num_samples"), rng, **p)
         return problem
     if kind == "logistic_file":
-        path = p.get("dataset_path")
-        if path is None:
+        if p["dataset_path"] is None:
             raise ConfigError("dataset_path", "required for logistic_file")
-        return load_sparse_dataset(
-            path, mu_l2=p.get("mu_l2", 0.0), lambda_l1=p.get("lambda_l1", 0.0),
-            l1_smoothing=p.get("l1_smoothing", "none"),
-            l1_eta=p.get("l1_eta", 1e-3),
-        )
+        return load_sparse_dataset(p.pop("dataset_path"), **p)
     if kind == "isotonic":
-        return make_isotonic(p.get("n", 12), p.get("p", 24), rng,
-                             eta=p.get("iso_eta", 1e-2))
+        return make_isotonic(p["n"], p["p"], rng, eta=p["iso_eta"])
     if kind == "lewis_overton":
-        return LewisOvertonProblem(eta=p.get("lo_eta", 0.05))
+        return LewisOvertonProblem(eta=p["lo_eta"])
     if kind == "l1_location":
         gen = rng.generator()
-        center = gen.uniform(-2.0, 2.0, size=p.get("n", 10))
-        return L1LocationProblem(center, noise_half_width=p.get("loc_width", 1.0),
-                                 sc_weight=p.get("loc_sc", 0.0))
+        center = gen.uniform(-2.0, 2.0, size=p["n"])
+        return L1LocationProblem(center, noise_half_width=p["loc_width"],
+                                 sc_weight=p["loc_sc"])
     # l1_quadratic: l1 piece + strongly convex sampled quadratic
-    quad = quad_make(p.get("n", 10), p.get("kappa", 10.0), "SC", rng,
-                     noise_half_width=p.get("noise", 0.5))
-    return CompositeProblem(L1Function(p.get("l1_weight", 0.5)), quad,
-                            prox_spec=ProxSpec())
+    quad = quad_make(p["n"], p["kappa"], "SC", rng, noise_half_width=p["noise"])
+    return CompositeProblem(L1Function(p["l1_weight"]), quad, prox_spec=ProxSpec())

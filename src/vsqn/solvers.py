@@ -41,6 +41,7 @@ import numpy as np
 from .core import (
     Array,
     BatchSchedule,
+    ConfigError,
     RngStream,
     ScalarSchedule,
     assert_finite,
@@ -53,14 +54,6 @@ MAX_ITERS_DEFAULT = 2_000_000
 
 # RunResult.extras keys of the quasi-Newton loop's pair counters
 PAIR_COUNTERS = ("pairs_formed", "pairs_skipped", "pair_grads_reused")
-
-
-class ConfigError(ValueError):
-    """Invalid solver configuration; carries the offending field name."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        super().__init__(f"{field_name}: {message}")
 
 
 @dataclass
@@ -97,6 +90,11 @@ class SolverConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError("scheme", f"unknown scheme {self.scheme!r}; "
                                         f"choose one of {', '.join(SCHEMES)}")
+        _, batch_kinds, _, fixed, reads = _SCHEMES[self.scheme]
+        for name in _SCHEME_FIELDS:  # class attributes hold the defaults
+            if name not in reads and getattr(self, name) != getattr(SolverConfig, name):
+                raise ConfigError(name, f"{self.scheme} does not read it; it reads "
+                                        f"{', '.join(reads) or 'none of them'}")
         if self.m < 1:
             raise ConfigError("m", "memory depth must be >= 1")
         if self.epsilon <= 0:
@@ -113,7 +111,6 @@ class SolverConfig:
             raise ConfigError("horizon", "set horizon or sample_budget")
         if self.horizon is not None and not 1 <= self.horizon <= MAX_ITERS_DEFAULT:
             raise ConfigError("horizon", f"must lie in [1, {MAX_ITERS_DEFAULT}]")
-        _, batch_kinds, _, fixed = _SCHEMES[self.scheme]
         for name in ("step", "mu", "eta"):
             sched = getattr(self, name)
             if sched is not None and sched.kind == "horizon_constant":
@@ -561,23 +558,27 @@ def _vanishing_momentum():
 
 _UNSMOOTHED = (None, "smoothable")
 
+# SolverConfig fields that only some schemes read; unread, they keep defaults
+_SCHEME_FIELDS = ("m", "mu", "eta", "epsilon", "c_gamma", "delta", "delta_bar")
+
 # per scheme: the function that makes its plan, the batch kinds it takes, the
 # problem smoothing kinds (ProblemMeta.smoothing) whose oracle answers the
-# levels it queries, and the schedules it fixes from their k = 0 value, which
-# must be constant
+# levels it queries, the schedules it fixes from their k = 0 value, which
+# must be constant, and the _SCHEME_FIELDS it reads
 _SCHEMES = {
-    "vs_sqn": (_plan_vs_sqn, ("geometric", "constant"), _UNSMOOTHED, ()),
+    "vs_sqn": (_plan_vs_sqn, ("geometric", "constant"), _UNSMOOTHED, (), ("m",)),
     "svs_sqn_moreau": (_plan_svs_moreau, ("geometric", "constant"),
-                       ("moreau",), ("eta",)),
+                       ("moreau",), ("eta",), ("m", "eta")),
     "svs_sqn_diminishing": (_plan_svs_diminishing, ("polynomial", "constant"),
-                            ("smoothable",), ()),
-    "rvs_sqn": (_plan_rvs_sqn, ("polynomial", "constant"), _UNSMOOTHED, ()),
+                            ("smoothable",), (), ("m", "eta")),
+    "rvs_sqn": (_plan_rvs_sqn, ("polynomial", "constant"), _UNSMOOTHED, (),
+                ("m", "mu", "epsilon", "delta_bar")),
     "rsvs_sqn": (_plan_rsvs_sqn, ("polynomial", "constant"), ("smoothable",),
-                 ("step", "mu", "eta")),
-    "sgd": (_plan_sgd, ("constant",), _UNSMOOTHED, ()),
-    "sqn_unit": (_plan_sqn_unit, ("constant",), _UNSMOOTHED, ()),
+                 ("step", "mu", "eta"), _SCHEME_FIELDS),
+    "sgd": (_plan_sgd, ("constant",), _UNSMOOTHED, (), ()),
+    "sqn_unit": (_plan_sqn_unit, ("constant",), _UNSMOOTHED, (), ("m",)),
     "apg_baseline": (_plan_apg, ("geometric", "polynomial", "constant"),
-                     _UNSMOOTHED, ()),
+                     _UNSMOOTHED, (), ()),
 }
 SCHEMES = tuple(_SCHEMES)
 
@@ -588,7 +589,7 @@ def run(problem, config: SolverConfig) -> RunResult:
     Raises ConfigError("scheme") when the problem's oracle does not take
     the smoothing levels the scheme queries (``ProblemMeta.smoothing``).
     """
-    plan_of, _, fits, _ = _SCHEMES[config.scheme]
+    plan_of, _, fits, _, _ = _SCHEMES[config.scheme]
     if problem.meta.smoothing not in fits:
         raise ConfigError(
             "scheme", f"{config.scheme} needs a problem whose meta.smoothing is "

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vsqn
+import vsqn.solvers
 from vsqn.core import (
     BatchSchedule,
+    ConfigError,
     OracleError,
     ProblemMeta,
     RngStream,
@@ -32,16 +35,43 @@ def test_constant_schedule():
 
 
 def test_invalid_schedules_rejected_at_construction():
-    with pytest.raises(ValueError):
-        BatchSchedule("geometric", 1, rate=1.5)
-    with pytest.raises(ValueError):
-        BatchSchedule("geometric", 0, rate=0.5)
-    with pytest.raises(ValueError):
-        BatchSchedule("polynomial", 1, exponent=-1.0)
-    with pytest.raises(ValueError):
-        BatchSchedule("nope", 1)
-    with pytest.raises(ValueError):
-        ScalarSchedule("constant", -1.0)
+    for build, field in [
+        (lambda: BatchSchedule("geometric", 1, rate=1.5), "rate"),
+        (lambda: BatchSchedule("geometric", 0, rate=0.5), "N0"),
+        (lambda: BatchSchedule("polynomial", 1, exponent=-1.0), "exponent"),
+        (lambda: BatchSchedule("polynomial", 1, exponent=1.0, offset=-1), "offset"),
+        (lambda: BatchSchedule("nope", 1), "kind"),
+        (lambda: ScalarSchedule("constant", -1.0), "base"),
+        (lambda: ScalarSchedule("nope", 1.0), "kind"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert isinstance(info.value, ConfigError) and info.value.field == field
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: BatchSchedule("polynomial", 1, exponent=2.0, rate=0.5), "rate"),
+    (lambda: BatchSchedule("geometric", 1, rate=0.5, exponent=2.0), "exponent"),
+    (lambda: BatchSchedule("constant", 1, offset=2), "offset"),
+    (lambda: ScalarSchedule("constant", 1.0, exponent=-1.0), "exponent"),
+    (lambda: ScalarSchedule("constant", 1.0, offset=2), "offset"),
+    (lambda: ScalarSchedule("horizon_constant", 1.0, exponent=-1.0, offset=2),
+     "offset"),
+], ids=["polynomial-rate", "geometric-exponent", "batch-constant-offset",
+        "constant-exponent", "constant-offset", "horizon_constant-offset"])
+def test_schedule_field_its_kind_does_not_read_is_rejected(build, field):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert info.value.field == field
+
+
+def test_config_error_is_one_class():
+    assert vsqn.ConfigError is ConfigError is vsqn.solvers.ConfigError
+
+
+def test_schedule_field_its_kind_does_not_read_may_keep_its_default():
+    assert BatchSchedule("constant", 3, rate=None, exponent=None, offset=0).eval(9) == 3
+    assert ScalarSchedule("constant", 2.0, exponent=0.0, offset=0).eval(9) == 2.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -32,7 +32,6 @@ ALLOWED = {
 ALLOWED_MEMBERS = {
     "SecantError.s_dot_y": "exception payload for the caller",
     "ProxSolverError.residual": "exception payload for the caller",
-    "ConfigError.field": "exception payload: the offending config field",
     "QuadraticEnsemble.true_gradient":
         "exact gradient behind the finite-difference certificates",
     "LogisticProblem.full_gradient":

@@ -194,6 +194,18 @@ def test_schedule_key_its_kind_does_not_read_is_rejected(kind_keys, unread):
     assert _config_error_field({**_SVS, **kind_keys, unread: 0.5}) == unread
 
 
+@pytest.mark.parametrize("bad_keys, key", [
+    ({"batch_kind": "polynomial", "batch_n0": 0, "batch_exponent": 1.5}, "batch_n0"),
+    ({"step_kind": "power", "step_base": -1.0}, "step_base"),
+    ({"batch_kind": "geometric", "batch_rate": 1.5}, "batch_rate"),
+    ({"batch_kind": "polynomial", "batch_exponent": -1.0}, "batch_exponent"),
+    ({"batch_kind": "nope"}, "batch_kind"),
+])
+def test_schedule_value_error_names_the_key_that_holds_it(bad_keys, key):
+    keys = {"problem": "quadratic_sc", "scheme": "apg_baseline", "horizon": 10}
+    assert _config_error_field({**keys, **bad_keys}) == key
+
+
 def test_lone_step_base_is_a_constant_schedule():
     solver = config_from_keys({**_SVS, "step_base": 0.1}).solver_config(0)
     assert solver.step.kind == "constant" and solver.step.base == 0.1
@@ -228,6 +240,36 @@ def test_load_config_rejects_removed_knobs_and_a_horizon_above_the_cap(
     with pytest.raises(ConfigError) as info:
         load_config(cfg)
     assert info.value.field == key
+
+
+def test_field_the_scheme_does_not_read_is_rejected_at_load(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_sc\nscheme = vs_sqn\neta = 0.1\n"
+                   "horizon = 10\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg)
+    assert info.value.field == "eta"
+
+
+def test_logistic_file_takes_n_from_the_config(tmp_path):
+    data = tmp_path / "data.txt"
+    data.write_text("+1 1:0.5 3:1.0\n-1 2:2.0\n")
+    keys = {"problem": "logistic_file", "dataset_path": str(data),
+            "scheme": "sgd", "budget": 10}
+    assert build_problem(config_from_keys(keys), seed=0).meta.n == 3
+    assert build_problem(config_from_keys({**keys, "n": 5}), seed=0).meta.n == 5
+    with pytest.raises(ValueError, match="exceeds n=2"):
+        build_problem(config_from_keys({**keys, "n": 2}), seed=0)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"problem = logistic_file\ndataset_path = {data}\nn = 5\n"
+                   "x0_value = 0.1\nscheme = sgd\nstep_base = 0.1\nbudget = 10\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_lewis_overton_rejects_n_other_than_2():
+    keys = {"problem": "lewis_overton", "scheme": "vs_sqn", "horizon": 10}
+    assert config_from_keys({**keys, "n": 2}).problem_params == {"n": 2}
+    assert _config_error_field({**keys, "n": 3}) == "n"
 
 
 def test_build_problem_each_kind():
@@ -346,6 +388,28 @@ def test_cli_solver_config_error_exits_2_before_creating_out(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert "error: m:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_field_the_scheme_does_not_read_exits_2_before_creating_out(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_sc\nscheme = sgd\nm = 40\nbudget = 10\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "error: m:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_lewis_overton_with_n_3_exits_2_before_creating_out(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = lewis_overton\nn = 3\nx0_value = 1\n"
+                   "scheme = vs_sqn\nstep_base = 0.5\nhorizon = 10\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "error: n:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -52,12 +52,36 @@ def test_rsvs_requires_horizon():
 
 @pytest.mark.parametrize("name", ["step", "mu", "eta"])
 def test_horizon_constant_needs_horizon(name):
+    # each field on a scheme that reads it
+    scheme = {"step": "vs_sqn", "mu": "rvs_sqn", "eta": "svs_sqn_diminishing"}[name]
     sched = ScalarSchedule("horizon_constant", base=2.0, exponent=-1 / 3)
-    cfg = SolverConfig("vs_sqn", horizon=1000, **{name: sched})
+    cfg = SolverConfig(scheme, horizon=1000, **{name: sched})
     assert getattr(cfg, name) == ScalarSchedule("constant", 2.0 * 1000.0 ** (-1 / 3))
     with pytest.raises(ConfigError) as info:
-        SolverConfig("vs_sqn", sample_budget=100, **{name: sched})
+        SolverConfig(scheme, sample_budget=100, **{name: sched})
     assert info.value.field == name
+
+
+_NON_DEFAULT = {"m": 3, "mu": ScalarSchedule("constant", 0.5), "eta": 0.1,
+                "epsilon": 0.7, "c_gamma": 9.0, "delta": 0.5, "delta_bar": 0.5}
+_READS = {"vs_sqn": ("m",), "svs_sqn_moreau": ("m", "eta"),
+          "svs_sqn_diminishing": ("m", "eta"),
+          "rvs_sqn": ("m", "mu", "epsilon", "delta_bar"),
+          "rsvs_sqn": tuple(_NON_DEFAULT), "sgd": (), "sqn_unit": ("m",),
+          "apg_baseline": ()}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_field_its_scheme_does_not_read_is_rejected(scheme):
+    for name, value in _NON_DEFAULT.items():
+        if name in _READS[scheme]:
+            SolverConfig(scheme, horizon=10, **{name: value})
+            continue
+        with pytest.raises(ConfigError) as info:
+            SolverConfig(scheme, horizon=10, **{name: value})
+        assert info.value.field == name
+    # an unread field at its default is no fault
+    SolverConfig(scheme, horizon=10, m=5, epsilon=0.1, c_gamma=1.0)
 
 
 def test_incompatible_batch_kind_rejected():
