@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, ProblemMeta, SampleHandle, assert_finite
+from .core import Array, ConfigError, ProblemMeta, SampleHandle, assert_finite
 from .smoothing import (
     CompositeProxFunction,
     ProxSpec,
@@ -37,7 +37,9 @@ class _LastBatchSlot:
     offsets, or a frozen batch function.  Handles compare by value, so a
     replayed handle hits the slot and any other one replaces it; the old
     draw is dropped before the new one is made, so at most one is held.
-    ``_batch`` is the only caller of ``_draw``.
+    A quadratic's draw is n mean factors and is made in O(chunk * n)
+    memory, whatever the batch size.  ``_batch`` is the only caller of
+    ``_draw``.
     """
 
     _slot_handle: Optional[SampleHandle] = None
@@ -64,6 +66,9 @@ class BatchFunction:
 # stochastic quadratics
 # ---------------------------------------------------------------------------
 
+# doubles per streamed chunk of quadratic noise factors (128 KiB, an L2 fit)
+_DRAW_CHUNK = 1 << 14
+
 
 class QuadraticEnsemble(_LastBatchSlot):
     """E[(1/2) x'Q(w)x + c(w)'x] with c(w) = -Q(w) x_true.
@@ -72,7 +77,9 @@ class QuadraticEnsemble(_LastBatchSlot):
     sample perturbs the eigenvalues multiplicatively with bounded mean-one
     noise, so every sample stays convex and the gradient noise scales with
     |x - x_true| (state-dependent).  Values are reported relative to the
-    optimum, i.e. true_value(x) is exactly the optimality gap.
+    optimum, i.e. true_value(x) is exactly the optimality gap.  A batch's
+    noise factors are drawn and averaged in fixed-size row chunks, so one
+    draw takes O(chunk * n) memory, not O(batch * n).
     """
 
     def __init__(self, frame: Array, eigs: Array, x_true: Array,
@@ -107,11 +114,34 @@ class QuadraticEnsemble(_LastBatchSlot):
         return self.meta.lipschitz_L * (1.0 + self.noise)
 
     def _draw(self, handle: SampleHandle) -> Array:
+        """Mean of the batch's noise factors, bit for bit
+        ``gen.uniform(1 - noise, 1 + noise, size=(batch, n)).mean(axis=0)``
+        but streamed through one buffer of at most ``_DRAW_CHUNK`` doubles
+        plus a row: each chunk is drawn in place as ``lo + width * u`` (what
+        numpy's uniform computes), and the running sum rides in row 0, so
+        the axis-0 reduce adds rows in the same order as one whole reduce.
+        """
         gen = handle.generator()  # at noise 0 too: one generator per handle
+        n = self.eigs.size
         if self.noise == 0.0:
-            return np.ones(self.eigs.size)
-        return gen.uniform(1.0 - self.noise, 1.0 + self.noise,
-                           size=(handle.batch, self.eigs.size)).mean(axis=0)
+            return np.ones(n)
+        lo = 1.0 - self.noise
+        width = (1.0 + self.noise) - lo  # numpy's scale; may differ from 2*noise
+        batch = handle.batch
+        # numpy sums a single column pairwise, which a carried sum cannot
+        # reproduce; it is only batch doubles, so draw it whole
+        rows = batch if n == 1 else max(1, _DRAW_CHUNK // n)
+        buf = np.empty((min(batch, rows) + 1, n))
+        start, left = 1, batch
+        while left:
+            c = min(left, rows)
+            block = buf[1:c + 1]
+            gen.random(out=block)
+            block *= width
+            block += lo
+            buf[0] = np.add.reduce(buf[start:c + 1], axis=0)
+            start, left = 0, left - c
+        return buf[0] / batch
 
     def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
         mean_factors = self._batch(handle)
@@ -307,7 +337,8 @@ def load_sparse_dataset(path, n: Optional[int] = None, **kwargs) -> LogisticProb
     """Parse 'label idx:val idx:val ...' rows (1-based indices).
 
     Labels must map onto {-1, +1}; 0/1 labels are mapped.  The dimension is
-    inferred from the largest index unless given.
+    inferred from the largest index unless given; a given n below that
+    index is ConfigError("n").
     """
     rows = []
     labels = []
@@ -342,6 +373,8 @@ def load_sparse_dataset(path, n: Optional[int] = None, **kwargs) -> LogisticProb
         raise ValueError(f"{path}: no records")
     if n is None:
         n = max_index
+    elif max_index > n:
+        raise ConfigError("n", f"{path}: feature index {max_index} exceeds n={n}")
     mapped = []
     for lineno, label in enumerate(labels, start=1):
         if label in (-1.0, 1.0):
@@ -353,8 +386,6 @@ def load_sparse_dataset(path, n: Optional[int] = None, **kwargs) -> LogisticProb
     features = np.zeros((len(rows), n))
     for i, entries in enumerate(rows):
         for idx, val in entries:
-            if idx > n:
-                raise ValueError(f"record {i + 1}: index {idx} exceeds n={n}")
             features[i, idx - 1] = val
     return LogisticProblem(features, np.asarray(mapped), **kwargs)
 

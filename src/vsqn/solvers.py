@@ -587,11 +587,16 @@ def run(problem, config: SolverConfig) -> RunResult:
     """Run the configured scheme on a problem and return the full log.
 
     Raises ConfigError("scheme") when the problem's oracle does not take
-    the smoothing levels the scheme queries (``ProblemMeta.smoothing``).
+    the smoothing levels the scheme queries (``ProblemMeta.smoothing``),
+    and ConfigError("x0") when the start point is not of length n.
     """
     plan_of, _, fits, _, _ = _SCHEMES[config.scheme]
     if problem.meta.smoothing not in fits:
         raise ConfigError(
             "scheme", f"{config.scheme} needs a problem whose meta.smoothing is "
                       f"one of {fits}; this one's is {problem.meta.smoothing!r}")
+    n = problem.meta.n
+    if config.x0 is not None and np.shape(config.x0) != (n,):
+        raise ConfigError("x0", f"start point of shape {np.shape(config.x0)}; "
+                                f"the problem has n = {n}")
     return _qn_loop(problem, config, plan_of(problem, config))

@@ -258,6 +258,14 @@ def test_non_finite_query_rejected():
         run(prob, cfg)
 
 
+def test_wrong_length_start_point_is_a_config_error_naming_x0():
+    prob = quad_make(6, 5.0, "SC", RngStream(1, 1))
+    cfg = SolverConfig("vs_sqn", horizon=5, x0=np.zeros(3))
+    with pytest.raises(ConfigError) as info:
+        run(prob, cfg)
+    assert info.value.field == "x0"
+
+
 # --- problem metadata --------------------------------------------------------
 
 def test_meta_validation():

@@ -266,6 +266,17 @@ def test_logistic_file_takes_n_from_the_config(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_cli_logistic_file_with_n_below_its_largest_index_exits_2_naming_n(
+        tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("+1 1:0.5 3:1.0\n-1 2:2.0\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"problem = logistic_file\ndataset_path = {data}\nn = 2\n"
+                   "scheme = sgd\nstep_base = 0.1\nbudget = 10\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "error: n:" in capsys.readouterr().err
+
+
 def test_lewis_overton_rejects_n_other_than_2():
     keys = {"problem": "lewis_overton", "scheme": "vs_sqn", "horizon": 10}
     assert config_from_keys({**keys, "n": 2}).problem_params == {"n": 2}

@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsqn.core import RngStream, SampleHandle
+from vsqn.core import BatchSchedule, RngStream, SampleHandle
 from vsqn.harness.checks import fd_check
 from vsqn.problems import (
     CompositeProblem,
@@ -14,6 +16,8 @@ from vsqn.problems import (
     LEWIS_OVERTON_OPT,
     LewisOvertonProblem,
     LogisticProblem,
+    QuadraticEnsemble,
+    _DRAW_CHUNK,
     lewis_overton_oracle,
     load_sparse_dataset,
     make_isotonic,
@@ -24,6 +28,7 @@ from vsqn.problems import (
     save_sparse_dataset,
 )
 from vsqn.smoothing import L1Function
+from vsqn.solvers import SolverConfig, run
 
 
 # --- quadratic ensembles -----------------------------------------------------
@@ -86,6 +91,62 @@ def test_quad_rejects_bad_arguments():
         quad_make(5, 0.5, "SC", RngStream(0, 1))
     with pytest.raises(ValueError):
         quad_make(5, 10.0, "X", RngStream(0, 1))
+
+
+class _WholeBatchQuadratic(QuadraticEnsemble):
+    """The reference draw: all (batch, n) noise factors at once."""
+
+    def _draw(self, handle):
+        return handle.generator().uniform(
+            1.0 - self.noise, 1.0 + self.noise,
+            size=(handle.batch, self.eigs.size)).mean(axis=0)
+
+
+def _ensemble(n, noise, cls=QuadraticEnsemble):
+    return cls(np.eye(n), np.linspace(1.0, 4.0, n), np.zeros(n), noise)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 60])
+@pytest.mark.parametrize("noise", [0.0, 0.1, 0.4, 0.5, 0.9, 0.123456])
+def test_quad_streamed_draw_bitwise_equals_whole_batch(noise, n):
+    # the chunk's width must be numpy's (1 + noise) - (1 - noise): at 0.4
+    # that is 0.7999999999999999, not 2 * 0.4
+    rows = _DRAW_CHUNK // n
+    random_batch = int(np.random.default_rng(n).integers(2, 5 * rows))
+    streamed = _ensemble(n, noise)
+    whole = _ensemble(n, noise, _WholeBatchQuadratic)
+    for batch in (1, rows - 1, rows, rows + 1, 2 * rows + 3, random_batch):
+        handle = RngStream(7, 0).next_handle(batch)
+        got, want = streamed._draw(handle), whole._draw(handle)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), batch
+
+
+def test_quad_streamed_draw_keeps_the_vs_sqn_trajectory():
+    # batches 100 * 2^k cross the 819-row chunk of n = 20 from k = 4 on
+    base = quad_make(20, 50.0, "SC", RngStream(3, 1), noise_half_width=0.4)
+    config = SolverConfig("vs_sqn", horizon=8, seed=4,
+                          batch=BatchSchedule("geometric", N0=100, rate=0.5))
+    streamed, whole = (
+        run(cls(base.frame, base.eigs, base.x_true, base.noise), config)
+        for cls in (QuadraticEnsemble, _WholeBatchQuadratic))
+    assert config.batch.eval(7) > 2 * (_DRAW_CHUNK // 20)
+    # the closing row's grad_norm is nan on both, so compare as numpy does
+    np.testing.assert_equal(
+        [astuple(replace(r, wall_time=0.0)) for r in streamed.records],
+        [astuple(replace(r, wall_time=0.0)) for r in whole.records])
+    assert np.array_equal(streamed.x_final, whole.x_final)
+
+
+def test_quad_draw_memory_is_bounded_by_the_chunk():
+    prob = _ensemble(20, 0.5)
+    handle = RngStream(2, 0).next_handle(400_000)  # 64 MB as one array
+    tracemalloc.start()
+    try:
+        prob._draw(handle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * _DRAW_CHUNK
 
 
 # --- logistic ----------------------------------------------------------------
