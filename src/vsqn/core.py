@@ -9,6 +9,12 @@ stream_id, start).  So an ``RngStream`` keeps one generator and re-seats it
 for each of its handles, with the key computed by SeedSequence's own hash
 from a per-stream prefix; the draws are bit for bit those of a freshly
 built generator.
+
+A one-slot handle's sample index, ``generator().integers(0, N)``, is a pure
+function of (seed, stream_id, start, N) too, so ``SampleHandle.index``
+computes it for a block of consecutive starts in one numpy pass (the key
+hash, Philox4x64-10 on the first counter, Lemire's bounded draw) and takes
+the generator only where that pass cannot be sure of numpy's answer.
 """
 
 from __future__ import annotations
@@ -121,9 +127,13 @@ _START_CONSTANTS = tuple(
 _ZEROS4 = (0, 0, 0, 0)
 
 
-def _philox_key(lanes: tuple, start: int) -> tuple:
+def _philox_key(lanes: tuple, start):
     """The two Philox key words of SeedSequence(seed, spawn_key=(stream_id,
-    start)).generate_state(2, uint64), from the stream's ``lanes``."""
+    start)).generate_state(2, uint64), from the stream's ``lanes``.
+
+    ``start`` is an int or a uint64 array of starts below 2**32; every
+    product stays below 2**64, so uint64 arithmetic wraps only in the
+    subtraction, which the mask reduces mod 2**32 as for ints."""
     words = []
     for mixed, hash_xor, hash_mult, out_xor, out_mult in lanes:
         h = (start ^ hash_xor) * hash_mult & _MASK32
@@ -131,6 +141,52 @@ def _philox_key(lanes: tuple, start: int) -> tuple:
         v = (r ^ r >> 16 ^ out_xor) * out_mult & _MASK32
         words.append(v ^ v >> 16)
     return words[0] | words[1] << 32, words[2] | words[3] << 32
+
+
+# Philox4x64-10 (Random123, as numpy/random/src/philox/philox.h runs it):
+# round multipliers and the key bump
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+# consecutive starts per pass of the index block
+_INDEX_BLOCK = 2048
+
+
+def _mulhilo(a: int, b: Array) -> tuple:
+    """High and low words of the 128-bit product of the constant ``a`` and
+    the uint64 array ``b``; the high word is summed from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    carry = ((lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)) >> 32
+    return a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + carry, a * b
+
+
+def _index_block(lanes: tuple, first: int, N: int) -> list:
+    """``integers(0, N)`` of the generators seated at the ``_INDEX_BLOCK``
+    starts from ``first``, with -1 where only the generator can answer;
+    [] where the block does not apply: no prefix (``lanes == ()``), N
+    outside [1, 2**32) or starts that reach 2**32.
+
+    A re-seated generator's first block is Philox on counter (1, 0, 0, 0);
+    ``integers(0, N)`` takes the low 32 bits u of its word 0 and returns
+    (u N) >> 32 (Lemire) unless the low word of u N is below 2**32 mod N,
+    when it draws again; ``< N`` is a superset of that rejection zone.
+    N = 1 draws nothing and returns 0, which (u N) >> 32 is.
+    """
+    if not lanes or not 1 <= N <= _MASK32 or first + _INDEX_BLOCK > 1 << 32:
+        return []
+    k0, k1 = _philox_key(lanes, np.arange(first, first + _INDEX_BLOCK,
+                                          dtype=np.uint64))
+    # round 1 on counter (1, 0, 0, 0): the products are M0 and 0
+    c0, c1, c2, c3 = k0, 0, k1, _PHILOX_M0
+    for _ in range(9):
+        k0 = k0 + _PHILOX_W0
+        k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    m = (c0 & _MASK32) * N
+    return np.where((m & _MASK32) < N, -1, (m >> 32).astype(np.int64)).tolist()
 
 
 @dataclass(frozen=True)
@@ -145,14 +201,20 @@ class SampleHandle:
 
     A handle made by an ``RngStream`` returns that stream's one generator,
     re-seated at the handle's slot: it is valid until the next
-    ``generator()`` call on any handle of the same stream, so draw from it
-    at once.  A handle built on its own returns an independent generator.
+    ``generator()`` or ``index()`` call on any handle of the same stream,
+    so draw from it at once.  A handle built on its own returns an
+    independent generator.
+
+    ``index(N)`` is ``generator().integers(0, N)``, the one draw a
+    one-slot integer sample needs; a stream's handle answers it from a
+    block computed for its consecutive starts, so such a draw may skip
+    ``generator()`` altogether.
 
     Handles are frozen and compare by value (the stream takes no part), so
     a problem may key a cache on them: the built-in problems keep the
     reduced draw (row indices, mean noise factors, a frozen batch function)
-    of their most recent handle and call ``generator()`` at most once per
-    handle in a solver run.
+    of their most recent handle and draw at most once per handle in a
+    solver run.
 
     A problem must consume the generator with a fixed recipe (same calls,
     same shapes) for a given batch size; the recipe may not depend on the
@@ -170,6 +232,12 @@ class SampleHandle:
             return _seed_sequence_generator(self.seed, self.stream_id, self.start)
         return self.stream._seat(self.start)
 
+    def index(self, N: int) -> int:
+        """``generator().integers(0, N)``, as an int."""
+        if self.stream is None:
+            return int(self.generator().integers(0, N))
+        return self.stream._index(self.start, N)
+
 
 class RngStream:
     """Counter-based random stream; identical (seed, stream_id) replays
@@ -181,6 +249,13 @@ class RngStream:
     later seat re-seats the generator's Philox key from it.  A seed of
     2**128 or more, a stream_id or start of 2**32 or more change
     SeedSequence's word count, and take the SeedSequence path.
+
+    Sample indices (``SampleHandle.index``) come from the stream's last
+    block of ``_INDEX_BLOCK`` consecutive starts for one bound N.  A draw
+    just past the block (or just after a lone draw) computes the next one
+    from the prefix; the seated generator answers a lone draw, one that
+    follows no draw at the start before it, and every draw the block
+    leaves open (``_index_block``).
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -191,6 +266,7 @@ class RngStream:
         self.counter = 0
         self._generator: Optional[np.random.Generator] = None
         self._lanes: Optional[tuple] = None   # () when the prefix does not apply
+        self._block: tuple = (0, 0, [])       # (first start, N, indices)
 
     def next_handle(self, batch: int) -> SampleHandle:
         batch = int(batch)
@@ -204,12 +280,8 @@ class RngStream:
         """Generator of a one-slot handle (valid as ``SampleHandle`` says)."""
         return self.next_handle(1).generator()
 
-    def _seat(self, start: int) -> np.random.Generator:
-        gen = self._generator
-        if gen is None:
-            gen = _seed_sequence_generator(self.seed, self.stream_id, start)
-            self._generator = gen
-            return gen
+    def _prefix(self) -> tuple:
+        """The per-stream hash lanes; () when the prefix does not apply."""
         if self._lanes is None:
             self._lanes = ()
             if self.seed >> 128 == 0 and self.stream_id <= _MASK32:
@@ -218,14 +290,37 @@ class RngStream:
                     self.seed, spawn_key=(self.stream_id,)).pool
                 self._lanes = tuple((_MIX_L * int(word),) + consts
                                     for word, consts in zip(pool, _START_CONSTANTS))
-        if not self._lanes or start > _MASK32:
+        return self._lanes
+
+    def _seat(self, start: int) -> np.random.Generator:
+        gen = self._generator
+        if gen is None:
+            gen = _seed_sequence_generator(self.seed, self.stream_id, start)
+            self._generator = gen
+            return gen
+        lanes = self._prefix()
+        if not lanes or start > _MASK32:
             return _seed_sequence_generator(self.seed, self.stream_id, start)
         gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4, "key": _philox_key(self._lanes, start)},
+            "state": {"counter": _ZEROS4, "key": _philox_key(lanes, start)},
             "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         return gen
+
+    def _index(self, start: int, N: int) -> int:
+        first, bound, indices = self._block
+        i = start - first
+        if bound != N or not 0 <= i < len(indices):
+            # a block pays off only for a run of one-slot draws: a draw
+            # right after the last one starts a block, any other is lone
+            run = bound == N and i == len(indices)
+            indices = _index_block(self._prefix(), start, N) if run else []
+            first, i = (start, 0) if indices else (start + 1, -1)
+            self._block = (first, N, indices)
+        if i >= 0 and indices[i] >= 0:
+            return indices[i]
+        return int(self._seat(start).integers(0, N))
 
 
 @runtime_checkable

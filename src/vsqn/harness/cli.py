@@ -4,10 +4,11 @@
     vsqn run --preset lewis_overton --out results/
 
 Writes one CSV log and one key=value summary per (cell, seed), one after
-another.  Exit code 2 signals a configuration error (the message names the
-offending field); exit code 3 signals a run that broke down (a non-finite
-gradient, a pair with s.y <= 0, or a stalled inner prox solve), and the
-message names its cell and seed.
+another; the output directory is made at the first write.  Exit code 2
+signals a configuration error (the message names the offending field);
+exit code 3 signals a run that broke down (a non-finite gradient, a pair
+with s.y <= 0, or a stalled inner prox solve), and the message names its
+cell and seed.
 """
 
 from __future__ import annotations
@@ -21,17 +22,20 @@ import numpy as np
 from ..core import OracleError
 from ..hessian import SecantError
 from ..smoothing import ProxSolverError
-from ..solvers import PAIR_COUNTERS, ConfigError, run
+from ..solvers import PAIR_COUNTERS, ConfigError, SolverConfig, run
 from .checks import sparsity_count
 from .config import ExperimentConfig, build_problem, load_config
 from .logs import write_csv, write_summary
 from .presets import PRESET_NAMES, preset_cells
 
 
-def _execute_cell(cell: ExperimentConfig, seed: int, out_dir: Path) -> Path:
+def _execute_cell(cell: ExperimentConfig, config: SolverConfig,
+                  out_dir: Path) -> Path:
+    seed = config.seed
     problem = build_problem(cell, seed)
-    result = run(problem, cell.solver_config(seed))
+    result = run(problem, config)
     stem = f"{cell.name}_seed{seed}"
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / f"{stem}.csv", result.records)
 
     last = result.records[-1]
@@ -82,18 +86,18 @@ def main(argv=None) -> int:
             cells = preset_cells(args.preset)
         else:
             cells = [load_config(args.config)]
-        tasks = []
+        tasks = []  # (cell, solver config): every seed is checked before a run
         for cell in cells:
             seeds = cell.seeds if args.seed is None else tuple(
                 args.seed + i for i in range(len(cell.seeds)))
             for seed in seeds:
-                tasks.append((cell, seed))
-        args.out.mkdir(parents=True, exist_ok=True)
-        for cell, seed in tasks:
+                tasks.append((cell, cell.solver_config(seed)))
+        for cell, config in tasks:
             try:
-                _execute_cell(cell, seed, args.out)
+                _execute_cell(cell, config, args.out)
             except (OracleError, SecantError, ProxSolverError) as exc:
-                print(f"error: {cell.name} seed {seed}: {exc}", file=sys.stderr)
+                print(f"error: {cell.name} seed {config.seed}: {exc}",
+                      file=sys.stderr)
                 return 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

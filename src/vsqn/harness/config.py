@@ -131,7 +131,8 @@ class ExperimentConfig:
     ``problem_params`` holds only keys that ``build_problem`` reads for
     ``problem_kind`` (``PROBLEM_KEYS``).  ``solver_params`` holds the
     ``SolverConfig`` fields other than the seed, the starting point ``x0``
-    among them.  Both are checked here, when the cell is built.
+    among them.  Both are checked here, when the cell is built, and so is
+    each seed, as a ``SolverConfig`` field.
     """
 
     name: str
@@ -153,7 +154,8 @@ class ExperimentConfig:
         n = self.problem_params.get("n", 2)
         if self.problem_kind == "lewis_overton" and n != 2:
             raise ConfigError("n", f"lewis_overton is a 2-D problem; got n = {n}")
-        SolverConfig(**self.solver_params)
+        for seed in self.seeds or (0,):
+            self.solver_config(seed)
 
     def solver_config(self, seed: int) -> SolverConfig:
         return SolverConfig(seed=seed, **self.solver_params)

@@ -152,7 +152,7 @@ class QuadraticEnsemble(_LastBatchSlot):
         scaled = self.eigs * self._batch(handle)
 
         def grad(u):
-            w = self.frame.T @ (np.asarray(u, float) - self.x_true)
+            w = self.frame.T @ (u - self.x_true)
             return self.frame @ (scaled * w)
 
         def value(u):
@@ -253,23 +253,23 @@ class LogisticProblem(_LastBatchSlot):
         )
 
     def _draw(self, handle: SampleHandle):
-        gen = handle.generator()
         if handle.batch == 1:
-            # the value integers(0, N, size=1) draws, without its size
-            # handling; a slice gathers the row as a view of the same layout
-            row = gen.integers(0, self.N)
+            # the value integers(0, N, size=1) draws, through the stream's
+            # index block; a slice gathers the row as a view of the same layout
+            row = handle.index(self.N)
             return slice(row, row + 1)
-        return gen.integers(0, self.N, size=handle.batch)
+        return handle.generator().integers(0, self.N, size=handle.batch)
 
     def _penalty_grad(self, x: Array, l1_eta: Optional[float] = None) -> Array:
-        g = self.mu_l2 * x
-        if self.lambda_l1 > 0:
-            eta = self.l1_eta if l1_eta is None else l1_eta
-            if self.l1_smoothing == "huber" or l1_eta is not None:
-                g = g + self.lambda_l1 * huber_l1_grad(x, eta)
-            else:
-                g = g + self.lambda_l1 * np.sign(x)
-        return g
+        if self.lambda_l1 == 0:
+            return self.mu_l2 * x
+        eta = self.l1_eta if l1_eta is None else l1_eta
+        if self.l1_smoothing == "huber" or l1_eta is not None:
+            g = self.lambda_l1 * huber_l1_grad(x, eta)
+        else:
+            g = self.lambda_l1 * np.sign(x)
+        # for finite x, 0 * x + g is g bit for bit, so mu_l2 = 0 skips it
+        return g if self.mu_l2 == 0 else self.mu_l2 * x + g
 
     def _penalty_value(self, x: Array) -> float:
         v = 0.5 * self.mu_l2 * float(x @ x)
@@ -282,10 +282,14 @@ class LogisticProblem(_LastBatchSlot):
 
     def _loss_grad(self, x: Array, rows: Array) -> Array:
         """Mean loss gradient over the rows (indices or a slice), as np.mean
-        computes it (sum, then divide by the count) without its dispatch."""
+        computes it (sum, then divide by the count) without its dispatch.
+        Of one row, the sum is 0 + the row and the divide is by 1; 0 - r
+        is 0 + (-r) bit for bit, a zero coming out as +0."""
         xb = self.features[rows]
         vb = self.labels[rows]
         s = _stable_sigmoid(-vb * (xb @ x))
+        if len(vb) == 1:
+            return 0.0 - xb[0] * (vb * s)
         return np.add.reduce(-(xb * (vb * s)[:, None]), axis=0) / len(vb)
 
     def batch_gradient(self, x: Array, handle: SampleHandle,

@@ -49,11 +49,14 @@ class ProxSpec:
 
 
 def prox_soft_threshold(x: Array, threshold: float) -> Array:
-    """Componentwise sign(x_i) * max(|x_i| - threshold, 0)."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+    """Componentwise sign(x_i) * max(|x_i| - threshold, 0) of a float array
+    x, for threshold >= 0; computed in place on one new array (the inner
+    prox loop calls it once per iteration)."""
+    out = np.abs(x)
+    out -= threshold
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(x)
+    return out
 
 
 class L1Function:
@@ -94,13 +97,16 @@ class CompositeProxFunction:
     def prox(self, x: Array, eta: float) -> Array:
         x = np.asarray(x, dtype=float)
         step = 1.0 / (self.lipschitz_L + 1.0 / eta)
-        tol = self.spec.tolerance * (1.0 + float(np.linalg.norm(x)))
+        # norms as sqrt(v . v), which np.linalg.norm computes for a vector
+        tol = self.spec.tolerance * (1.0 + math.sqrt(x @ x))
         u = x.copy()
         residual = math.inf
+        smooth_grad, h_prox = self.smooth_grad, self.h.prox
         for _ in range(self.spec.max_inner_iters):
-            grad = self.smooth_grad(u) + (u - x) / eta
-            u_next = self.h.prox(u - step * grad, step)
-            residual = float(np.linalg.norm(u_next - u)) / step
+            grad = smooth_grad(u) + (u - x) / eta
+            u_next = h_prox(u - step * grad, step)
+            d = u_next - u
+            residual = math.sqrt(d @ d) / step
             u = u_next
             if residual <= tol:
                 return u

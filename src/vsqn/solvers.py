@@ -134,6 +134,8 @@ class SolverConfig:
                 raise ConfigError(name, "must lie in (0, 1]")
         if self.value_every < 1:
             raise ConfigError("value_every", "must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
 
 @dataclass

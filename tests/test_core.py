@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import vsqn
 import vsqn.solvers
 from vsqn.core import (
+    _INDEX_BLOCK,
     BatchSchedule,
     ConfigError,
     OracleError,
@@ -170,6 +171,75 @@ def test_stream_reseats_one_generator_and_a_lone_handle_gets_its_own():
     a, b = lone.generator(), lone.generator()
     assert a is not b and a is not gen
     assert np.array_equal(a.uniform(size=3), b.uniform(size=3))
+
+
+# --- the index block of one-slot handles --------------------------------------
+
+INDEX_BOUNDS = [1, 3, 1500, 2**31 + 1]   # the last rejects about half its draws
+
+
+@pytest.mark.parametrize("N", INDEX_BOUNDS)
+@pytest.mark.parametrize("stream_id", [0, 1])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**64 + 5, 2**127 + 9])
+def test_index_block_matches_seed_sequence_integers(seed, stream_id, N):
+    # a lone draw at 0, a block from 1, then one-slot handles across its
+    # edge at _INDEX_BLOCK + 1 (the batch handle between is not indexed)
+    stream = RngStream(seed, stream_id)
+    handles = [stream.next_handle(1) for _ in range(5)]
+    stream.next_handle(_INDEX_BLOCK - 8)
+    handles += [stream.next_handle(1) for _ in range(6)]
+    assert handles[-2].start == _INDEX_BLOCK + 1
+    for h in handles:
+        want = _seed_sequence_generator(seed, stream_id, h.start).integers(0, N)
+        assert h.index(N) == want, h
+
+
+def _seated_draws(stream, N, batches):
+    """The starts at which the one-slot draws of handles of these batch
+    sizes took the seated generator; each draw is checked on the way."""
+    calls = []
+    seat = stream._seat
+    stream._seat = lambda start: calls.append(start) or seat(start)
+    for batch in batches:
+        h = stream.next_handle(batch)
+        if batch == 1:
+            assert h.index(N) == _seed_sequence_generator(
+                h.seed, h.stream_id, h.start).integers(0, N)
+    return calls
+
+
+def test_index_takes_the_generator_only_where_the_block_cannot_answer(monkeypatch):
+    # a run of one-slot handles: the first is lone, a block serves the rest
+    assert _seated_draws(RngStream(3, 0), 1500, [1] * 40) == [0]
+    # one-slot handles between batches are lone, and the run after them
+    # starts a block again
+    assert _seated_draws(RngStream(3, 0), 1500, [1, 5, 1, 5, 1, 1, 1]) == [0, 6, 12]
+    # about half the draws at 2**31 + 1 fall in the rejection zone
+    assert 5 < len(_seated_draws(RngStream(3, 0), 2**31 + 1, [1] * 40)) < 35
+    # no prefix (seed >= 2**128, stream_id >= 2**32), a bound of 2**32 or
+    # more, starts near 2**32: every draw through the seated generator
+    for stream, N in [(RngStream(2**128 + 1, 0), 1500), (RngStream(3, 2**32), 1500),
+                      (RngStream(3, 0), 2**32), (RngStream(3, 0), 2**40)]:
+        assert len(_seated_draws(stream, N, [1] * 40)) == 40
+    late = RngStream(3, 0)
+    late.counter = 2**32 - 20
+    assert len(_seated_draws(late, 1500, [1] * 40)) == 40
+    # a handle built on its own draws from its own generator
+    calls = []
+    original = SampleHandle.generator
+    monkeypatch.setattr(SampleHandle, "generator",
+                        lambda h: calls.append(h) or original(h))
+    lone = SampleHandle(3, 0, 11, 1)
+    assert lone.index(1500) == _seed_sequence_generator(3, 0, 11).integers(0, 1500)
+    assert calls == [lone]
+
+
+def test_index_leaves_the_shared_generator_valid_for_the_next_handle():
+    stream = RngStream(8, 0)
+    one, batch = stream.next_handle(1), stream.next_handle(4)
+    assert one.index(2**31 + 1) == _seed_sequence_generator(8, 0, 0).integers(0, 2**31 + 1)
+    assert np.array_equal(batch.generator().integers(0, 9, size=4),
+                          _seed_sequence_generator(8, 0, 1).integers(0, 9, size=4))
 
 
 def test_different_streams_differ():

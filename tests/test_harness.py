@@ -277,6 +277,41 @@ def test_cli_logistic_file_with_n_below_its_largest_index_exits_2_naming_n(
     assert "error: n:" in capsys.readouterr().err
 
 
+def test_cli_build_time_fault_exits_2_before_creating_out(tmp_path, capsys):
+    # the n check runs while the problem is built, after every load check
+    data = tmp_path / "data.txt"
+    data.write_text("+1 1:0.5 3:1.0\n-1 2:2.0\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"problem = logistic_file\ndataset_path = {data}\nn = 2\n"
+                   "scheme = sgd\nstep_base = 0.1\nbudget = 10\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: n:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_in_a_config_is_rejected_at_load():
+    with pytest.raises(ConfigError) as info:
+        config_from_keys({"problem": "quadratic_sc", "scheme": "sgd",
+                          "budget": 10, "seed": -1})
+    assert info.value.field == "seed"
+
+
+@pytest.mark.parametrize("where", ["config", "flag", "preset"])
+def test_cli_negative_seed_exits_2_naming_seed_before_creating_out(
+        tmp_path, capsys, where):
+    cfg = tmp_path / "cfg.txt"
+    seed_line = "seed = -1\n" if where == "config" else ""
+    cfg.write_text(f"problem = quadratic_sc\nn = 4\nscheme = sgd\n{seed_line}"
+                   "budget = 10\n")
+    source = ["--preset", "isotonic"] if where == "preset" else ["--config", str(cfg)]
+    flag = [] if where == "config" else ["--seed", "-1"]
+    out = tmp_path / "o"
+    assert main(["run", *source, "--out", str(out), *flag]) == 2
+    assert "error: seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lewis_overton_rejects_n_other_than_2():
     keys = {"problem": "lewis_overton", "scheme": "vs_sqn", "horizon": 10}
     assert config_from_keys({**keys, "n": 2}).problem_params == {"n": 2}

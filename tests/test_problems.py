@@ -230,6 +230,29 @@ def test_logistic_batch_gradient_bitwise_equals_reference(smoothing, eta, batch)
     assert seen == {0, 1, 2, 3}
 
 
+def test_logistic_gradient_keeps_the_sign_of_every_zero():
+    # the one-row loss (0 - r), and the skipped 0 * x at mu_l2 = 0, against
+    # the plain formula bit for bit: signed zeros and subnormals in x, zero
+    # features times negative and positive weights
+    gen = np.random.default_rng(5)
+    X = np.where(gen.random((5, 8)) < 0.5, 0.0, gen.standard_normal((5, 8)))
+    v = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 2.0, -1e-300])
+    bits = lambda a: a.view(np.uint64)
+    for mu_l2, lambda_l1, smoothing, eta in itertools.product(
+            [0.0, 0.1], [0.0, 0.5], ["huber", "none"], [None, 0.3]):
+        prob = LogisticProblem(X, v, mu_l2=mu_l2, lambda_l1=lambda_l1,
+                               l1_smoothing=smoothing, l1_eta=0.25)
+        stream = RngStream(6, 0)
+        for batch in [1] * 8 + [3] * 4:
+            handle = stream.next_handle(batch)
+            rows = SampleHandle(6, 0, handle.start, batch).generator().integers(
+                0, 5, size=batch)
+            want = _reference_logistic_gradient(prob, x, rows, eta)
+            got = prob.batch_gradient(x, handle, eta)
+            assert np.array_equal(bits(got), bits(want)), (mu_l2, lambda_l1, batch)
+
+
 def test_logistic_huber_level_must_be_positive():
     with pytest.raises(ValueError):
         LogisticProblem(np.ones((2, 2)), np.array([1.0, -1.0]), lambda_l1=0.1,

@@ -51,6 +51,18 @@ def test_soft_threshold_matches_grid_minimization():
     assert abs(prox_soft_threshold(np.array([x]), lam)[0] - best) < 1e-4
 
 
+def test_soft_threshold_is_the_formula_bit_for_bit():
+    # computed in place, it must stay sign(x) * max(|x| - t, 0)
+    x = np.array([3.0, -0.5, 0.0, -0.0, 1e-3, -1e-3, 5e-324, -5e-324,
+                  np.inf, -np.inf, np.nan, 0.7, -0.7])
+    bits = lambda a: a.view(np.uint64)
+    for t in (0.0, 1e-3, 0.35, 1e300):
+        want = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+        assert np.array_equal(bits(prox_soft_threshold(x, t)), bits(want)), t
+        assert np.array_equal(bits(L1Function(0.5).prox(x, t)),
+                              bits(prox_soft_threshold(x, t * 0.5))), t
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6),
        st.floats(0, 10))

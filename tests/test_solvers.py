@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vsqn.core import (
+    _INDEX_BLOCK,
     BatchSchedule,
     OracleError,
     RngStream,
@@ -718,3 +719,36 @@ def test_problem_with_only_batch_gradient_runs():
     assert res.extras["pair_grads_reused"] == 5
     assert res.records[-1].f_value is None
     assert np.all(np.isfinite(res.x_final))
+
+
+def _record_rows(result):
+    """Every record but its wall time, as text: repr keeps each float's bits
+    and lets the closing row's nan compare equal."""
+    return [repr((r.k, r.samples_cum, r.grad_evals_cum, r.f_value, r.gap,
+                  r.grad_norm, r.step_norm, r.gamma_k)) for r in result.records]
+
+
+@pytest.mark.parametrize("preset,name", [("sparsity", "sparsity_sgd_avg"),
+                                         ("c_smooth", "c_smooth_sqn_unit")])
+def test_unit_batch_run_equals_the_run_on_the_generator_path(preset, name, monkeypatch):
+    # a batch-1 logistic draw comes from the stream's index block; a run
+    # longer than one block must equal, bit for bit, the run whose indices
+    # come from generator().integers (this also catches a numpy release
+    # that changes Philox or integers)
+    cell = next(c for c in preset_cells(preset) if c.name == name)
+    config = replace(cell.solver_config(3), sample_budget=None,
+                     horizon=_INDEX_BLOCK + 500, value_every=100)
+    block = run(build_problem(cell, 3), config)
+    monkeypatch.setattr(SampleHandle, "index",
+                        lambda h, N: int(h.generator().integers(0, N)))
+    generator = run(build_problem(cell, 3), config)
+    assert _record_rows(block) == _record_rows(generator)
+    assert np.array_equal(block.x_final, generator.x_final)
+    if block.x_averaged is not None:
+        assert np.array_equal(block.x_averaged, generator.x_averaged)
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError) as info:
+        SolverConfig("sgd", horizon=5, seed=-1)
+    assert info.value.field == "seed"
