@@ -60,9 +60,9 @@ def assert_finite(x, what: str = "vector") -> Array:
 class ProblemMeta:
     """Known analytic constants of a problem instance.
 
-    All optional fields may be None when unknown; solvers fall back to
-    documented defaults in that case.  ``nu1`` scales the state-dependent
-    part nu1^2 |x|^2 / N of the gradient-noise second moment.
+    An optional field is None when the problem does not state it; a
+    scheme whose default needs a missing constant raises ConfigError
+    unless the config sets that default itself.
     """
 
     n: int
@@ -70,8 +70,6 @@ class ProblemMeta:
     lipschitz_L: Optional[float] = None  # gradient Lipschitz constant
     f_star: Optional[float] = None
     x_star: Optional[Array] = None
-    alpha_growth: Optional[float] = None  # quadratic-growth modulus
-    nu1: Optional[float] = None
     smoothing: Optional[str] = None      # oracle levels; see StochasticProblem
 
     def __post_init__(self):
@@ -87,8 +85,6 @@ class ProblemMeta:
             and self.lipschitz_L < self.tau
         ):
             raise ValueError("lipschitz_L must be >= tau")
-        if self.nu1 is not None and self.nu1 < 0:
-            raise ValueError("nu1 must be >= 0")
         if self.smoothing not in SMOOTHING_KINDS:
             raise ValueError(f"smoothing must be one of {SMOOTHING_KINDS}")
 
@@ -390,8 +386,9 @@ class BatchSchedule:
             if self.rate is None or not (0.0 < self.rate < 1.0):
                 raise ConfigError("rate", "a geometric schedule needs it in (0, 1)")
         if self.kind == "polynomial":
-            if self.exponent is None or self.exponent <= 0:
-                raise ConfigError("exponent", "a polynomial schedule needs it > 0")
+            if self.exponent is None or not 0 < self.exponent < math.inf:
+                raise ConfigError("exponent", "a polynomial schedule needs it "
+                                              "finite and > 0")
 
     def eval(self, k: int) -> int:
         if k < 0:
@@ -422,8 +419,10 @@ class ScalarSchedule:
 
     def __post_init__(self):
         _check_reads(self, SCALAR_READS)
-        if not (self.base > 0):
-            raise ConfigError("base", "must be > 0")
+        if not 0 < self.base < math.inf:
+            raise ConfigError("base", "must be finite and > 0")
+        if not math.isfinite(self.exponent):
+            raise ConfigError("exponent", "must be finite")
 
     def eval(self, k: int) -> float:
         if self.kind == "constant":

@@ -169,9 +169,10 @@ class HessianBounds:
             raise ValueError("need 0 < lambda_lo <= lambda_hi")
 
 
-def _scaled_power(base_log: float) -> float:
+def _or_inf(power, *args) -> float:
+    """power(*args), or inf where the float result overflows."""
     try:
-        return math.exp(base_log)
+        return power(*args)
     except OverflowError:
         return math.inf
 
@@ -198,6 +199,8 @@ def theoretical_bounds(regime: str, *, m: int, n: int,
         lo  = 1/((m+n)(eta_k**-delta + mu0**delta_bar))
         hi  = (m+n)**(n+m-1) (eta_k**-delta + mu0**delta_bar)**(n+m-1)
               / ((n-1)! mu_k**((n+m) delta_bar))
+
+    hi is inf where it overflows a float.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
@@ -212,17 +215,17 @@ def theoretical_bounds(regime: str, *, m: int, n: int,
     if regime == "SC-smooth":
         need(L=L, tau=tau)
         lo = 1.0 / (L * (m + n))
-        hi = (L * (n + m) / tau) ** m
+        hi = _or_inf(pow, L * (n + m) / tau, m)
     elif regime == "SC-Moreau":
         need(eta_k=eta_k, tau=tau)
         lo = eta_k / (m + n)
-        hi = ((n + m) / (eta_k * tau)) ** m
+        hi = _or_inf(pow, (n + m) / (eta_k * tau), m)
     elif regime == "C-smooth":
         need(L=L, mu0=mu0, mu_k=mu_k)
         edge = L + mu0**delta_bar
         lo = 1.0 / ((m + n) * edge)
         log_lam = (n + m - 1) * (math.log(m + n) + math.log(edge)) - math.lgamma(n)
-        hi = _scaled_power(log_lam - delta_bar * (n + m) * math.log(mu_k))
+        hi = _or_inf(math.exp, log_lam - delta_bar * (n + m) * math.log(mu_k))
     else:
         need(eta_k=eta_k, mu0=mu0, mu_k=mu_k)
         edge = eta_k ** (-delta) + mu0**delta_bar
@@ -232,7 +235,7 @@ def theoretical_bounds(regime: str, *, m: int, n: int,
             - math.lgamma(n)
             - (n + m) * delta_bar * math.log(mu_k)
         )
-        hi = _scaled_power(log_hi)
+        hi = _or_inf(math.exp, log_hi)
     return HessianBounds(lo, hi)
 
 

@@ -93,14 +93,12 @@ class QuadraticEnsemble(_LastBatchSlot):
         n = self.eigs.size
         min_eig = float(self.eigs[0])
         max_eig = float(self.eigs[-1])
-        positive = self.eigs[self.eigs > 0]
         self.meta = ProblemMeta(
             n=n,
             tau=min_eig if min_eig > 0 else None,
             lipschitz_L=max_eig,
             f_star=0.0,
             x_star=self.x_true.copy(),
-            alpha_growth=float(positive[0]) if positive.size else None,
         )
 
     # per-sample curvature range (noise widens the mean spectrum)

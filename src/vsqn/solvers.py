@@ -17,23 +17,26 @@ is, and in how pairs are built:
   svs_sqn_diminishing strongly convex smoothable; eta_k decreasing
   rvs_sqn             convex, smooth; vanishing quadratic regularization
   rsvs_sqn            convex, smoothable; constant horizon-tuned gamma/mu/eta
-                      plus a weighted averaged iterate
+                      plus the averaged iterate
   sgd, sqn_unit, apg_baseline   comparison baselines
 
-sgd takes that step with H = I and reports the uniformly averaged iterate;
+sgd takes that step with H = I and also reports the averaged iterate;
 apg_baseline takes it with H = I from an extrapolated query point, through
-the loop's momentum hook.
+the loop's momentum hook.  The averaged iterate is the plain mean of the
+iterates the run steps from.
 
 Theorem-prescribed default schedules are built when the config leaves them
-unset; explicit overrides are honored and the theoretical steplength is
-recorded alongside the used one.
+unset; explicit overrides are honored as given and the theoretical
+steplength is recorded alongside the used one.  A default step the
+problem's constants cannot give (no tau or L, or a theorem step of 0 where
+the eigenvalue bound overflows at large m) is ConfigError("step").
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -64,9 +67,9 @@ class SolverConfig:
     up to ``MAX_ITERS_DEFAULT``; ``sample_budget`` stops the run once
     sum N_k reaches it.  Set at least one; a budget-only run also stops
     at ``MAX_ITERS_DEFAULT`` iterations, so record memory stays bounded.
-    Every other rule (schedule defaults, the theorem steplength, averaging
-    weights) is the scheme's own and lives in its plan: rsvs_sqn weights
-    its averaged iterate, sgd averages uniformly, the rest do not average.
+    Every other rule (schedule defaults, the theorem steplength, whether
+    to average) is the scheme's own and lives in its plan: rsvs_sqn and
+    sgd report the mean iterate, the rest do not average.
     """
 
     scheme: str
@@ -100,9 +103,9 @@ class SolverConfig:
         if self.epsilon <= 0:
             raise ConfigError("epsilon", "must be > 0")
         if self.eta is not None and not isinstance(self.eta, ScalarSchedule):
-            if not self.eta > 0:
-                raise ConfigError("eta", f"smoothing level must be > 0, "
-                                         f"got {self.eta!r}")
+            if not 0 < self.eta < math.inf:
+                raise ConfigError("eta", f"smoothing level must be finite and "
+                                         f"> 0, got {self.eta!r}")
             self.eta = ScalarSchedule("constant", float(self.eta))
         if self.scheme == "rsvs_sqn" and self.horizon is None:
             raise ConfigError("horizon", "rsvs_sqn fixes its parameters from "
@@ -117,8 +120,12 @@ class SolverConfig:
                 if self.horizon is None:
                     raise ConfigError(name, "a horizon_constant schedule is "
                                             "fixed from the horizon K; set horizon")
-                sched = ScalarSchedule(
-                    "constant", sched.base * float(self.horizon) ** sched.exponent)
+                try:
+                    sched = ScalarSchedule("constant", sched.base
+                                           * float(self.horizon) ** sched.exponent)
+                except (OverflowError, ConfigError):
+                    raise ConfigError(name, f"base * K**exponent is not finite "
+                                            f"and > 0 at K = {self.horizon}") from None
                 setattr(self, name, sched)
             if sched is not None and name in fixed and sched.kind != "constant":
                 raise ConfigError(name, f"{self.scheme} holds {name} fixed over "
@@ -203,8 +210,8 @@ class _Plan:
     even k.  With ``momentum`` set, the step lands on the reported iterate
     z_{k+1} = x_k - gamma_k H_k u_k and the next query point is
     x_{k+1} = z_{k+1} + momentum(k) (z_{k+1} - z_k); the loop calls it once
-    per iteration, in order.  With ``weight`` set, the result also carries
-    the mean of z_k weighted by ``weight(k)``.  ``theoretical`` is the
+    per iteration, in order.  With ``average`` set, the result also carries
+    the mean of the iterates z_k the run steps from.  ``theoretical`` is the
     theorem steplength recorded beside the used one, and ``extras`` the
     scheme's constants, reported after the loop's pair counters.
     """
@@ -216,7 +223,7 @@ class _Plan:
     pairs: bool = True
     mu: Optional[Callable[[int], float]] = None
     momentum: Optional[Callable[[int], float]] = None
-    weight: Optional[Callable[[int], float]] = None
+    average: bool = False
     delta: float = 1.0
     delta_bar: float = 1.0
     theoretical: Optional[float] = None
@@ -246,7 +253,6 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
          else assert_finite(config.x0, "x0").copy())
     x0 = x  # the regularization center; no iterate is updated in place
     z = x  # the reported iterate; a sequence of its own only under momentum
-    weight = plan.weight
     max_iters = config.horizon or MAX_ITERS_DEFAULT
     rng = RngStream(config.seed, stream_id=0)
     mem = LbfgsMemory(config.m)
@@ -258,8 +264,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     # (x, handle, batch size, smoothing level, raw oracle output) of the
     # previous step
     prev: Optional[tuple] = None
-    avg_acc = np.zeros_like(x)
-    avg_weight = 0.0
+    avg_acc = np.zeros_like(x) if plan.average else None
     t0 = time.perf_counter()
     k = plan.start_k
     iters = 0
@@ -306,10 +311,8 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
         # H is the identity while no pair is stored
         step_vec = gamma * (mem.apply(g) if mem.pairs else g)
 
-        if weight is not None:
-            w = weight(k)
-            avg_acc += w * z
-            avg_weight += w
+        if avg_acc is not None:
+            avg_acc += z
 
         want_value = iters % config.value_every == 0
         f_value = _value_of(problem, z) if want_value else None
@@ -338,7 +341,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
         k, samples, grad_evals, f_final, _gap_of(problem, f_final),
         float("nan"), 0.0, time.perf_counter() - t0,
     ))
-    x_avg = avg_acc / avg_weight if avg_weight > 0 else None
+    x_avg = None if avg_acc is None else avg_acc / iters
     return RunResult(
         scheme=config.scheme, records=records, x_final=z, x_averaged=x_avg,
         termination=termination, theoretical_step=plan.theoretical,
@@ -352,24 +355,31 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_theorem_step(config: SolverConfig, theoretical: Optional[float]):
+    """ConfigError("step") when the config sets no step and the theorem
+    steplength, the default, is missing (the problem states no tau or
+    lipschitz_L) or not > 0 (its eigenvalue envelope overflows at this m)."""
+    if config.step is not None:
+        return
+    if theoretical is None:
+        raise ConfigError("step", f"{config.scheme}'s default step needs problem "
+                                  f"meta tau and lipschitz_L; set step")
+    if not theoretical > 0:
+        raise ConfigError("step", f"{config.scheme}'s default step is "
+                                  f"{theoretical:.3g} at m = {config.m}, where its "
+                                  f"eigenvalue bound overflows; set step or lower m")
+
+
 def _plan_vs_sqn(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     theoretical = None
-    batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.95)
     if meta.tau is not None and meta.lipschitz_L is not None:
         bounds = theoretical_bounds("SC-smooth", m=config.m, n=meta.n,
                                     L=meta.lipschitz_L, tau=meta.tau)
         theoretical = 1.0 / (meta.lipschitz_L * bounds.lambda_hi)
-        if meta.nu1 is not None and meta.nu1 > 0:
-            floor = 2 * meta.nu1**2 * bounds.lambda_hi / (
-                meta.tau**2 * bounds.lambda_lo)
-            if batch.N0 < floor:
-                batch = replace(batch, N0=int(math.ceil(floor)))
-    if config.step is None and theoretical is None:
-        missing = "tau" if meta.tau is None else "lipschitz_L"
-        raise ConfigError("step", f"vs_sqn needs problem meta field {missing!r} "
-                                  f"(or an explicit override)")
+    _check_theorem_step(config, theoretical)
     step = config.step or ScalarSchedule("constant", theoretical)
+    batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.95)
     return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval,
                  theoretical=theoretical)
 
@@ -379,7 +389,8 @@ def _plan_svs_moreau(problem, config: SolverConfig) -> _Plan:
     tau = getattr(problem, "sample_tau", None) or meta.tau
     L = getattr(problem, "sample_L", None) or meta.lipschitz_L
     if tau is None or L is None:
-        raise ConfigError("step", "svs_sqn_moreau needs tau and lipschitz_L")
+        raise ConfigError("scheme", "svs_sqn_moreau bounds eta by tau and "
+                                    "lipschitz_L; this problem lacks one")
     n = meta.n
     cap = min(2.0 / L, (4.0 * (n + 1) ** 2 / tau**2) ** (1.0 / 3.0))
     if config.eta is None:
@@ -392,6 +403,7 @@ def _plan_svs_moreau(problem, config: SolverConfig) -> _Plan:
                        f"min(2/L, (4(n+1)^2/tau^2)^(1/3)) = {cap:.6g}")
     bounds = theoretical_bounds("SC-Moreau", m=config.m, n=n, eta_k=eta, tau=tau)
     theoretical = eta / (4.0 * bounds.lambda_hi)
+    _check_theorem_step(config, theoretical)
     step = config.step or ScalarSchedule("constant", theoretical)
     batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.9)
     return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval,
@@ -410,23 +422,18 @@ def _plan_svs_diminishing(problem, config: SolverConfig) -> _Plan:
         eta_at = lambda k: eta_schedule_diminishing(n, tau, k)
 
     def lam_hi(eta):
-        return ((n + m) / (eta * tau)) ** m
+        return theoretical_bounds("SC-Moreau", m=m, n=n, eta_k=eta,
+                                  tau=tau).lambda_hi
 
+    theoretical = eta_at(0) / lam_hi(eta_at(0))
+    _check_theorem_step(config, theoretical)
     if config.step is None:
         gamma_at = lambda k: eta_at(k) / lam_hi(eta_at(k))
     else:
         gamma_at = config.step.eval
-    theoretical = eta_at(0) / lam_hi(eta_at(0))
 
-    batch = config.batch
-    if batch is None:
-        n0 = 1
-        if meta.nu1 is not None and meta.nu1 > 0:
-            n0 = math.ceil(2 ** (4.0 / 3.0) * meta.nu1**2 * (n + 1) ** (1.0 / 3.0)
-                           / tau ** (5.0 / 3.0))
-        batch = BatchSchedule("polynomial", N0=max(1, n0),
-                              exponent=1.5 + 2.0 / 3.0, offset=2)
-
+    batch = config.batch or BatchSchedule("polynomial", N0=1,
+                                          exponent=1.5 + 2.0 / 3.0, offset=2)
     return _Plan(start_k=0, gamma=gamma_at, batch_n=batch.eval, level=eta_at,
                  theoretical=theoretical)
 
@@ -445,7 +452,6 @@ def _plan_rvs_sqn(problem, config: SolverConfig) -> _Plan:
                                 "schedule (exponent < 0, offset >= 0; epsilon < 1.5)")
     mu0 = mu_sched.eval(1)
     L = meta.lipschitz_L
-    bounds0 = None
     theoretical = None
     if L is not None:
         bounds0 = theoretical_bounds("C-smooth", m=m, n=n, L=L, mu0=mu0,
@@ -456,21 +462,13 @@ def _plan_rvs_sqn(problem, config: SolverConfig) -> _Plan:
         "power", base=1.0 / (2.0 * L), exponent=-eps)
     batch = config.batch or BatchSchedule("polynomial", N0=1,
                                           exponent=2.0 + eps, offset=0)
-    if (meta.nu1 is not None and meta.nu1 > 0 and L is not None
-            and meta.alpha_growth is not None and bounds0 is not None):
-        lam = bounds0.lambda_hi * mu0 ** (delta_bar * (n + m))
-        floor = ((L + mu0) * lam**2 * meta.nu1**2 * step.eval(1)
-                 / (meta.alpha_growth * bounds0.lambda_lo * mu0))
-        if batch.N0 < floor:
-            batch = replace(batch, N0=int(math.ceil(floor)))
     return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval,
                  mu=mu_sched.eval, delta_bar=delta_bar, theoretical=theoretical,
                  extras={"delta_bar": delta_bar})
 
 
 def _plan_rsvs_sqn(problem, config: SolverConfig) -> _Plan:
-    meta = problem.meta
-    n, m, eps = meta.n, config.m, config.epsilon
+    n, m, eps = problem.meta.n, config.m, config.epsilon
     K = config.horizon
     eps_bar = 5.0 * eps / 3.0
     mu = config.mu.eval(0) if config.mu else K ** (-1.0 / 3.0)
@@ -480,26 +478,14 @@ def _plan_rsvs_sqn(problem, config: SolverConfig) -> _Plan:
     delta = config.delta if config.delta is not None else eps / (n + m - 1)
     delta_bar = config.delta_bar if config.delta_bar is not None else (
         eps / (n + m))
-    bounds = theoretical_bounds("C-smoothed", m=m, n=n, eta_k=eta, mu0=mu,
-                                mu_k=mu, delta=delta, delta_bar=delta_bar)
-    nu1 = meta.nu1 or 0.0
-    alpha = meta.alpha_growth or meta.tau or 1.0
-    C = 2.0 * (1.0 + mu * eta) * bounds.lambda_hi**2 * nu1**2 * gamma**2 / (
-        alpha * eta)
     batch = config.batch or BatchSchedule("polynomial", N0=1,
                                           exponent=1.0 + eps, offset=1)
-    ceiling = C / (bounds.lambda_lo * mu * gamma)
-    if batch.N0 <= ceiling:
-        raise ConfigError(
-            "batch", f"averaging weights need N0 > C/(lo*mu*gamma) = "
-                     f"{ceiling:.6g}; got N0 = {batch.N0}")
     return _Plan(
         start_k=0, gamma=lambda k: gamma, batch_n=batch.eval,
-        level=lambda k: eta, mu=lambda k: mu,
-        weight=lambda k: bounds.lambda_lo * mu * gamma - C / batch.eval(k),
+        level=lambda k: eta, mu=lambda k: mu, average=True,
         delta=delta, delta_bar=delta_bar,
         extras={"mu": mu, "eta": eta, "gamma": gamma, "delta": delta,
-                "delta_bar": delta_bar, "noise_constant_C": C},
+                "delta_bar": delta_bar},
     )
 
 
@@ -510,8 +496,7 @@ def _plan_sqn_unit(problem, config: SolverConfig) -> _Plan:
         bounds = theoretical_bounds("SC-smooth", m=config.m, n=meta.n,
                                     L=meta.lipschitz_L, tau=meta.tau)
         theoretical = 2.0 / (meta.lipschitz_L * bounds.lambda_hi)
-    if config.step is None and theoretical is None:
-        raise ConfigError("step", "sqn_unit needs tau/lipschitz_L or a step")
+    _check_theorem_step(config, theoretical)
     step = config.step or ScalarSchedule("power", base=theoretical, exponent=-1.0)
     batch = config.batch or BatchSchedule("constant", N0=1)
     return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval,
@@ -525,7 +510,7 @@ def _plan_sgd(problem, config: SolverConfig) -> _Plan:
     step = config.step or ScalarSchedule("constant", 1.0 / meta.lipschitz_L)
     batch = config.batch or BatchSchedule("constant", N0=1)
     return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval, pairs=False,
-                 weight=lambda k: 1.0)
+                 average=True)
 
 
 def _plan_apg(problem, config: SolverConfig) -> _Plan:

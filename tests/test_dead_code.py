@@ -3,8 +3,9 @@
 Every public top-level function or class in ``src/vsqn`` must be named by
 another src line or exported in ``vsqn.__all__``, every public method,
 dataclass field and ``self.`` attribute of a src class must be read by src
-code, and every import must be used in its module.  A knob ledger pins
-the number of ``SolverConfig`` fields and config keys.
+code, and every import must be used in its module.  Every optional
+``ProblemMeta`` constant must be stated by some src problem.  A knob ledger
+pins the number of ``SolverConfig`` fields and config keys.
 """
 
 import ast
@@ -12,6 +13,7 @@ import dataclasses
 from pathlib import Path
 
 import vsqn
+from vsqn.core import ProblemMeta
 from vsqn.harness.config import KNOWN_KEYS
 from vsqn.solvers import SolverConfig
 
@@ -151,6 +153,19 @@ def test_allowlist_names_only_uncalled_definitions():
     unread = set(_unread_members())
     assert set(ALLOWED_MEMBERS) <= unread
     assert set(ALLOWED_REPORTS) <= {name.split(".")[0] for name in unread}
+
+
+def test_every_optional_problem_constant_is_stated_by_a_src_problem():
+    # a field that src reads but no src problem sets only ever holds its
+    # default, so every branch that reads it is dead
+    stated = {kw.arg for tree in _modules().values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "ProblemMeta"
+              for kw in node.keywords}
+    optional = {f.name for f in dataclasses.fields(ProblemMeta)
+                if f.default is not dataclasses.MISSING}
+    assert not optional - stated, (
+        f"ProblemMeta fields no src problem states: {sorted(optional - stated)}")
 
 
 def test_every_import_is_used():

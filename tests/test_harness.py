@@ -200,6 +200,14 @@ def test_schedule_key_its_kind_does_not_read_is_rejected(kind_keys, unread):
     ({"batch_kind": "geometric", "batch_rate": 1.5}, "batch_rate"),
     ({"batch_kind": "polynomial", "batch_exponent": -1.0}, "batch_exponent"),
     ({"batch_kind": "nope"}, "batch_kind"),
+    ({"batch_kind": "polynomial", "batch_exponent": math.inf}, "batch_exponent"),
+    ({"batch_kind": "polynomial", "batch_exponent": math.nan}, "batch_exponent"),
+    ({"batch_kind": "geometric", "batch_rate": math.nan}, "batch_rate"),
+    ({"step_kind": "constant", "step_base": math.inf}, "step_base"),
+    ({"step_kind": "power", "step_base": 0.1, "step_exponent": math.nan},
+     "step_exponent"),
+    ({"step_kind": "power", "step_base": 0.1, "step_exponent": -math.inf},
+     "step_exponent"),
 ])
 def test_schedule_value_error_names_the_key_that_holds_it(bad_keys, key):
     keys = {"problem": "quadratic_sc", "scheme": "apg_baseline", "horizon": 10}
@@ -355,6 +363,26 @@ def test_cli_invalid_scheme_exits_2(tmp_path):
     cfg.write_text("problem = quadratic_sc\nscheme = sorcery\nbudget = 10\n")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("problem, scheme, m", [
+    ("problem = quadratic_sc\nn = 10\nkappa = 100", "vs_sqn", 100),
+    ("problem = quadratic_sc\nn = 10\nkappa = 100", "sqn_unit", 100),
+    ("problem = l1_quadratic", "svs_sqn_moreau", 100),
+    ("problem = l1_location\nloc_sc = 0.5", "svs_sqn_diminishing", 400),
+], ids=["vs_sqn", "sqn_unit", "svs_sqn_moreau", "svs_sqn_diminishing"])
+def test_cli_theorem_step_past_float_range_needs_an_explicit_step(
+        tmp_path, capsys, problem, scheme, m):
+    # at this m the eigenvalue bound in the theorem step overflows a float
+    text = f"{problem}\nscheme = {scheme}\nm = {m}\nhorizon = 4\n"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text + "step_base = 0.001\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "error: step:" in err and f"m = {m}" in err
+    assert not (tmp_path / "b").exists()
 
 
 def test_cli_non_decreasing_mu_exits_2_naming_mu(tmp_path, capsys):

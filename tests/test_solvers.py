@@ -61,6 +61,11 @@ def test_horizon_constant_needs_horizon(name):
     with pytest.raises(ConfigError) as info:
         SolverConfig(scheme, sample_budget=100, **{name: sched})
     assert info.value.field == name
+    # a value at the horizon that overflows is the field's fault too
+    huge = ScalarSchedule("horizon_constant", base=1e300, exponent=200.0)
+    with pytest.raises(ConfigError) as info:
+        SolverConfig(scheme, horizon=1000, **{name: huge})
+    assert info.value.field == name
 
 
 _NON_DEFAULT = {"m": 3, "mu": ScalarSchedule("constant", 0.5), "eta": 0.1,
@@ -120,6 +125,16 @@ def test_moreau_eta_cap_enforced():
     with pytest.raises(ConfigError) as info:
         run(prob, cfg)
     assert info.value.field == "eta"
+
+
+def test_moreau_needs_the_constants_of_its_eta_cap():
+    quad = quad_make(6, 10.0, "C", RngStream(0, 1))
+    prob = CompositeProblem(L1Function(0.5), quad)
+    cfg = SolverConfig("svs_sqn_moreau", horizon=10, eta=0.1,
+                       step=ScalarSchedule("constant", 0.01))
+    with pytest.raises(ConfigError) as info:
+        run(prob, cfg)
+    assert info.value.field == "scheme"
 
 
 # the dataset-file kind needs a file on disk; its oracle is LogisticProblem's,
@@ -319,20 +334,6 @@ def test_vs_sqn_default_step_is_theoretical():
     assert res.used_step == res.theoretical_step
 
 
-def test_vs_sqn_batch_floor_honored_when_noise_known():
-    prob = sc_quad(n=5, kappa=4.0)
-    prob.meta.nu1 = 1.0
-    cfg = SolverConfig("vs_sqn", m=1, horizon=3,
-                       batch=BatchSchedule("geometric", 1, rate=0.9),
-                       step=ScalarSchedule("constant", 0.05), seed=0)
-    res = run(prob, cfg)
-    L, tau, n, m = prob.meta.lipschitz_L, prob.meta.tau, 5, 1
-    lam_hi = (L * (n + m) / tau) ** m
-    lam_lo = 1.0 / (L * (n + m))
-    floor = 2 * lam_hi / (tau**2 * lam_lo)
-    assert res.records[0].samples_cum >= int(np.ceil(floor))
-
-
 def test_svs_diminishing_schedule_logged():
     prob = L1LocationProblem(np.array([1.0, -1.0, 0.5]), noise_half_width=1.0,
                              sc_weight=1.0)
@@ -383,7 +384,7 @@ def test_rvs_sqn_rejects_non_decreasing_mu_before_the_loop(overrides):
     assert info.value.field == "mu"
 
 
-@pytest.mark.parametrize("eta", [0.0, -0.1])
+@pytest.mark.parametrize("eta", [0.0, -0.1, math.inf])
 @pytest.mark.parametrize("scheme", ["svs_sqn_moreau", "svs_sqn_diminishing", "rsvs_sqn"])
 def test_smoothed_schemes_reject_non_positive_eta(scheme, eta):
     if scheme == "svs_sqn_moreau":
@@ -395,26 +396,26 @@ def test_smoothed_schemes_reject_non_positive_eta(scheme, eta):
     assert info.value.field == "eta"
 
 
-def test_rsvs_uniform_weights_without_noise_constants():
-    prob = L1LocationProblem(np.array([0.4, -0.8]), noise_half_width=1.0)
+@pytest.mark.parametrize("scheme", ["sgd", "rsvs_sqn"])
+def test_averaged_iterate_is_the_sequential_mean_of_its_iterates(scheme):
     K = 30
-    cfg = SolverConfig("rsvs_sqn", m=1, horizon=K, epsilon=0.1, seed=0,
-                       record_trace=True)
+    if scheme == "sgd":
+        prob = sc_quad(seed=3)
+        cfg = SolverConfig("sgd", horizon=K, seed=3, record_trace=True,
+                           step=ScalarSchedule("power", base=0.1, exponent=-0.5))
+    else:
+        prob = L1LocationProblem(np.array([0.4, -0.8]), noise_half_width=1.0)
+        cfg = SolverConfig("rsvs_sqn", m=1, horizon=K, epsilon=0.1, seed=0,
+                           record_trace=True)
     res = run(prob, cfg)
-    assert res.extras["noise_constant_C"] == 0.0
-    xs = [e["x"] for e in res.trace]
-    assert np.allclose(res.x_averaged, np.mean(xs, axis=0), atol=1e-12)
-    assert res.extras["mu"] == pytest.approx(K ** (-1 / 3))
-    assert res.extras["eta"] == pytest.approx(K ** (-1 / 3))
-
-
-def test_rsvs_weight_floor_enforced():
-    prob = L1LocationProblem(np.array([0.4, -0.8]), noise_half_width=1.0)
-    prob.meta.nu1 = 50.0
-    cfg = SolverConfig("rsvs_sqn", m=1, horizon=30, epsilon=0.1, seed=0)
-    with pytest.raises(ConfigError) as info:
-        run(prob, cfg)
-    assert info.value.field == "batch"
+    total = np.zeros(prob.meta.n)
+    for entry in res.trace:
+        total += entry["x"]
+    assert len(res.trace) == K
+    assert np.array_equal(res.x_averaged, total / K)
+    if scheme == "rsvs_sqn":
+        assert res.extras["mu"] == pytest.approx(K ** (-1 / 3))
+        assert res.extras["eta"] == pytest.approx(K ** (-1 / 3))
 
 
 def test_rsvs_averaged_iterate_only_for_rsvs():
@@ -436,24 +437,6 @@ def test_sgd_matches_plain_descent_on_noiseless_problem():
         x = x - (1.0 / L) * prob.true_gradient(x)
     assert np.allclose(res.x_final, x, atol=1e-12)
     assert res.records[-1].gap == pytest.approx(prob.true_value(x))
-
-
-def test_sgd_averaging_returns_mean_iterate():
-    prob = sc_quad(seed=3)
-    cfg = SolverConfig("sgd", horizon=30, seed=3,
-                       step=ScalarSchedule("power", base=0.1, exponent=-0.5))
-    res = run(prob, cfg)
-    assert res.x_averaged is not None
-    assert np.all(np.isfinite(res.x_averaged))
-
-
-def test_sgd_averaged_iterate_is_the_mean_of_its_iterates():
-    prob = sc_quad(seed=3)
-    cfg = SolverConfig("sgd", horizon=30, seed=3, record_trace=True,
-                       step=ScalarSchedule("power", base=0.1, exponent=-0.5))
-    res = run(prob, cfg)
-    xs = [e["x"] for e in res.trace]
-    assert np.allclose(res.x_averaged, np.mean(xs, axis=0), atol=1e-12)
 
 
 class _AdditiveNoiseQuadratic:
