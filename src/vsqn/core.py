@@ -33,6 +33,8 @@ BATCH_READS = {"geometric": ("N0", "rate", "offset"),
 SCALAR_READS = {"constant": ("base",), "power": ("base", "exponent", "offset"),
                 "horizon_constant": ("base", "exponent")}
 SMOOTHING_KINDS = (None, "smoothable", "moreau")
+# the largest batch size N_k: past 2**53 a float names no single integer
+MAX_BATCH = 2**53
 
 
 class ConfigError(ValueError):
@@ -368,6 +370,10 @@ class BatchSchedule:
       geometric:  N_k = ceil(N0 * rate**-(k+offset)),   rate in (0, 1)
       polynomial: N_k = ceil(N0 * (k+offset)**exponent), exponent > 0
       constant:   N_k = N0
+
+    N_k may not pass ``MAX_BATCH``: an N0 above it is ConfigError("N0"),
+    and ``eval`` raises ConfigError naming the growth field (``rate`` or
+    ``exponent``) at a k whose N_k would pass it.
     """
 
     kind: str
@@ -378,8 +384,8 @@ class BatchSchedule:
 
     def __post_init__(self):
         _check_reads(self, BATCH_READS)
-        if self.N0 < 1:
-            raise ConfigError("N0", "must be >= 1")
+        if not 1 <= self.N0 <= MAX_BATCH:
+            raise ConfigError("N0", f"must lie in [1, 2**53], got {self.N0}")
         if self.offset < 0:
             raise ConfigError("offset", "must be >= 0")
         if self.kind == "geometric":
@@ -396,9 +402,16 @@ class BatchSchedule:
         t = k + self.offset
         if self.kind == "constant":
             return self.N0
-        if self.kind == "geometric":
-            return max(1, _ceil_stable(self.N0 * self.rate ** (-t)))
-        return max(1, _ceil_stable(self.N0 * float(t) ** self.exponent))
+        geometric = self.kind == "geometric"
+        try:
+            v = self.N0 * (self.rate ** (-t) if geometric
+                           else float(t) ** self.exponent)
+        except OverflowError:
+            v = math.inf
+        if not v <= MAX_BATCH:
+            raise ConfigError("rate" if geometric else "exponent",
+                              f"N_{k} = {v:.4g} samples passes 2**53")
+        return max(1, _ceil_stable(v))
 
 
 @dataclass(frozen=True)

@@ -116,11 +116,18 @@ def _schedule_from(keys: dict, prefix: str, batch: bool = False):
         if name not in reads.get(kind, names):
             raise ConfigError(key(name), f"a {kind} {prefix} schedule does not "
                               f"read it; it reads {', '.join(map(key, reads[kind]))}")
+    if batch:
+        return _keyed(prefix, BatchSchedule, kind, **given)
+    return _keyed(prefix, ScalarSchedule, kind, **{"base": 1.0, **given})
+
+
+def _keyed(prefix: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, a schedule's ConfigError renamed to the
+    key of its field, ``<prefix>_<field>`` in lower case."""
     try:
-        return (BatchSchedule(kind, **given) if batch
-                else ScalarSchedule(kind, **{"base": 1.0, **given}))
+        return call(*args, **kwargs)
     except ConfigError as exc:
-        raise ConfigError(key(exc.field),
+        raise ConfigError(f"{prefix}_{exc.field.lower()}",
                           str(exc).removeprefix(f"{exc.field}: ")) from exc
 
 
@@ -132,7 +139,9 @@ class ExperimentConfig:
     ``problem_kind`` (``PROBLEM_KEYS``).  ``solver_params`` holds the
     ``SolverConfig`` fields other than the seed, the starting point ``x0``
     among them.  Both are checked here, when the cell is built, and so is
-    each seed, as a ``SolverConfig`` field.
+    each seed, as a ``SolverConfig`` field.  A run bounded by its horizon
+    K alone is also checked to stay within the batch schedule's
+    ``MAX_BATCH`` at k = K, which bounds the last iteration of every scheme.
     """
 
     name: str
@@ -156,6 +165,10 @@ class ExperimentConfig:
             raise ConfigError("n", f"lewis_overton is a 2-D problem; got n = {n}")
         for seed in self.seeds or (0,):
             self.solver_config(seed)
+        batch, horizon = (self.solver_params.get(k) for k in ("batch", "horizon"))
+        if (batch is not None and horizon is not None
+                and self.solver_params.get("sample_budget") is None):
+            _keyed("batch", batch.eval, horizon)
 
     def solver_config(self, seed: int) -> SolverConfig:
         return SolverConfig(seed=seed, **self.solver_params)

@@ -9,12 +9,16 @@ oracles draw their randomness from a replayable SampleHandle and reduce in
 fixed index order, so replays are bit-identical.  Each sampled problem
 keeps the reduced draw of its most recent handle in a one-slot cache, so
 re-evaluating that batch at another point (a curvature pair) draws nothing.
+The row-sampled problems (logistic, isotonic) hold a batch of at least a
+quarter of their N data rows as per-row draw counts and reduce it in one
+count-weighted pass over the data, so such a draw and its gradient take
+O(N + n) memory whatever the batch size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,14 +36,15 @@ class _LastBatchSlot:
     """Mixin: ``_batch(handle)`` is ``_draw(handle)`` cached for the most
     recent handle.
 
-    ``_draw`` returns what the batch oracles need from one draw: row
-    indices (not the gathered rows), mean noise factors, the l1 location
+    ``_draw`` returns what the batch oracles need from one draw: the
+    sampled rows (``_draw_rows``: a slice, an index array or per-row
+    counts, never the gathered rows), mean noise factors, the l1 location
     offsets, or a frozen batch function.  Handles compare by value, so a
     replayed handle hits the slot and any other one replaces it; the old
     draw is dropped before the new one is made, so at most one is held.
-    A quadratic's draw is n mean factors and is made in O(chunk * n)
-    memory, whatever the batch size.  ``_batch`` is the only caller of
-    ``_draw``.
+    A quadratic's draw is n mean factors made in O(chunk * n) memory, and a
+    counted row draw is N counts made in O(chunk + N), whatever the batch
+    size.  ``_batch`` is the only caller of ``_draw``.
     """
 
     _slot_handle: Optional[SampleHandle] = None
@@ -66,8 +71,42 @@ class BatchFunction:
 # stochastic quadratics
 # ---------------------------------------------------------------------------
 
-# doubles per streamed chunk of quadratic noise factors (128 KiB, an L2 fit)
+# elements per streamed chunk of a draw: quadratic noise factors or counted
+# row indices (128 KiB, an L2 fit)
 _DRAW_CHUNK = 1 << 14
+# a row draw of at least N / _COUNT_FRACTION of N data rows is held as counts:
+# past there one count-weighted pass over the N rows is cheaper than
+# gathering the drawn ones (measured on the sparsity and c_smooth data sets)
+_COUNT_FRACTION = 4
+
+
+class _RowCounts(NamedTuple):
+    """A drawn batch as ``np.bincount(indices, minlength=N)`` and its size."""
+
+    counts: Array
+    size: int
+
+
+def _draw_rows(handle: SampleHandle, N: int):
+    """The rows of ``handle.batch`` draws with replacement from N, the
+    indices ``integers(0, N, size=batch)`` gives: a slice for one row (a
+    view of the data's layout), that index array below N / _COUNT_FRACTION
+    rows, and from there its ``_RowCounts``.  Counts are accumulated over
+    chunks of ``_DRAW_CHUNK`` indices, which continue one index stream: the
+    bit generator carries its buffered half word from call to call."""
+    batch = handle.batch
+    if batch == 1:
+        # through the stream's index block (SampleHandle.index)
+        row = handle.index(N)
+        return slice(row, row + 1)
+    gen = handle.generator()
+    if _COUNT_FRACTION * batch < N:
+        return gen.integers(0, N, size=batch)
+    counts = np.zeros(N, dtype=np.int64)
+    for left in range(batch, 0, -_DRAW_CHUNK):
+        counts += np.bincount(gen.integers(0, N, size=min(left, _DRAW_CHUNK)),
+                              minlength=N)
+    return _RowCounts(counts, batch)
 
 
 class QuadraticEnsemble(_LastBatchSlot):
@@ -177,8 +216,8 @@ def quad_make(n: int, kappa: float, convexity: str, rng,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
+    if not 1 <= kappa < np.inf:
+        raise ConfigError("kappa", f"must be finite and >= 1, got {kappa!r}")
     if convexity not in ("SC", "C"):
         raise ValueError("convexity must be 'SC' or 'C'")
     gen = rng.generator()
@@ -239,7 +278,11 @@ class LogisticProblem(_LastBatchSlot):
         self.l1_smoothing = l1_smoothing
         self.l1_eta = float(l1_eta)
         self.N, n = self.features.shape
-        row_norm_sq = float(np.max(np.sum(self.features**2, axis=1)))
+        # squared row norms block by block, with no second (N, n) array; a
+        # row sums as it would in one whole np.sum(features**2, axis=1)
+        rows = max(1, _DRAW_CHUNK // max(n, 1))
+        row_norm_sq = max(float(np.max(np.sum(self.features[i:i + rows]**2, axis=1)))
+                          for i in range(0, self.N, rows))
         L = row_norm_sq / 4.0 + self.mu_l2
         if self.lambda_l1 > 0 and l1_smoothing == "huber":
             L += self.lambda_l1 / self.l1_eta
@@ -251,12 +294,7 @@ class LogisticProblem(_LastBatchSlot):
         )
 
     def _draw(self, handle: SampleHandle):
-        if handle.batch == 1:
-            # the value integers(0, N, size=1) draws, through the stream's
-            # index block; a slice gathers the row as a view of the same layout
-            row = handle.index(self.N)
-            return slice(row, row + 1)
-        return handle.generator().integers(0, self.N, size=handle.batch)
+        return _draw_rows(handle, self.N)
 
     def _penalty_grad(self, x: Array, l1_eta: Optional[float] = None) -> Array:
         if self.lambda_l1 == 0:
@@ -278,11 +316,15 @@ class LogisticProblem(_LastBatchSlot):
                 v += self.lambda_l1 * float(np.sum(np.abs(x)))
         return v
 
-    def _loss_grad(self, x: Array, rows: Array) -> Array:
-        """Mean loss gradient over the rows (indices or a slice), as np.mean
-        computes it (sum, then divide by the count) without its dispatch.
-        Of one row, the sum is 0 + the row and the divide is by 1; 0 - r
+    def _loss_grad(self, x: Array, rows) -> Array:
+        """Mean loss gradient over the rows.  Of counts, one pass over the
+        data weights row i by its count.  Of indices or a slice, as np.mean
+        computes it (sum, then divide by the count) without its dispatch;
+        of one row, the sum is 0 + the row and the divide is by 1; 0 - r
         is 0 + (-r) bit for bit, a zero coming out as +0."""
+        if isinstance(rows, _RowCounts):
+            s = _stable_sigmoid(-self.labels * (self.features @ x))
+            return -(self.features.T @ (rows.counts * self.labels * s)) / rows.size
         xb = self.features[rows]
         vb = self.labels[rows]
         s = _stable_sigmoid(-vb * (xb @ x))
@@ -319,8 +361,13 @@ def make_synthetic_sparse_logistic(n: int, num_samples: int, rng,
 
     Returns (problem, x_true); labels follow the logistic model at x_true.
     """
+    if not 0 <= density <= 1:
+        raise ConfigError("density", f"a feature's chance of being 1 must lie "
+                                     f"in [0, 1], got {density!r}")
     gen = rng.generator()
-    features = (gen.random((num_samples, n)) < density).astype(float)
+    # the draw becomes the 0/1 features in place: no second (N, n) array
+    features = gen.random((num_samples, n))
+    np.less(features, density, out=features)
     support = round(support_frac * n)
     x_true = np.zeros(n)
     idx = gen.choice(n, size=support, replace=False)
@@ -458,13 +505,18 @@ class IsotonicLasso(_LastBatchSlot):
         self.meta = ProblemMeta(n=n, lipschitz_L=gram_norm + 1.0 / self.default_eta,
                                 smoothing="smoothable")
 
-    def _draw(self, handle: SampleHandle) -> Array:
-        return handle.generator().integers(0, self.p, size=handle.batch)
+    def _draw(self, handle: SampleHandle):
+        return _draw_rows(handle, self.p)
 
-    def _data_grad_rows(self, x: Array, rows: Array) -> Array:
+    def _data_grad(self, x: Array, rows) -> Array:
+        """Mean data gradient over the rows: of counts, one count-weighted
+        pass over the data; of indices or a slice, over the gathered rows."""
+        if isinstance(rows, _RowCounts):
+            res = self.A @ x - self.b
+            return self.p * (self.A.T @ (rows.counts * res)) / rows.size
         ab = self.A[rows]
         res = ab @ x - self.b[rows]
-        return self.p * ab * res[:, None]
+        return (self.p * ab * res[:, None]).mean(axis=0)
 
     def _penalty_grad(self, x: Array, eta: float) -> Array:
         return (x - pava_project(x)) / eta
@@ -476,7 +528,7 @@ class IsotonicLasso(_LastBatchSlot):
         x = np.asarray(x, dtype=float)
         rows = self._batch(handle)
         eta = self.default_eta if eta is None else eta
-        return self._data_grad_rows(x, rows).mean(axis=0) + self._penalty_grad(x, eta)
+        return self._data_grad(x, rows) + self._penalty_grad(x, eta)
 
     def true_value(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)

@@ -35,7 +35,9 @@ the eigenvalue bound overflows at large m) is ConfigError("step").
 from __future__ import annotations
 
 import math
+import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -149,7 +151,8 @@ class SolverConfig:
 class IterateRecord:
     """One log row: the state at iteration k before its update (the closing
     row holds the final iterate); under momentum, f_value and gap are taken
-    at the reported iterate z_k, not at the query point.
+    at the reported iterate z_k, not at the query point.  A run keeps its
+    rows in an ``IterateLog``, which builds each one when it is read.
 
     ``samples_cum`` counts drawn samples, sum N_j over j <= k.
     ``grad_evals_cum`` counts per-sample gradients by the pair formula:
@@ -169,10 +172,63 @@ class IterateRecord:
     gamma_k: Optional[float] = None
 
 
+_NAN = float("nan")
+# an IterateLog row: the three counts, the six float fields, and a byte whose
+# bits mark which of f_value, gap and gamma_k is None (73 bytes)
+_ROW = struct.Struct("<3q6dB")
+
+
+class IterateLog(Sequence):
+    """A run's ``IterateRecord`` rows, each packed into 73 bytes of one
+    buffer (``_ROW``) rather than held as a dataclass instance.  Reading a
+    row, by index from either end, by slice (a list) or by iteration,
+    builds an equal ``IterateRecord``: ints for the counts, floats, and None
+    where no value was taken.
+    """
+
+    def __init__(self):
+        self._rows = bytearray()
+
+    def append(self, k: int, samples_cum: int, grad_evals_cum: int,
+               f_value: Optional[float], gap: Optional[float], grad_norm: float,
+               step_norm: float, wall_time: float,
+               gamma_k: Optional[float] = None) -> None:
+        """Add one row, its fields in ``IterateRecord``'s order."""
+        self._rows += _ROW.pack(
+            k, samples_cum, grad_evals_cum, _NAN if f_value is None else f_value,
+            _NAN if gap is None else gap, grad_norm, step_norm, wall_time,
+            _NAN if gamma_k is None else gamma_k,
+            (f_value is None) | (gap is None) << 1 | (gamma_k is None) << 2)
+
+    def __len__(self) -> int:
+        return len(self._rows) // _ROW.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self._rows) // _ROW.size
+        if not -n <= i < n:
+            raise IndexError("IterateLog index out of range")
+        return _record(_ROW.unpack_from(self._rows, i % n * _ROW.size))
+
+    def __iter__(self):
+        return map(_record, _ROW.iter_unpack(self._rows))
+
+
+def _record(row: tuple) -> IterateRecord:
+    k, samples, evals, f_value, gap, grad_norm, step_norm, wall, gamma, none = row
+    return IterateRecord(k, samples, evals, None if none & 1 else f_value,
+                         None if none & 2 else gap, grad_norm, step_norm, wall,
+                         None if none & 4 else gamma)
+
+
 @dataclass
 class RunResult:
+    """A finished run.  ``records`` is its ``IterateLog``: a sequence of
+    ``IterateRecord`` rows, one per iteration plus the closing row."""
+
     scheme: str
-    records: list
+    records: Sequence
     x_final: Array
     x_averaged: Optional[Array]
     # "budget": sum N_k reached sample_budget; "horizon": the loop ran its
@@ -256,7 +312,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     max_iters = config.horizon or MAX_ITERS_DEFAULT
     rng = RngStream(config.seed, stream_id=0)
     mem = LbfgsMemory(config.m)
-    records: list[IterateRecord] = []
+    records = IterateLog()
     trace = [] if config.record_trace else None
     samples = 0
     grad_evals = 0
@@ -316,11 +372,8 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
 
         want_value = iters % config.value_every == 0
         f_value = _value_of(problem, z) if want_value else None
-        records.append(IterateRecord(
-            k, samples, grad_evals, f_value, _gap_of(problem, f_value),
-            _norm(g), _norm(step_vec),
-            time.perf_counter() - t0, gamma_k=gamma,
-        ))
+        records.append(k, samples, grad_evals, f_value, _gap_of(problem, f_value),
+                       _norm(g), _norm(step_vec), time.perf_counter() - t0, gamma)
         if trace is not None:
             trace.append({"k": k, "x": x.copy(), "handle": handle,
                           "gamma": gamma, "pairs": list(mem.pairs)})
@@ -337,10 +390,8 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
             break
 
     f_final = _value_of(problem, z)
-    records.append(IterateRecord(
-        k, samples, grad_evals, f_final, _gap_of(problem, f_final),
-        float("nan"), 0.0, time.perf_counter() - t0,
-    ))
+    records.append(k, samples, grad_evals, f_final, _gap_of(problem, f_final),
+                   _NAN, 0.0, time.perf_counter() - t0)
     x_avg = None if avg_acc is None else avg_acc / iters
     return RunResult(
         scheme=config.scheme, records=records, x_final=z, x_averaged=x_avg,

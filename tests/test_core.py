@@ -7,6 +7,7 @@ import vsqn
 import vsqn.solvers
 from vsqn.core import (
     _INDEX_BLOCK,
+    MAX_BATCH,
     BatchSchedule,
     ConfigError,
     OracleError,
@@ -35,10 +36,26 @@ def test_constant_schedule():
     assert BatchSchedule("constant", 7).eval(123) == 7
 
 
+def test_batch_past_the_ceiling_is_a_config_error_before_its_draw():
+    sched = BatchSchedule("polynomial", 1, exponent=1000.0)
+    assert [sched.eval(0), sched.eval(1)] == [1, 1]
+    for k in (2, 5):  # 2**1000 is a float; 5**1000 overflows one
+        with pytest.raises(ConfigError) as info:
+            sched.eval(k)
+        assert info.value.field == "exponent"
+    assert BatchSchedule("constant", MAX_BATCH).eval(0) == MAX_BATCH
+    # a budget may end a run before any such k, so the run raises on its way
+    prob = quad_make(4, 10.0, "SC", RngStream(0, 1))
+    with pytest.raises(ConfigError) as info:
+        run(prob, SolverConfig("apg_baseline", sample_budget=10**6, batch=sched))
+    assert info.value.field == "exponent"
+
+
 def test_invalid_schedules_rejected_at_construction():
     for build, field in [
         (lambda: BatchSchedule("geometric", 1, rate=1.5), "rate"),
         (lambda: BatchSchedule("geometric", 0, rate=0.5), "N0"),
+        (lambda: BatchSchedule("constant", MAX_BATCH + 1), "N0"),
         (lambda: BatchSchedule("polynomial", 1, exponent=-1.0), "exponent"),
         (lambda: BatchSchedule("polynomial", 1, exponent=1.0, offset=-1), "offset"),
         (lambda: BatchSchedule("nope", 1), "kind"),
@@ -83,7 +100,12 @@ def test_schedule_field_its_kind_does_not_read_may_keep_its_default():
 )
 def test_geometric_batches_non_decreasing(rate, n0, k):
     sched = BatchSchedule("geometric", n0, rate=rate)
-    assert sched.eval(k + 1) >= sched.eval(k) >= 1
+    if n0 * rate ** -(k + 1) > MAX_BATCH:  # N_{k+1} passes the ceiling
+        with pytest.raises(ConfigError) as err:
+            sched.eval(k + 1)
+        assert err.value.field == "rate"
+    else:
+        assert sched.eval(k + 1) >= sched.eval(k) >= 1
 
 
 @settings(max_examples=50, deadline=None)

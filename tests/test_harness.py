@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -208,10 +209,46 @@ def test_schedule_key_its_kind_does_not_read_is_rejected(kind_keys, unread):
      "step_exponent"),
     ({"step_kind": "power", "step_base": 0.1, "step_exponent": -math.inf},
      "step_exponent"),
+    # N_k past 2**53: N0 itself, and within the horizon of 10
+    ({"batch_kind": "constant", "batch_n0": 2**53 + 1}, "batch_n0"),
+    ({"batch_kind": "polynomial", "batch_exponent": 20.0}, "batch_exponent"),
+    ({"batch_kind": "geometric", "batch_rate": 0.01}, "batch_rate"),
 ])
 def test_schedule_value_error_names_the_key_that_holds_it(bad_keys, key):
     keys = {"problem": "quadratic_sc", "scheme": "apg_baseline", "horizon": 10}
     assert _config_error_field({**keys, **bad_keys}) == key
+
+
+def test_batch_ceiling_is_checked_over_a_horizon_only_run():
+    # 10**16 > 2**53 at k = 10; a budget may end the run first, so a run
+    # with one is left to the schedule's own check when it gets there
+    keys = {"problem": "quadratic_sc", "scheme": "apg_baseline", "horizon": 10,
+            "batch_kind": "polynomial", "batch_exponent": 16.0}
+    assert _config_error_field(keys) == "batch_exponent"
+    config_from_keys({**keys, "budget": 1000})
+    assert config_from_keys({**keys, "horizon": 9}).solver_config(0).batch.eval(9) \
+        == 9**16
+
+
+@pytest.mark.parametrize("lines, key", [
+    # N_2 = 2**1000 (N_5 overflows a float): before, it streamed for ever
+    ("problem = quadratic_sc\nscheme = apg_baseline\nbatch_kind = polynomial\n"
+     "batch_exponent = 1000\nhorizon = 5\n", "batch_exponent"),
+    # before, an OverflowError traceback from the eigenvalue draw
+    ("problem = quadratic_sc\nkappa = nan\nscheme = sgd\nhorizon = 5\n", "kappa"),
+    # before, a run on all-ones features
+    ("problem = logistic_synth\ndensity = 2\nscheme = sgd\nhorizon = 5\n",
+     "density"),
+])
+def test_cli_out_of_range_value_exits_2_naming_its_key(tmp_path, capsys, lines, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(lines)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lone_step_base_is_a_constant_schedule():

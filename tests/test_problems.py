@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -17,7 +18,9 @@ from vsqn.problems import (
     LewisOvertonProblem,
     LogisticProblem,
     QuadraticEnsemble,
+    _COUNT_FRACTION,
     _DRAW_CHUNK,
+    _RowCounts,
     lewis_overton_oracle,
     load_sparse_dataset,
     make_isotonic,
@@ -189,11 +192,22 @@ def _masked_sigmoid(t):
     return out
 
 
-def _reference_logistic_gradient(prob, x, rows, eta):
-    """The batch gradient by its plain formula: masked sigmoid, np.mean, and
-    the piecewise Huber gradient."""
-    xb, vb = prob.features[rows], prob.labels[rows]
-    loss = (-(xb * (vb * _masked_sigmoid(-vb * (xb @ x)))[:, None])).mean(axis=0)
+def _counted(N, batch):
+    """Whether a draw of ``batch`` rows out of N is held as counts."""
+    return batch > 1 and _COUNT_FRACTION * batch >= N
+
+
+def _reference_logistic_gradient(prob, x, rows, eta, counted=False):
+    """The batch gradient by its plain formula: masked sigmoid, np.mean of
+    the gathered rows (counted: one pass over the data weighted by
+    np.bincount of the rows), and the piecewise Huber gradient."""
+    X, v = prob.features, prob.labels
+    if counted:
+        c = np.bincount(rows, minlength=prob.N)
+        loss = -(X.T @ (c * v * _masked_sigmoid(-v * (X @ x)))) / len(rows)
+    else:
+        xb, vb = X[rows], v[rows]
+        loss = (-(xb * (vb * _masked_sigmoid(-vb * (xb @ x)))[:, None])).mean(axis=0)
     penalty = prob.mu_l2 * x
     if prob.l1_smoothing == "huber" or eta is not None:
         level = prob.l1_eta if eta is None else eta
@@ -206,27 +220,36 @@ def _reference_logistic_gradient(prob, x, rows, eta):
 
 @pytest.mark.parametrize("smoothing,eta", [("huber", None), ("none", 0.3), ("none", None)])
 @pytest.mark.parametrize("batch", [1, 3, 7])
-def test_logistic_batch_gradient_bitwise_equals_reference(smoothing, eta, batch):
+@pytest.mark.parametrize("copies", [1, 8])
+def test_logistic_batch_gradient_bitwise_equals_reference(smoothing, eta, batch, copies):
     # rows with sigmoid inputs 0, -800 and 800, and entries of x exactly at
-    # +-l1_eta and +-eta
+    # +-l1_eta and +-eta; 4 rows hold batches 3 and 7 as counts, 32 rows
+    # (8 copies) gather them
     gen = np.random.default_rng(2)
     X = np.zeros((4, 7))
     X[1, 5] = X[2, 5] = -400.0
     X[3] = gen.standard_normal(7)
     v = np.array([1.0, 1.0, -1.0, -1.0])
     x = np.array([0.25, -0.25, 0.3, -0.3, -0.0, -2.0, 0.1])
-    prob = LogisticProblem(X, v, mu_l2=0.1, lambda_l1=0.5, l1_smoothing=smoothing,
-                           l1_eta=0.25)
+    prob = LogisticProblem(np.tile(X, (copies, 1)), np.tile(v, copies), mu_l2=0.1,
+                           lambda_l1=0.5, l1_smoothing=smoothing, l1_eta=0.25)
     assert sorted(-v[:3] * (X[:3] @ x)) == [-800.0, 0.0, 800.0]
+    N = 4 * copies
+    counted = _counted(N, batch)
+    assert counted == (copies == 1 and batch > 1)
     stream = RngStream(4, 0)
     seen = set()
     for _ in range(40):
         handle = stream.next_handle(batch)
         got = prob.batch_gradient(x, handle, eta)
         rows = SampleHandle(4, 0, handle.start, batch).generator().integers(
-            0, 4, size=batch)
-        seen.update(rows.tolist())
-        assert np.array_equal(got, _reference_logistic_gradient(prob, x, rows, eta))
+            0, N, size=batch)
+        seen.update((rows % 4).tolist())
+        want = _reference_logistic_gradient(prob, x, rows, eta, counted)
+        assert np.array_equal(got, want)
+        if counted:  # the count-weighted sum moves by rounding only
+            gathered = _reference_logistic_gradient(prob, x, rows, eta)
+            assert np.linalg.norm(got - gathered) <= 1e-14 * np.linalg.norm(gathered)
     assert seen == {0, 1, 2, 3}
 
 
@@ -244,13 +267,131 @@ def test_logistic_gradient_keeps_the_sign_of_every_zero():
         prob = LogisticProblem(X, v, mu_l2=mu_l2, lambda_l1=lambda_l1,
                                l1_smoothing=smoothing, l1_eta=0.25)
         stream = RngStream(6, 0)
-        for batch in [1] * 8 + [3] * 4:
+        for batch in [1] * 8 + [3] * 4:  # 3 of 5 rows: held as counts
             handle = stream.next_handle(batch)
             rows = SampleHandle(6, 0, handle.start, batch).generator().integers(
                 0, 5, size=batch)
-            want = _reference_logistic_gradient(prob, x, rows, eta)
+            want = _reference_logistic_gradient(prob, x, rows, eta,
+                                                _counted(5, batch))
             got = prob.batch_gradient(x, handle, eta)
             assert np.array_equal(bits(got), bits(want)), (mu_l2, lambda_l1, batch)
+
+
+# --- row draws held as counts --------------------------------------------------
+
+
+def _row_problems():
+    """(label, factory(N)) for each problem that samples N data rows."""
+    def logistic(N):
+        gen = np.random.default_rng(N)
+        return LogisticProblem(gen.standard_normal((N, 6)),
+                               np.where(gen.random(N) < 0.5, 1.0, -1.0),
+                               mu_l2=0.1, lambda_l1=0.05, l1_smoothing="huber")
+
+    def isotonic(N):
+        gen = np.random.default_rng(N)
+        return IsotonicLasso(gen.standard_normal((N, 6)), gen.standard_normal(N))
+
+    return [("logistic", logistic), ("isotonic", isotonic)]
+
+
+def _reference_isotonic_gradient(prob, x, rows, counted):
+    """The plain formula: np.mean of the gathered rows' gradients or, counted,
+    one pass over the data weighted by np.bincount of the rows."""
+    if counted:
+        c = np.bincount(rows, minlength=prob.p)
+        data = prob.p * (prob.A.T @ (c * (prob.A @ x - prob.b))) / len(rows)
+    else:
+        ab = prob.A[rows]
+        data = (prob.p * ab * (ab @ x - prob.b[rows])[:, None]).mean(axis=0)
+    return data + (x - pava_project(x)) / prob.default_eta
+
+
+@pytest.mark.parametrize("case", _row_problems(), ids=lambda c: c[0])
+@pytest.mark.parametrize("N", [3, 24, 800])
+def test_row_draw_counts_equal_the_bincount_of_one_whole_draw(case, N):
+    # the counted regime starts at N/4 rows; the largest batches cross the
+    # draw chunk once and twice
+    prob = case[1](N)
+    first = max(2, -(-N // _COUNT_FRACTION))
+    stream = RngStream(11, 0)
+    for batch in (first - 1, first, _DRAW_CHUNK - 1, _DRAW_CHUNK,
+                  _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 3):
+        handle = stream.next_handle(batch)
+        drawn = prob._draw(handle)
+        whole = SampleHandle(11, 0, handle.start, batch).generator().integers(
+            0, N, size=batch)
+        if batch == 1:
+            assert drawn == slice(whole[0], whole[0] + 1)
+        elif not _counted(N, batch):
+            assert np.array_equal(drawn, whole)
+        else:
+            assert isinstance(drawn, _RowCounts) and drawn.size == batch
+            assert np.array_equal(drawn.counts, np.bincount(whole, minlength=N))
+
+
+@pytest.mark.parametrize("N", [5, 24, 800])
+def test_isotonic_batch_gradient_bitwise_equals_reference(N):
+    prob = _row_problems()[1][1](N)
+    x = np.linspace(1.0, -1.0, 6)
+    stream = RngStream(12, 0)
+    for batch in (1, 2, 7, 199, 200, 3000):
+        handle = stream.next_handle(batch)
+        rows = SampleHandle(12, 0, handle.start, batch).generator().integers(
+            0, N, size=batch)
+        want = _reference_isotonic_gradient(prob, x, rows, _counted(N, batch))
+        assert np.array_equal(prob.batch_gradient(x, handle), want), batch
+
+
+@pytest.mark.parametrize("case", _row_problems(), ids=lambda c: c[0])
+@pytest.mark.parametrize("N", [24, 800])
+def test_counted_gradient_matches_the_gathered_and_the_exact_mean(case, N):
+    # against the gathered reference up to 5N + 1 rows; at 20,000 rows that
+    # reference's row-by-row sum drifts by 3e-14 on this Gaussian data, so
+    # there the count-weighted gradient is held to the exactly rounded mean
+    # (math.fsum per coordinate) instead
+    label, factory = case
+    prob = factory(N)
+    x = np.linspace(-1.0, 1.5, 6)
+    stream = RngStream(13, 0)
+    for batch in (-(-N // _COUNT_FRACTION), N, 5 * N + 1, 20_000):
+        handle = stream.next_handle(batch)
+        rows = SampleHandle(13, 0, handle.start, batch).generator().integers(
+            0, N, size=batch)
+        if label == "logistic":
+            gathered = _reference_logistic_gradient(prob, x, rows, None)
+            xb, vb = prob.features[rows], prob.labels[rows]
+            terms = -(xb * (vb * _masked_sigmoid(-vb * (xb @ x)))[:, None])
+        else:
+            gathered = _reference_isotonic_gradient(prob, x, rows, counted=False)
+            terms = prob.p * prob.A[rows] * (prob.A[rows] @ x - prob.b[rows])[:, None]
+        exact = (gathered - terms.mean(axis=0)
+                 + np.array([math.fsum(col) for col in terms.T]) / batch)
+        got = prob.batch_gradient(x, handle)
+        size = np.linalg.norm(gathered)
+        assert np.linalg.norm(got - exact) <= 1e-14 * size
+        if batch <= 5 * N + 1:
+            assert np.linalg.norm(got - gathered) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("kind", ["logistic", "isotonic"])
+def test_large_row_draw_and_gradient_memory_is_bounded(kind):
+    # N = 1500 rows, n = 500: 20,000 gathered rows would be 80 MB an array
+    if kind == "logistic":
+        prob, _ = make_synthetic_sparse_logistic(500, 1500, RngStream(1, 1),
+                                                 lambda_l1=0.1, l1_smoothing="huber")
+    else:
+        prob = IsotonicLasso(np.random.default_rng(1).standard_normal((1500, 500)),
+                             np.zeros(1500))
+    x = np.full(500, 0.01)
+    handle = RngStream(3, 0).next_handle(20_000)
+    tracemalloc.start()
+    try:
+        prob.batch_gradient(x, handle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_logistic_huber_level_must_be_positive():
@@ -270,6 +411,19 @@ def test_synthetic_sparse_logistic_shapes():
     assert prob.features.shape == (200, 50)
     assert np.count_nonzero(x_true) == 5
     assert set(np.unique(prob.labels)) <= {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("shape", [(5000, 7), (800, 60), (1500, 500), (40, 3000)])
+def test_logistic_build_equals_the_whole_array_formulas(shape):
+    # the features are drawn and thresholded in place, and the row norms
+    # summed in blocks; both must equal the one-array formulas bit for bit
+    N, n = shape
+    prob, _ = make_synthetic_sparse_logistic(n, N, RngStream(3, 1), density=0.3)
+    draw = RngStream(3, 1).generator().random((N, n))
+    assert np.array_equal(prob.features, (draw < 0.3).astype(float))
+    F = np.random.default_rng(N).standard_normal(shape) * 1e3
+    gaussian = LogisticProblem(F, np.ones(N), mu_l2=0.1)
+    assert gaussian.meta.lipschitz_L == float(np.max(np.sum(F**2, axis=1))) / 4.0 + 0.1
 
 
 # --- sparse text format -------------------------------------------------------

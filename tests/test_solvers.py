@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from vsqn.core import (
     evaluate_on_handle,
 )
 from vsqn.harness.config import PROBLEM_KINDS, build_problem, config_from_keys
+from vsqn.harness.logs import write_csv
 from vsqn.harness.presets import preset_cells
 from vsqn.hessian import LbfgsMemory, SecantError, collect_pair
 from vsqn.problems import (
@@ -27,6 +29,8 @@ from vsqn.solvers import (
     MAX_ITERS_DEFAULT,
     SCHEMES,
     ConfigError,
+    IterateLog,
+    IterateRecord,
     SolverConfig,
     _norm,
     run,
@@ -735,3 +739,68 @@ def test_negative_seed_is_a_config_error():
     with pytest.raises(ConfigError) as info:
         SolverConfig("sgd", horizon=5, seed=-1)
     assert info.value.field == "seed"
+
+
+# --- the columnar iterate log ------------------------------------------------------
+
+
+def test_iterate_log_reads_back_the_rows_it_was_given():
+    rows = [IterateRecord(0, 1, 1, 2.5, 1.5, 0.25, 0.125, 0.0, 0.1),
+            IterateRecord(1, 3, 7, None, None, -0.0, 5e-324, 1e-6, 0.05),
+            IterateRecord(2, 2**40, 2**62, 3.0, None, 1e300, 0.0, 2.0, None),
+            IterateRecord(3, 5, 9, math.nan, -math.inf, math.nan, 0.0, 3.0)]
+    log = IterateLog()
+    for r in rows:
+        log.append(*astuple(r))
+    assert len(log) == 4
+    assert [repr(astuple(r)) for r in log] == [repr(astuple(r)) for r in rows]
+    for got, want in zip(log, rows):
+        for f in fields(IterateRecord):  # ints stay ints, None stays None
+            assert type(getattr(got, f.name)) is type(getattr(want, f.name)), f.name
+    assert repr(log[-1]) == repr(rows[-1]) and repr(log[-4]) == repr(rows[0])
+    assert repr(log[1:3]) == repr(rows[1:3]) and repr(log[::-2]) == repr(rows[::-2])
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            log[i]
+
+
+def test_run_records_are_typed_rows():
+    # value_every = 3 takes the objective at rows 0, 3, ... and the closing
+    # row; the quadratic states f_star, so gap is None exactly where f_value is
+    res = run(sc_quad(), SolverConfig("vs_sqn", m=2, horizon=7, batch=_grow(),
+                                      step=ScalarSchedule("constant", 0.05),
+                                      value_every=3))
+    assert isinstance(res.records, IterateLog) and len(res.records) == 8
+    assert [r.f_value is None for r in res.records] == [
+        False, True, True, False, True, True, False, False]
+    for r in res.records:
+        assert (r.gap is None) == (r.f_value is None)
+        assert all(type(v) is int for v in (r.k, r.samples_cum, r.grad_evals_cum))
+        assert all(type(v) is float for v in (r.grad_norm, r.step_norm, r.wall_time))
+    assert [type(r.gamma_k) for r in res.records] == [float] * 7 + [type(None)]
+    assert res.used_step == res.records[0].gamma_k == 0.05
+
+
+def test_iterate_log_writes_the_csv_of_its_rows(tmp_path):
+    # past 10^4 rows the CSV thins, which indexes the log out of order
+    res = run(LewisOvertonProblem(), SolverConfig("sgd", horizon=12_000,
+                                                  value_every=7))
+    write_csv(tmp_path / "log.csv", res.records)
+    write_csv(tmp_path / "rows.csv", list(res.records))
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_iterate_log_holds_at_most_100_bytes_a_record():
+    # the record bytes of the benchmark's record_bytes: live bytes while the
+    # result is held, minus those after its records are dropped
+    tracemalloc.start()
+    try:
+        res = run(LewisOvertonProblem(), SolverConfig("sgd", horizon=20_000))
+        held = tracemalloc.get_traced_memory()[0]
+        count = len(res.records)
+        res.records = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count == 20_001
+    assert freed / count <= 100
