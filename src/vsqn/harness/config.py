@@ -49,6 +49,16 @@ PROBLEM_KEYS = {
     "l1_quadratic": {"n": 10, "kappa": 10.0, "noise": 0.5, "l1_weight": 0.5},
 }
 PROBLEM_KINDS = tuple(PROBLEM_KEYS)
+# per problem kind, the key behind each builder or constructor argument whose
+# name differs from it, so that a ConfigError naming the argument names the key
+_ARGUMENT_KEYS = {
+    "quadratic_sc": {"noise_half_width": "noise"},
+    "quadratic_c": {"noise_half_width": "noise"},
+    "isotonic": {"eta": "iso_eta"},
+    "lewis_overton": {"eta": "lo_eta"},
+    "l1_location": {"noise_half_width": "loc_width", "sc_weight": "loc_sc"},
+    "l1_quadratic": {"noise_half_width": "noise", "lam": "l1_weight"},
+}
 
 _STR_KEYS = {
     "name", "scheme", "problem", "batch_kind", "step_kind", "mu_kind",
@@ -117,17 +127,17 @@ def _schedule_from(keys: dict, prefix: str, batch: bool = False):
             raise ConfigError(key(name), f"a {kind} {prefix} schedule does not "
                               f"read it; it reads {', '.join(map(key, reads[kind]))}")
     if batch:
-        return _keyed(prefix, BatchSchedule, kind, **given)
-    return _keyed(prefix, ScalarSchedule, kind, **{"base": 1.0, **given})
+        return _keyed(key, BatchSchedule, kind, **given)
+    return _keyed(key, ScalarSchedule, kind, **{"base": 1.0, **given})
 
 
-def _keyed(prefix: str, call, *args, **kwargs):
-    """``call(*args, **kwargs)``, a schedule's ConfigError renamed to the
-    key of its field, ``<prefix>_<field>`` in lower case."""
+def _keyed(key, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, its ConfigError renamed to ``key(field)``,
+    the config key that holds the field it names."""
     try:
         return call(*args, **kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"{prefix}_{exc.field.lower()}",
+        raise ConfigError(key(exc.field),
                           str(exc).removeprefix(f"{exc.field}: ")) from exc
 
 
@@ -168,7 +178,7 @@ class ExperimentConfig:
         batch, horizon = (self.solver_params.get(k) for k in ("batch", "horizon"))
         if (batch is not None and horizon is not None
                 and self.solver_params.get("sample_budget") is None):
-            _keyed("batch", batch.eval, horizon)
+            _keyed(lambda name: f"batch_{name.lower()}", batch.eval, horizon)
 
     def solver_config(self, seed: int) -> SolverConfig:
         return SolverConfig(seed=seed, **self.solver_params)
@@ -211,6 +221,8 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
     if "x0_value" in keys:
         if "n" not in keys:
             raise ConfigError("x0_value", "needs n, the length of the start point")
+        if not np.isfinite(keys["x0_value"]):
+            raise ConfigError("x0_value", f"must be finite, got {keys['x0_value']!r}")
         solver_params["x0"] = np.full(keys["n"], keys["x0_value"], dtype=float)
 
     return ExperimentConfig(
@@ -230,10 +242,16 @@ def load_config(path) -> ExperimentConfig:
 
 def build_problem(cfg: ExperimentConfig, seed: int):
     """Instantiate the problem for one cell; construction randomness comes
-    from a stream disjoint from the solver's."""
-    rng = RngStream(seed, stream_id=1)
+    from a stream disjoint from the solver's.  A constructor's ConfigError
+    names the key of its argument (``_ARGUMENT_KEYS``)."""
     kind = cfg.problem_kind
-    p = {**PROBLEM_KEYS[kind], **cfg.problem_params}
+    keys = _ARGUMENT_KEYS.get(kind, {})
+    return _keyed(lambda name: keys.get(name, name), _build, kind,
+                  {**PROBLEM_KEYS[kind], **cfg.problem_params}, seed)
+
+
+def _build(kind: str, p: dict, seed: int):
+    rng = RngStream(seed, stream_id=1)
     if kind in ("quadratic_sc", "quadratic_c"):
         return quad_make(p["n"], p["kappa"], "SC" if kind == "quadratic_sc" else "C",
                          rng, noise_half_width=p["noise"])

@@ -9,6 +9,7 @@ final record is always kept.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
@@ -43,9 +44,13 @@ def thin_indices(count: int) -> list[int]:
 
 
 def write_csv(path, records) -> None:
+    """Write the kept rows of a sequence of records (``thin_indices``): the
+    full-fidelity head in one pass over it, which an ``IterateLog`` unpacks
+    with ``struct.iter_unpack``, and the thinned tail by index."""
+    kept = thin_indices(len(records))
     lines = [CSV_HEADER]
-    for i in thin_indices(len(records)):
-        r = records[i]
+    for r in itertools.chain(itertools.islice(records, FULL_FIDELITY_ROWS),
+                             map(records.__getitem__, kept[FULL_FIDELITY_ROWS:])):
         lines.append(",".join([
             str(r.k),
             str(r.samples_cum),

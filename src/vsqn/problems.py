@@ -60,7 +60,9 @@ class _LastBatchSlot:
 
 @dataclass
 class BatchFunction:
-    """A batch-average function frozen on one sample handle."""
+    """A batch-average function frozen on one sample handle; ``lipschitz_L``
+    is its own gradient Lipschitz constant (a quadratic's largest
+    eigenvalue), which an inner solver's step must not pass."""
 
     grad: Callable[[Array], Array]
     value: Optional[Callable[[Array], float]]
@@ -128,7 +130,7 @@ class QuadraticEnsemble(_LastBatchSlot):
         self.x_true = np.asarray(x_true, dtype=float)
         self.noise = float(noise_half_width)
         if not (0 <= self.noise < 1):
-            raise ValueError("noise_half_width must lie in [0, 1)")
+            raise ConfigError("noise_half_width", f"must lie in [0, 1), got {self.noise!r}")
         n = self.eigs.size
         min_eig = float(self.eigs[0])
         max_eig = float(self.eigs[-1])
@@ -186,17 +188,21 @@ class QuadraticEnsemble(_LastBatchSlot):
         return self.frame @ (self.eigs * mean_factors * w)
 
     def frozen_batch(self, handle: SampleHandle) -> BatchFunction:
+        """The batch mean as Q = V diag(scaled) V' and c = Q x_true, built
+        once a batch, so a gradient is one product, Q u - c.  The noise
+        factors reorder the eigenvalues: L is the largest scaled one."""
         scaled = self.eigs * self._batch(handle)
+        Q = (self.frame * scaled) @ self.frame.T
+        c = Q @ self.x_true
 
         def grad(u):
-            w = self.frame.T @ (u - self.x_true)
-            return self.frame @ (scaled * w)
+            return Q @ u - c
 
         def value(u):
-            w = self.frame.T @ (np.asarray(u, float) - self.x_true)
-            return 0.5 * float(scaled @ (w * w))
+            d = np.asarray(u, float) - self.x_true
+            return 0.5 * float(d @ (Q @ d))
 
-        return BatchFunction(grad, value, float(scaled[-1]))
+        return BatchFunction(grad, value, float(scaled.max()))
 
     def true_gradient(self, x: Array) -> Array:
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
@@ -215,7 +221,7 @@ def quad_make(n: int, kappa: float, convexity: str, rng,
     Merely convex: spectrum uniform in [0, kappa] with 0 and kappa pinned.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ConfigError("n", f"must be >= 2, got {n}")
     if not 1 <= kappa < np.inf:
         raise ConfigError("kappa", f"must be finite and >= 1, got {kappa!r}")
     if convexity not in ("SC", "C"):
@@ -270,9 +276,10 @@ class LogisticProblem(_LastBatchSlot):
         if set(np.unique(self.labels)) - {-1.0, 1.0}:
             raise ValueError("labels must be -1/+1")
         if l1_smoothing not in ("huber", "none"):
-            raise ValueError("l1_smoothing must be 'huber' or 'none'")
-        if lambda_l1 > 0 and l1_smoothing == "huber" and not l1_eta > 0:
-            raise ValueError("l1_eta must be > 0")
+            raise ConfigError("l1_smoothing", f"must be 'huber' or 'none', "
+                                              f"got {l1_smoothing!r}")
+        if lambda_l1 > 0 and l1_smoothing == "huber" and not 0 < l1_eta < np.inf:
+            raise ConfigError("l1_eta", f"must be finite and > 0, got {l1_eta!r}")
         self.mu_l2 = float(mu_l2)
         self.lambda_l1 = float(lambda_l1)
         self.l1_smoothing = l1_smoothing
@@ -498,8 +505,8 @@ class IsotonicLasso(_LastBatchSlot):
         self.A = assert_finite(A, "A")
         self.b = assert_finite(b, "b")
         self.default_eta = float(eta)
-        if self.default_eta <= 0:
-            raise ValueError("eta must be > 0")
+        if not 0 < self.default_eta < np.inf:
+            raise ConfigError("eta", f"must be finite and > 0, got {eta!r}")
         self.p, n = self.A.shape
         gram_norm = float(np.linalg.eigvalsh(self.A.T @ self.A)[-1])
         self.meta = ProblemMeta(n=n, lipschitz_L=gram_norm + 1.0 / self.default_eta,
@@ -546,7 +553,7 @@ def make_isotonic(n: int, p: int, rng, eta: float = 1e-2,
     of x0 ascend over [-10,0] and [0,10], the middle is zero, and
     b = A(x0 + noise)."""
     if n < 4:
-        raise ValueError("n must be >= 4")
+        raise ConfigError("n", f"must be >= 4, got {n}")
     gen = rng.generator()
     quarter = n // 4
     x0 = np.zeros(n)
@@ -576,8 +583,11 @@ class L1LocationProblem(_LastBatchSlot):
         self.center = assert_finite(center, "center")
         self.w = float(noise_half_width)
         self.sc = float(sc_weight)
-        if self.w <= 0:
-            raise ValueError("noise_half_width must be > 0")
+        if not 0 < self.w < np.inf:
+            raise ConfigError("noise_half_width", f"must be finite and > 0, "
+                                                  f"got {noise_half_width!r}")
+        if not 0 <= self.sc < np.inf:
+            raise ConfigError("sc_weight", f"must be finite and >= 0, got {sc_weight!r}")
         n = self.center.size
         self.meta = ProblemMeta(
             n=n,
@@ -641,8 +651,8 @@ class LewisOvertonProblem:
     the stochastic-oracle interface (draws are consumed but unused)."""
 
     def __init__(self, eta: float = 0.05):
-        if eta <= 0:
-            raise ValueError("eta must be > 0")
+        if not 0 < eta < np.inf:
+            raise ConfigError("eta", f"must be finite and > 0, got {eta!r}")
         self.eta = float(eta)
         gram = float(np.linalg.eigvalsh(LEWIS_OVERTON_A.T @ LEWIS_OVERTON_A)[-1])
         self.meta = ProblemMeta(

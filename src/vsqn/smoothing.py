@@ -1,10 +1,10 @@
 """Smoothers for nonsmooth convex pieces.
 
-Provides Moreau envelopes via proximal maps (closed form or an inner
-solver), log-sum-exp smoothing of a max of affine forms, componentwise
-Huber smoothing of the l1 norm, Euclidean-norm smoothing, squared-distance
-smoothing of set indicators, and validity checks for the smoothing
-inequalities used by the diminishing-parameter solvers.
+Provides Moreau envelopes via proximal maps (closed form or an
+accelerated inner solver), log-sum-exp smoothing of a max of affine forms,
+componentwise Huber smoothing of the l1 norm, Euclidean-norm smoothing,
+squared-distance smoothing of set indicators, and validity checks for the
+smoothing inequalities used by the diminishing-parameter solvers.
 
 For each smoother the gradient of the eta-smoothed function is
 (alpha/eta)-Lipschitz and f_eta <= f <= f_eta + eta*beta pointwise, with
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Array
+from .core import Array, ConfigError
 
 
 class ProxSolverError(RuntimeError):
@@ -63,8 +63,8 @@ class L1Function:
     """lam * |u|_1 with its closed-form prox."""
 
     def __init__(self, lam: float = 1.0):
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 <= lam < math.inf:
+            raise ConfigError("lam", f"must be finite and >= 0, got {lam!r}")
         self.lam = float(lam)
 
     def value(self, u: Array) -> float:
@@ -77,10 +77,18 @@ class L1Function:
 class CompositeProxFunction:
     """f = h + g with h prox-friendly and g smooth; prox via inner solver.
 
-    The inner problem  min_u h(u) + g(u) + |u - x|^2 / (2 eta)  is
-    (tau_g + 1/eta)-strongly convex, so a proximal-gradient loop with the
-    exact Lipschitz step converges linearly.  Residuals use the
-    fixed-point map of that loop.
+    The inner problem  min_u h(u) + g(u) + |u - x|^2 / (2 eta)  is at least
+    (1/eta)-strongly convex, since h and g are convex, and its smooth part
+    is (L + 1/eta)-smooth for L = ``lipschitz_L``, g's gradient Lipschitz
+    constant.  The solve is proximal gradient with constant strongly convex
+    momentum (Nesterov 2004, Introductory Lectures, 2.2; the proximal step
+    as in FISTA, Beck and Teboulle 2009): from y = u + beta (u - u_prev) it
+    steps to T(y) = prox_{step h}(y - step grad(y)), with step = 1/(L + 1/eta)
+    and beta = (1 - q)/(1 + q), q = sqrt(step/eta).  The momentum assumes
+    only the 1/eta floor, so the solve takes O(sqrt(1 + L eta) log(1/tol))
+    iterations, against O((1 + L eta) log(1/tol)) without it.  It stops on
+    the gradient-mapping residual at y, |T(y) - y| / step, and returns
+    T(y).  An L below g's true constant voids that rate.
     """
 
     def __init__(self, h, smooth_value, smooth_grad, lipschitz_L,
@@ -97,19 +105,29 @@ class CompositeProxFunction:
     def prox(self, x: Array, eta: float) -> Array:
         x = np.asarray(x, dtype=float)
         step = 1.0 / (self.lipschitz_L + 1.0 / eta)
+        q = math.sqrt(step / eta)
+        beta = (1.0 - q) / (1.0 + q)
+        # y - step * (grad g(y) + (y - x)/eta) = keep y + shift - step grad g(y)
+        keep = 1.0 - step / eta
+        shift = (step / eta) * x
         # norms as sqrt(v . v), which np.linalg.norm computes for a vector
         tol = self.spec.tolerance * (1.0 + math.sqrt(x @ x))
-        u = x.copy()
+        u = y = x
         residual = math.inf
         smooth_grad, h_prox = self.smooth_grad, self.h.prox
         for _ in range(self.spec.max_inner_iters):
-            grad = smooth_grad(u) + (u - x) / eta
-            u_next = h_prox(u - step * grad, step)
-            d = u_next - u
+            v = keep * y
+            v += shift
+            v -= step * smooth_grad(y)
+            u_next = h_prox(v, step)
+            d = u_next - y
             residual = math.sqrt(d @ d) / step
-            u = u_next
             if residual <= tol:
-                return u
+                return u_next
+            y = u_next - u
+            y *= beta
+            y += u_next
+            u = u_next
         raise ProxSolverError(
             f"inner prox solve stalled at residual {residual:.3e} "
             f"(tolerance {tol:.3e}); widen ProxSpec limits",

@@ -513,6 +513,32 @@ def test_cli_field_the_scheme_does_not_read_exits_2_before_creating_out(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem, key", [
+    ("problem = quadratic_sc; noise = 1.5; scheme = vs_sqn", "noise"),
+    ("problem = l1_quadratic; noise = 1.0; scheme = svs_sqn_moreau", "noise"),
+    ("problem = l1_location; loc_width = 0; scheme = vs_sqn", "loc_width"),
+    ("problem = l1_location; loc_sc = -1; scheme = vs_sqn", "loc_sc"),
+    ("problem = quadratic_sc; n = 5; x0_value = nan; scheme = vs_sqn", "x0_value"),
+    ("problem = l1_quadratic; l1_weight = -1; scheme = svs_sqn_moreau", "l1_weight"),
+    ("problem = isotonic; iso_eta = 0; scheme = vs_sqn", "iso_eta"),
+    ("problem = lewis_overton; lo_eta = -1; scheme = vs_sqn", "lo_eta"),
+    ("problem = logistic_synth; lambda_l1 = 0.1; l1_smoothing = huber; "
+     "l1_eta = 0; scheme = vs_sqn", "l1_eta"),
+    ("problem = logistic_synth; l1_smoothing = soft; scheme = vs_sqn", "l1_smoothing"),
+    ("problem = quadratic_c; n = 1; scheme = vs_sqn", "n"),
+    ("problem = isotonic; n = 3; scheme = vs_sqn", "n"),
+])
+def test_cli_problem_key_fault_exits_2_naming_the_key(tmp_path, capsys,
+                                                      problem, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(problem.replace("; ", "\n") + "\nstep_base = 0.01\nhorizon = 5\n")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_lewis_overton_with_n_3_exits_2_before_creating_out(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("problem = lewis_overton\nn = 3\nx0_value = 1\n"

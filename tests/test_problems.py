@@ -87,6 +87,20 @@ def test_quad_frozen_batch_consistent():
     assert 0 < frozen.lipschitz_L <= prob.sample_L
 
 
+def test_quad_frozen_batch_reports_its_largest_eigenvalue():
+    # the noise factors reorder the eigenvalues: on these 80 batches the
+    # last scaled eigenvalue fell short of the largest one 11 times, down
+    # to 0.75x; the batch Hessian is read off the gradient at x_true + e_i
+    prob = quad_make(10, 10.0, "SC", RngStream(1835504127, 1), noise_half_width=0.5)
+    stream = RngStream(7, 0)
+    for k in range(80):
+        handle = stream.next_handle(math.ceil(2 * 0.9 ** -k))
+        hessian = np.array([prob.batch_gradient(prob.x_true + e, handle)
+                            for e in np.eye(10)])
+        top = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))[-1]
+        assert prob.frozen_batch(handle).lipschitz_L == pytest.approx(top, rel=1e-12), k
+
+
 def test_quad_rejects_bad_arguments():
     with pytest.raises(ValueError):
         quad_make(1, 10.0, "SC", RngStream(0, 1))

@@ -150,6 +150,62 @@ def test_inner_prox_solver_budget_error():
     assert info.value.residual > 0
 
 
+def _l1_quadratic_batch(n, kappa, seed, batch):
+    """An l1 weight in [0.1, 1] and one frozen batch of a noisy quadratic."""
+    quad = quad_make(n, kappa, "SC", RngStream(seed, 1), noise_half_width=0.5)
+    lam = 0.1 + 0.9 * np.random.default_rng(seed).random()
+    return quad, lam, quad.frozen_batch(RngStream(seed, 0).next_handle(batch))
+
+
+@pytest.mark.parametrize("n", [2, 10, 30])
+@pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
+def test_inner_prox_matches_a_long_run_reference(n, eta):
+    # the reference is plain proximal gradient for a fixed 5000 steps, with
+    # no momentum and no stopping test: at most (1 - 1/(1 + 15 eta))^5000
+    # of the start's distance is left, below double precision
+    for seed in range(3):
+        quad, lam, bf = _l1_quadratic_batch(n, 10.0, seed, 3)
+        x = quad.x_true + np.random.default_rng(100 + seed).standard_normal(n)
+        step = 1.0 / (bf.lipschitz_L + 1.0 / eta)
+        ref = x.copy()
+        for _ in range(5000):
+            ref = prox_soft_threshold(ref - step * (bf.grad(ref) + (ref - x) / eta),
+                                      step * lam)
+        comp = CompositeProxFunction(L1Function(lam), bf.value, bf.grad,
+                                     bf.lipschitz_L)
+        u = comp.prox(x, eta)
+        assert np.linalg.norm(u - ref) <= 1e-9 * (1.0 + np.linalg.norm(x)), seed
+
+
+def test_inner_prox_takes_at_most_18_gradients_a_call():
+    # sc_nonsmooth's shape: n = 10, kappa = 10, l1 weight 0.5, noise 0.5,
+    # eta = 0.1, geometric batches N_k = ceil(2 / 0.9^k), and points near
+    # the composite's minimizer x*, a fixed point of the mean's prox;
+    # proximal gradient without momentum takes about 26 a call here
+    eta, calls, proxes = 0.1, 0, 0
+    for seed in range(4):
+        quad = quad_make(10, 10.0, "SC", RngStream(seed, 1), noise_half_width=0.5)
+        mean = CompositeProxFunction(L1Function(0.5), quad.true_value,
+                                     quad.true_gradient, quad.meta.lipschitz_L)
+        x_star = np.zeros(10)
+        for _ in range(400):  # proximal point: contracts by 1/(1 + eta)
+            x_star = mean.prox(x_star, eta)
+        stream, gen = RngStream(seed, 0), np.random.default_rng(seed)
+        for k in range(0, 40, 4):
+            bf = quad.frozen_batch(stream.next_handle(math.ceil(2 * 0.9 ** -k)))
+
+            def counted(u, grad=bf.grad):
+                nonlocal calls
+                calls += 1
+                return grad(u)
+
+            comp = CompositeProxFunction(L1Function(0.5), bf.value, counted,
+                                         bf.lipschitz_L)
+            comp.prox(x_star + 0.1 * gen.standard_normal(10), eta)
+            proxes += 1
+    assert calls / proxes <= 18
+
+
 def test_moreau_fixed_eta_preserves_minimizer():
     # for l1 + strongly convex quadratic, minimizing the envelope must give
     # the same point as minimizing the original composite

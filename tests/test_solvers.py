@@ -15,7 +15,7 @@ from vsqn.core import (
     evaluate_on_handle,
 )
 from vsqn.harness.config import PROBLEM_KINDS, build_problem, config_from_keys
-from vsqn.harness.logs import write_csv
+from vsqn.harness.logs import FULL_FIDELITY_ROWS, read_csv, thin_indices, write_csv
 from vsqn.harness.presets import preset_cells
 from vsqn.hessian import LbfgsMemory, SecantError, collect_pair
 from vsqn.problems import (
@@ -782,12 +782,18 @@ def test_run_records_are_typed_rows():
 
 
 def test_iterate_log_writes_the_csv_of_its_rows(tmp_path):
-    # past 10^4 rows the CSV thins, which indexes the log out of order
+    # past FULL_FIDELITY_ROWS the CSV thins: the head is read in one pass
+    # over the log, the thinned tail by index
     res = run(LewisOvertonProblem(), SolverConfig("sgd", horizon=12_000,
                                                   value_every=7))
+    assert len(res.records) > FULL_FIDELITY_ROWS
     write_csv(tmp_path / "log.csv", res.records)
     write_csv(tmp_path / "rows.csv", list(res.records))
     assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    kept = thin_indices(len(res.records))
+    assert [row["k"] for row in read_csv(tmp_path / "log.csv")] == [
+        res.records[i].k for i in kept]
+    assert len(kept) > FULL_FIDELITY_ROWS + 1
 
 
 def test_iterate_log_holds_at_most_100_bytes_a_record():
