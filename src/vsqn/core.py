@@ -76,7 +76,7 @@ class ProblemMeta:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("dimension n must be >= 1")
+            raise ConfigError("n", f"dimension must be >= 1, got {self.n}")
         if self.tau is not None and self.tau <= 0:
             raise ValueError("tau must be > 0 when given")
         if self.lipschitz_L is not None and self.lipschitz_L <= 0:

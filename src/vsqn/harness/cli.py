@@ -44,7 +44,7 @@ def _execute_cell(cell: ExperimentConfig, config: SolverConfig,
         "seed": seed,
         "scheme": result.scheme,
         "termination": result.termination,
-        "iterations": max(len(result.records) - 1, 0),
+        "iterations": last.k - result.records[0].k,
         "total_samples": last.samples_cum,
         "total_grad_evals": last.grad_evals_cum,
         "final_fval": last.f_value,

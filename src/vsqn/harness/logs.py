@@ -1,22 +1,16 @@
 """CSV iterate logs and key=value summary files.
 
-The CSV schema is fixed; float cells use shortest round-trip formatting so
-reruns with the same seed are byte-identical in single-thread mode (the
-wall-clock column is exempt from that guarantee).  Every iteration is
-logged up to 10^4 records, after which records thin geometrically; the
-final record is always kept.
+The CSV schema is fixed: one line per record given, in order.  Float cells
+use shortest round-trip formatting so reruns with the same seed are
+byte-identical in single-thread mode (the wall-clock column is exempt from
+that guarantee).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from pathlib import Path
 
 CSV_HEADER = "k,samples_cum,grad_evals_cum,fval,gap,grad_norm,step_norm,wall_ms"
-
-FULL_FIDELITY_ROWS = 10_000
-THIN_FACTOR = 1.05
 
 
 def _fmt(value) -> str:
@@ -27,30 +21,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def thin_indices(count: int) -> list[int]:
-    """Indices kept by the logging cadence for ``count`` records."""
-    if count <= FULL_FIDELITY_ROWS:
-        return list(range(count))
-    kept = list(range(FULL_FIDELITY_ROWS))
-    mark = float(FULL_FIDELITY_ROWS)
-    while True:
-        mark = mark * THIN_FACTOR
-        idx = int(math.ceil(mark))
-        if idx >= count - 1:
-            break
-        kept.append(idx)
-    kept.append(count - 1)
-    return kept
-
-
 def write_csv(path, records) -> None:
-    """Write the kept rows of a sequence of records (``thin_indices``): the
-    full-fidelity head in one pass over it, which an ``IterateLog`` unpacks
-    with ``struct.iter_unpack``, and the thinned tail by index."""
-    kept = thin_indices(len(records))
+    """Write an iterable of records (a run's ``IterateLog`` holds only the
+    rows it kept), one line each."""
     lines = [CSV_HEADER]
-    for r in itertools.chain(itertools.islice(records, FULL_FIDELITY_ROWS),
-                             map(records.__getitem__, kept[FULL_FIDELITY_ROWS:])):
+    for r in records:
         lines.append(",".join([
             str(r.k),
             str(r.samples_cum),

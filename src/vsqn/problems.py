@@ -278,6 +278,9 @@ class LogisticProblem(_LastBatchSlot):
         if l1_smoothing not in ("huber", "none"):
             raise ConfigError("l1_smoothing", f"must be 'huber' or 'none', "
                                               f"got {l1_smoothing!r}")
+        for name, weight in (("mu_l2", mu_l2), ("lambda_l1", lambda_l1)):
+            if not 0 <= weight < np.inf:
+                raise ConfigError(name, f"must be finite and >= 0, got {weight!r}")
         if lambda_l1 > 0 and l1_smoothing == "huber" and not 0 < l1_eta < np.inf:
             raise ConfigError("l1_eta", f"must be finite and > 0, got {l1_eta!r}")
         self.mu_l2 = float(mu_l2)
@@ -368,9 +371,13 @@ def make_synthetic_sparse_logistic(n: int, num_samples: int, rng,
 
     Returns (problem, x_true); labels follow the logistic model at x_true.
     """
+    if num_samples < 1:
+        raise ConfigError("num_samples", f"must be >= 1, got {num_samples}")
     if not 0 <= density <= 1:
         raise ConfigError("density", f"a feature's chance of being 1 must lie "
                                      f"in [0, 1], got {density!r}")
+    if not 0 <= support_frac <= 1:
+        raise ConfigError("support_frac", f"must lie in [0, 1], got {support_frac!r}")
     gen = rng.generator()
     # the draw becomes the 0/1 features in place: no second (N, n) array
     features = gen.random((num_samples, n))
@@ -554,6 +561,8 @@ def make_isotonic(n: int, p: int, rng, eta: float = 1e-2,
     b = A(x0 + noise)."""
     if n < 4:
         raise ConfigError("n", f"must be >= 4, got {n}")
+    if p < 1:
+        raise ConfigError("p", f"must be >= 1, got {p}")
     gen = rng.generator()
     quarter = n // 4
     x0 = np.zeros(n)

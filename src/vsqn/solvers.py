@@ -55,8 +55,6 @@ from .core import (
 from .hessian import LbfgsMemory, collect_pair, theoretical_bounds
 from .smoothing import eta_schedule_diminishing
 
-MAX_ITERS_DEFAULT = 2_000_000
-
 # RunResult.extras keys of the quasi-Newton loop's pair counters
 PAIR_COUNTERS = ("pairs_formed", "pairs_skipped", "pair_grads_reused")
 
@@ -65,10 +63,10 @@ PAIR_COUNTERS = ("pairs_formed", "pairs_skipped", "pair_grads_reused")
 class SolverConfig:
     """One run of one scheme.
 
-    Stopping rules: ``horizon`` is the iteration count K, honoured exactly
-    up to ``MAX_ITERS_DEFAULT``; ``sample_budget`` stops the run once
-    sum N_k reaches it.  Set at least one; a budget-only run also stops
-    at ``MAX_ITERS_DEFAULT`` iterations, so record memory stays bounded.
+    Stopping rules: ``horizon`` is the iteration count K, honoured
+    exactly; ``sample_budget`` stops the run once sum N_k reaches it.  Set
+    at least one.  A budget-only run ends too, since every iteration draws
+    at least one sample, and its log stays bounded (``IterateLog``).
     Every other rule (schedule defaults, the theorem steplength, whether
     to average) is the scheme's own and lives in its plan: rsvs_sqn and
     sgd report the mean iterate, the rest do not average.
@@ -114,8 +112,8 @@ class SolverConfig:
                                          "the horizon K; set horizon")
         if self.horizon is None and self.sample_budget is None:
             raise ConfigError("horizon", "set horizon or sample_budget")
-        if self.horizon is not None and not 1 <= self.horizon <= MAX_ITERS_DEFAULT:
-            raise ConfigError("horizon", f"must lie in [1, {MAX_ITERS_DEFAULT}]")
+        if self.horizon is not None and self.horizon < 1:
+            raise ConfigError("horizon", "must be >= 1")
         for name in ("step", "mu", "eta"):
             sched = getattr(self, name)
             if sched is not None and sched.kind == "horizon_constant":
@@ -176,24 +174,40 @@ _NAN = float("nan")
 # an IterateLog row: the three counts, the six float fields, and a byte whose
 # bits mark which of f_value, gap and gamma_k is None (73 bytes)
 _ROW = struct.Struct("<3q6dB")
+FULL_FIDELITY_ROWS = 10_000
+THIN_FACTOR = 1.05
 
 
 class IterateLog(Sequence):
-    """A run's ``IterateRecord`` rows, each packed into 73 bytes of one
-    buffer (``_ROW``) rather than held as a dataclass instance.  Reading a
-    row, by index from either end, by slice (a list) or by iteration,
-    builds an equal ``IterateRecord``: ints for the counts, floats, and None
-    where no value was taken.
+    """A run's kept ``IterateRecord`` rows, each packed into 73 bytes of
+    one buffer (``_ROW``) rather than held as a dataclass instance.  Rows
+    thin as they arrive: the i-th row offered is kept when it is the closing
+    row, when i < FULL_FIDELITY_ROWS, or when i is a mark
+    ceil(FULL_FIDELITY_ROWS * THIN_FACTOR**j), j >= 1.  So a K-iteration run
+    keeps all K + 1 rows up to K = 10^4, and 10^4 + (marks below K) + 1
+    past that.  Reading a row, by index from either end, by slice (a list)
+    or by iteration, builds an equal ``IterateRecord``: ints for the
+    counts, floats, and None where no value was taken.
     """
 
     def __init__(self):
         self._rows = bytearray()
+        self._offered = 0
+        self._mark = FULL_FIDELITY_ROWS * THIN_FACTOR
+        self._next_mark = math.ceil(self._mark)
 
     def append(self, k: int, samples_cum: int, grad_evals_cum: int,
                f_value: Optional[float], gap: Optional[float], grad_norm: float,
                step_norm: float, wall_time: float,
-               gamma_k: Optional[float] = None) -> None:
-        """Add one row, its fields in ``IterateRecord``'s order."""
+               gamma_k: Optional[float] = None, closing: bool = False) -> None:
+        """Offer one row, its fields in ``IterateRecord``'s order."""
+        i = self._offered
+        self._offered += 1
+        if i >= FULL_FIDELITY_ROWS and not closing:
+            if i != self._next_mark:
+                return
+            self._mark *= THIN_FACTOR
+            self._next_mark = math.ceil(self._mark)
         self._rows += _ROW.pack(
             k, samples_cum, grad_evals_cum, _NAN if f_value is None else f_value,
             _NAN if gap is None else gap, grad_norm, step_norm, wall_time,
@@ -225,14 +239,15 @@ def _record(row: tuple) -> IterateRecord:
 @dataclass
 class RunResult:
     """A finished run.  ``records`` is its ``IterateLog``: a sequence of
-    ``IterateRecord`` rows, one per iteration plus the closing row."""
+    the ``IterateRecord`` rows it kept, the first iteration's and the
+    closing row among them."""
 
     scheme: str
     records: Sequence
     x_final: Array
     x_averaged: Optional[Array]
-    # "budget": sum N_k reached sample_budget; "horizon": the loop ran its
-    # iteration cap, horizon or, for a budget-only run, MAX_ITERS_DEFAULT
+    # "budget": sum N_k reached sample_budget; "horizon": the loop ran
+    # horizon iterations
     termination: str
     theoretical_step: Optional[float] = None
     used_step: Optional[float] = None
@@ -309,7 +324,6 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
          else assert_finite(config.x0, "x0").copy())
     x0 = x  # the regularization center; no iterate is updated in place
     z = x  # the reported iterate; a sequence of its own only under momentum
-    max_iters = config.horizon or MAX_ITERS_DEFAULT
     rng = RngStream(config.seed, stream_id=0)
     mem = LbfgsMemory(config.m)
     records = IterateLog()
@@ -326,11 +340,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     iters = 0
     termination = "horizon"
 
-    while True:
-        if iters >= max_iters:
-            termination = "horizon"
-            break
-
+    while iters != config.horizon:
         if plan.pairs and k % 2 == 1 and prev is not None:
             x_prev, h_prev, n_prev, level_prev, g_prev = prev
             # a step at rounding scale carries no curvature information:
@@ -391,7 +401,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
 
     f_final = _value_of(problem, z)
     records.append(k, samples, grad_evals, f_final, _gap_of(problem, f_final),
-                   _NAN, 0.0, time.perf_counter() - t0)
+                   _NAN, 0.0, time.perf_counter() - t0, closing=True)
     x_avg = None if avg_acc is None else avg_acc / iters
     return RunResult(
         scheme=config.scheme, records=records, x_final=z, x_averaged=x_avg,

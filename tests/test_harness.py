@@ -13,7 +13,7 @@ from vsqn.harness.config import (
     load_config,
     parse_config_text,
 )
-from vsqn.harness.logs import CSV_HEADER, read_csv, read_summary, thin_indices, write_csv
+from vsqn.harness.logs import CSV_HEADER, read_csv, read_summary, write_csv
 from vsqn.harness.presets import PRESET_NAMES, preset_cells
 from vsqn.solvers import ConfigError, IterateRecord, run
 
@@ -93,13 +93,6 @@ def test_csv_schema_and_round_trip(tmp_path):
     assert rows[3]["gap"] == pytest.approx(0.25)
     header = path.read_text().splitlines()[0]
     assert header == CSV_HEADER
-
-
-def test_csv_thinning_keeps_head_and_tail():
-    idx = thin_indices(50_000)
-    assert idx[:10_000] == list(range(10_000))
-    assert idx[-1] == 49_999
-    assert len(idx) < 11_000
 
 
 def test_csv_nan_cells_parse(tmp_path):
@@ -276,10 +269,8 @@ def test_problem_key_its_kind_does_not_read_is_rejected(key, value):
 
 
 @pytest.mark.parametrize("line, key", [("average_iterates = true", "average_iterates"),
-                                       ("max_iters = 7", "max_iters"),
-                                       ("horizon = 2000001", "horizon")])
-def test_load_config_rejects_removed_knobs_and_a_horizon_above_the_cap(
-        tmp_path, line, key):
+                                       ("max_iters = 7", "max_iters")])
+def test_load_config_rejects_removed_knobs(tmp_path, line, key):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"problem = quadratic_sc\nscheme = sgd\nbudget = 100\n{line}\n")
     with pytest.raises(ConfigError) as info:
@@ -527,6 +518,17 @@ def test_cli_field_the_scheme_does_not_read_exits_2_before_creating_out(
     ("problem = logistic_synth; l1_smoothing = soft; scheme = vs_sqn", "l1_smoothing"),
     ("problem = quadratic_c; n = 1; scheme = vs_sqn", "n"),
     ("problem = isotonic; n = 3; scheme = vs_sqn", "n"),
+    # these ran and broke down (exit 3): s.y <= 0 on a negative weight, a
+    # non-finite gradient on mu_l2 = nan
+    ("problem = logistic_synth; lambda_l1 = -1; scheme = vs_sqn", "lambda_l1"),
+    ("problem = logistic_synth; mu_l2 = -1; scheme = vs_sqn", "mu_l2"),
+    ("problem = logistic_synth; mu_l2 = nan; scheme = vs_sqn", "mu_l2"),
+    # these exited 1 with a message from inside numpy or Python
+    ("problem = logistic_synth; support_frac = 2; scheme = vs_sqn", "support_frac"),
+    ("problem = logistic_synth; num_samples = 0; scheme = vs_sqn", "num_samples"),
+    ("problem = isotonic; p = 0; scheme = vs_sqn", "p"),
+    ("problem = l1_location; n = 0; scheme = vs_sqn", "n"),
+    ("problem = logistic_synth; n = 0; scheme = vs_sqn", "n"),
 ])
 def test_cli_problem_key_fault_exits_2_naming_the_key(tmp_path, capsys,
                                                       problem, key):

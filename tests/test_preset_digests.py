@@ -1,0 +1,79 @@
+"""Every preset's outputs at seed 1 against their committed SHA-256 digests.
+
+Each preset runs in-process, as ``vsqn run --preset P --seed 1`` does, into
+a temporary directory.  Every CSV is hashed without its wall-clock column
+and every summary whole.  numpy picks its float kernels by its version and
+by the SIMD extensions the CPU offers, so the digests are pinned to both;
+on another numpy or SIMD set the test skips and names what differs.  After
+a change that moves a trajectory on purpose, rewrite the manifest with
+
+    PYTHONPATH=src python tests/test_preset_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from vsqn.harness.cli import main
+from vsqn.harness.presets import PRESET_NAMES
+
+MANIFEST = Path(__file__).parent / "data" / "preset_digests.json"
+SEED = 1
+
+
+def _simd_found() -> Optional[list]:
+    """The SIMD extensions numpy dispatches to here (``np.show_runtime()``'s
+    "found" list), or None where numpy does not expose them there."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return None
+    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+
+
+def runtime() -> dict:
+    return {"numpy": np.__version__, "simd_found": _simd_found()}
+
+
+def preset_digests(out_dir: Path) -> dict:
+    """File name -> SHA-256 of every preset output at seed ``SEED``."""
+    for name in PRESET_NAMES:
+        assert main(["run", "--preset", name, "--out", str(out_dir),
+                     "--seed", str(SEED)]) == 0
+    digests = {}
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".csv":  # drop wall_ms, the last column
+            data = b"".join(line.rsplit(b",", 1)[0] + b"\n"
+                            for line in data.splitlines())
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_preset_outputs_match_their_digests(tmp_path):
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    here = runtime()
+    differs = [f"{key} {manifest[key]} there, {here[key]} here"
+               for key in here if manifest[key] != here[key]]
+    if differs:
+        pytest.skip("digests taken on another runtime: " + "; ".join(differs))
+    digests = preset_digests(tmp_path)
+    assert sorted(digests) == sorted(manifest["digests"])
+    changed = [name for name, d in digests.items() if manifest["digests"][name] != d]
+    assert not changed, f"outputs differ from their digests: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = {**runtime(), "seed": SEED, "digests": preset_digests(Path(tmp))}
+    MANIFEST.parent.mkdir(exist_ok=True)
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(manifest['digests'])} digests to {MANIFEST}")

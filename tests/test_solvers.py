@@ -14,8 +14,9 @@ from vsqn.core import (
     ScalarSchedule,
     evaluate_on_handle,
 )
+from vsqn.harness import cli
 from vsqn.harness.config import PROBLEM_KINDS, build_problem, config_from_keys
-from vsqn.harness.logs import FULL_FIDELITY_ROWS, read_csv, thin_indices, write_csv
+from vsqn.harness.logs import read_csv, read_summary
 from vsqn.harness.presets import preset_cells
 from vsqn.hessian import LbfgsMemory, SecantError, collect_pair
 from vsqn.problems import (
@@ -26,7 +27,7 @@ from vsqn.problems import (
 )
 from vsqn.smoothing import L1Function, ProxSolverError, eta_schedule_diminishing
 from vsqn.solvers import (
-    MAX_ITERS_DEFAULT,
+    FULL_FIDELITY_ROWS,
     SCHEMES,
     ConfigError,
     IterateLog,
@@ -183,9 +184,9 @@ def test_stopping_rule_required():
 
 
 def test_horizon_is_the_iteration_cap():
-    for horizon in (1, 1_000_000, MAX_ITERS_DEFAULT):
+    for horizon in (1, 1_000_000, 10**12):
         assert SolverConfig("sgd", horizon=horizon).horizon == horizon
-    for horizon in (None, 0, MAX_ITERS_DEFAULT + 1):
+    for horizon in (None, 0):
         with pytest.raises(ConfigError) as info:
             SolverConfig("sgd", horizon=horizon)
         assert info.value.field == "horizon"
@@ -781,19 +782,31 @@ def test_run_records_are_typed_rows():
     assert res.used_step == res.records[0].gamma_k == 0.05
 
 
-def test_iterate_log_writes_the_csv_of_its_rows(tmp_path):
-    # past FULL_FIDELITY_ROWS the CSV thins: the head is read in one pass
-    # over the log, the thinned tail by index
-    res = run(LewisOvertonProblem(), SolverConfig("sgd", horizon=12_000,
-                                                  value_every=7))
-    assert len(res.records) > FULL_FIDELITY_ROWS
-    write_csv(tmp_path / "log.csv", res.records)
-    write_csv(tmp_path / "rows.csv", list(res.records))
-    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-    kept = thin_indices(len(res.records))
-    assert [row["k"] for row in read_csv(tmp_path / "log.csv")] == [
-        res.records[i].k for i in kept]
-    assert len(kept) > FULL_FIDELITY_ROWS + 1
+def test_iterate_log_keeps_only_the_rows_the_csv_writes(tmp_path, monkeypatch):
+    # thinned as rows arrive: loop rows 0..9,999, then the row at each index
+    # ceil(10^4 1.05^j) below K, j >= 1, then the closing row
+    K = 50_000
+    results = []
+
+    def run_and_keep(problem, config):
+        results.append(run(problem, config))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run", run_and_keep)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"problem = lewis_overton\nscheme = sgd\nhorizon = {K}\n"
+                   "value_every = 7\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    marks = [m for m in (math.ceil(10_000 * 1.05**j) for j in range(1, 100)) if m < K]
+    assert marks[0] == 10_500 and len(marks) == 32
+    (res,) = results
+    assert len(res.records) == 10_000 + len(marks) + 1
+    kept = [*range(10_000), *marks, K]
+    rows = read_csv(tmp_path / "lewis_overton_sgd_seed0.csv")
+    assert [row["k"] for row in rows] == [1 + i for i in kept]  # sgd starts at k = 1
+    assert [row["k"] for row in rows] == [r.k for r in res.records]
+    summary = read_summary(tmp_path / "lewis_overton_sgd_seed0_summary.txt")
+    assert summary["iterations"] == str(K) and summary["termination"] == "horizon"
 
 
 def test_iterate_log_holds_at_most_100_bytes_a_record():
@@ -808,5 +821,6 @@ def test_iterate_log_holds_at_most_100_bytes_a_record():
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert count == 20_001
+    # 10^4 rows, the 14 marks below 20,000 (10,500 .. 19,800) and the closing row
+    assert count == FULL_FIDELITY_ROWS + 14 + 1
     assert freed / count <= 100
