@@ -453,10 +453,14 @@ def evaluate_on_handle(problem, x: Array, handle: SampleHandle, eta=None) -> Arr
 
     Raises OracleError when the batch average is non-finite.  The problems
     that take outside data reject non-finite values at construction, so on
-    them this means the iterate has overflowed: the run has diverged.
+    them this means the iterate has overflowed: the run has diverged.  The
+    check is one dot product, g . g, finite whenever every entry is; only a
+    non-finite one (a NaN or inf entry, or a finite g whose square
+    overflows) is checked entry by entry.  ``np.vdot`` rather than ``@``,
+    which warns on that overflow.
     """
     g = (problem.batch_gradient(x, handle) if eta is None
          else problem.batch_gradient(x, handle, eta))
-    if not np.isfinite(g).all():
+    if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
         raise OracleError("non-finite batch gradient")
     return g

@@ -148,8 +148,9 @@ class ExperimentConfig:
     ``problem_params`` holds only keys that ``build_problem`` reads for
     ``problem_kind`` (``PROBLEM_KEYS``).  ``solver_params`` holds the
     ``SolverConfig`` fields other than the seed, the starting point ``x0``
-    among them.  Both are checked here, when the cell is built, and so is
-    each seed, as a ``SolverConfig`` field.  A run bounded by its horizon
+    among them.  Both are checked here, when the cell is built, and so are
+    each seed, as a ``SolverConfig`` field, a given n (>= 1, for every
+    kind) and the sparsity threshold.  A run bounded by its horizon
     K alone is also checked to stay within the batch schedule's
     ``MAX_BATCH`` at k = K, which bounds the last iteration of every scheme.
     """
@@ -170,9 +171,15 @@ class ExperimentConfig:
             if key not in reads:
                 raise ConfigError(key, f"problem {self.problem_kind} does not "
                                        f"read it; it reads {', '.join(reads)}")
-        n = self.problem_params.get("n", 2)
-        if self.problem_kind == "lewis_overton" and n != 2:
+        n = self.problem_params.get("n")
+        if n is not None and n < 1:  # before a builder draws an n-vector
+            raise ConfigError("n", f"dimension must be >= 1, got {n}")
+        if self.problem_kind == "lewis_overton" and n not in (None, 2):
             raise ConfigError("n", f"lewis_overton is a 2-D problem; got n = {n}")
+        t = self.sparsity_threshold
+        if t is not None and not 0 <= t < np.inf:
+            raise ConfigError("sparsity_threshold", f"must be finite and >= 0, "
+                                                    f"got {t!r}")
         for seed in self.seeds or (0,):
             self.solver_config(seed)
         batch, horizon = (self.solver_params.get(k) for k in ("batch", "horizon"))

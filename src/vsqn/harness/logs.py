@@ -10,32 +10,20 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..solvers import packed_rows
+
 CSV_HEADER = "k,samples_cum,grad_evals_cum,fval,gap,grad_norm,step_norm,wall_ms"
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 def write_csv(path, records) -> None:
-    """Write an iterable of records (a run's ``IterateLog`` holds only the
-    rows it kept), one line each."""
+    """Write a run's ``IterateLog`` (it holds only the rows it kept), or any
+    iterable of ``IterateRecord``s, one line a row.  Both are read as
+    ``packed_rows`` tuples, where a None field is NaN, written "nan"."""
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            str(r.k),
-            str(r.samples_cum),
-            str(r.grad_evals_cum),
-            _fmt(r.f_value),
-            _fmt(r.gap),
-            _fmt(r.grad_norm),
-            _fmt(r.step_norm),
-            _fmt(r.wall_time * 1000.0),
-        ]))
+    lines += [f"{k},{samples_cum},{grad_evals_cum},{f_value!r},{gap!r},"
+              f"{grad_norm!r},{step_norm!r},{wall_time * 1000.0!r}"
+              for (k, samples_cum, grad_evals_cum, f_value, gap, grad_norm,
+                   step_norm, wall_time, _, _) in packed_rows(records)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -246,11 +246,6 @@ def quad_make(n: int, kappa: float, convexity: str, rng,
 
 
 def _stable_sigmoid(t: Array) -> Array:
-    if t.size == 1:  # one sample: its branch's formula, without the masks
-        if t[0] >= 0:
-            return 1.0 / (1.0 + np.exp(-t))
-        e = np.exp(t)
-        return e / (1.0 + e)
     out = np.empty_like(t)
     pos = t >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
@@ -329,17 +324,27 @@ class LogisticProblem(_LastBatchSlot):
     def _loss_grad(self, x: Array, rows) -> Array:
         """Mean loss gradient over the rows.  Of counts, one pass over the
         data weights row i by its count.  Of indices or a slice, as np.mean
-        computes it (sum, then divide by the count) without its dispatch;
-        of one row, the sum is 0 + the row and the divide is by 1; 0 - r
-        is 0 + (-r) bit for bit, a zero coming out as +0."""
+        computes it (sum, then divide by the count) without its dispatch.
+        Of one row, the sum is 0 + the row and the divide is by 1; 0 - r
+        is 0 + (-r) bit for bit, a zero coming out as +0.  Its sigmoid is
+        ``_stable_sigmoid``'s branch taken on a numpy scalar: the margin
+        from the (1, n) product, which sums as the many-row one does, and
+        ``np.exp``, which rounds as it does on an array."""
         if isinstance(rows, _RowCounts):
             s = _stable_sigmoid(-self.labels * (self.features @ x))
             return -(self.features.T @ (rows.counts * self.labels * s)) / rows.size
         xb = self.features[rows]
         vb = self.labels[rows]
-        s = _stable_sigmoid(-vb * (xb @ x))
         if len(vb) == 1:
-            return 0.0 - xb[0] * (vb * s)
+            v = vb[0]
+            t = -v * (xb @ x)[0]
+            if t >= 0:
+                s = 1.0 / (1.0 + np.exp(-t))
+            else:
+                e = np.exp(t)
+                s = e / (1.0 + e)
+            return 0.0 - xb[0] * (v * s)
+        s = _stable_sigmoid(-vb * (xb @ x))
         return np.add.reduce(-(xb * (vb * s)[:, None]), axis=0) / len(vb)
 
     def batch_gradient(self, x: Array, handle: SampleHandle,

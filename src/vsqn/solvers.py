@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -100,8 +100,10 @@ class SolverConfig:
                                         f"{', '.join(reads) or 'none of them'}")
         if self.m < 1:
             raise ConfigError("m", "memory depth must be >= 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon", "must be > 0")
+        for name in ("epsilon", "c_gamma"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(name, f"must be finite and > 0, "
+                                        f"got {getattr(self, name)!r}")
         if self.eta is not None and not isinstance(self.eta, ScalarSchedule):
             if not 0 < self.eta < math.inf:
                 raise ConfigError("eta", f"smoothing level must be finite and "
@@ -185,9 +187,12 @@ class IterateLog(Sequence):
     row, when i < FULL_FIDELITY_ROWS, or when i is a mark
     ceil(FULL_FIDELITY_ROWS * THIN_FACTOR**j), j >= 1.  So a K-iteration run
     keeps all K + 1 rows up to K = 10^4, and 10^4 + (marks below K) + 1
-    past that.  Reading a row, by index from either end, by slice (a list)
-    or by iteration, builds an equal ``IterateRecord``: ints for the
-    counts, floats, and None where no value was taken.
+    past that.  A writer that asks ``keeps_next`` first offers a row it
+    would drop with ``skip``, so it need not compute that row's fields;
+    ``append`` offers a built row and drops it the same way.  Reading a row,
+    by index from either end, by slice (a list) or by iteration, builds an
+    equal ``IterateRecord``: ints for the counts, floats, and None where no
+    value was taken; ``packed_rows`` reads the rows as tuples.
     """
 
     def __init__(self):
@@ -196,23 +201,28 @@ class IterateLog(Sequence):
         self._mark = FULL_FIDELITY_ROWS * THIN_FACTOR
         self._next_mark = math.ceil(self._mark)
 
+    def keeps_next(self) -> bool:
+        """Whether the next row offered is kept (a closing row always is)."""
+        return self._offered < FULL_FIDELITY_ROWS or self._offered == self._next_mark
+
+    def skip(self) -> None:
+        """Offer a row that ``keeps_next`` says is dropped, without its fields."""
+        self._offered += 1
+
     def append(self, k: int, samples_cum: int, grad_evals_cum: int,
                f_value: Optional[float], gap: Optional[float], grad_norm: float,
                step_norm: float, wall_time: float,
                gamma_k: Optional[float] = None, closing: bool = False) -> None:
         """Offer one row, its fields in ``IterateRecord``'s order."""
-        i = self._offered
-        self._offered += 1
-        if i >= FULL_FIDELITY_ROWS and not closing:
-            if i != self._next_mark:
-                return
+        if not (closing or self.keeps_next()):
+            self._offered += 1
+            return
+        if self._offered == self._next_mark:
             self._mark *= THIN_FACTOR
             self._next_mark = math.ceil(self._mark)
-        self._rows += _ROW.pack(
-            k, samples_cum, grad_evals_cum, _NAN if f_value is None else f_value,
-            _NAN if gap is None else gap, grad_norm, step_norm, wall_time,
-            _NAN if gamma_k is None else gamma_k,
-            (f_value is None) | (gap is None) << 1 | (gamma_k is None) << 2)
+        self._offered += 1
+        self._rows += _pack(k, samples_cum, grad_evals_cum, f_value, gap,
+                            grad_norm, step_norm, wall_time, gamma_k)
 
     def __len__(self) -> int:
         return len(self._rows) // _ROW.size
@@ -229,11 +239,34 @@ class IterateLog(Sequence):
         return map(_record, _ROW.iter_unpack(self._rows))
 
 
+def _pack(k, samples_cum, grad_evals_cum, f_value, gap, grad_norm, step_norm,
+          wall_time, gamma_k) -> bytes:
+    return _ROW.pack(
+        k, samples_cum, grad_evals_cum, _NAN if f_value is None else f_value,
+        _NAN if gap is None else gap, grad_norm, step_norm, wall_time,
+        _NAN if gamma_k is None else gamma_k,
+        (f_value is None) | (gap is None) << 1 | (gamma_k is None) << 2)
+
+
 def _record(row: tuple) -> IterateRecord:
     k, samples, evals, f_value, gap, grad_norm, step_norm, wall, gamma, none = row
     return IterateRecord(k, samples, evals, None if none & 1 else f_value,
                          None if none & 2 else gap, grad_norm, step_norm, wall,
                          None if none & 4 else gamma)
+
+
+def packed_rows(records) -> Iterator[tuple]:
+    """The rows of an ``IterateLog``, or of any iterable of
+    ``IterateRecord``s, as the tuples ``_ROW`` unpacks: the record's fields
+    in order, ints for the counts and floats, NaN where a field is None,
+    then the byte of None bits.  Both sources give equal tuples for equal
+    records."""
+    if isinstance(records, IterateLog):
+        return _ROW.iter_unpack(records._rows)
+    return (_ROW.unpack(_pack(r.k, r.samples_cum, r.grad_evals_cum, r.f_value,
+                              r.gap, r.grad_norm, r.step_norm, r.wall_time,
+                              r.gamma_k))
+            for r in records)
 
 
 @dataclass
@@ -380,10 +413,14 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
         if avg_acc is not None:
             avg_acc += z
 
-        want_value = iters % config.value_every == 0
-        f_value = _value_of(problem, z) if want_value else None
-        records.append(k, samples, grad_evals, f_value, _gap_of(problem, f_value),
-                       _norm(g), _norm(step_vec), time.perf_counter() - t0, gamma)
+        if records.keeps_next():
+            want_value = iters % config.value_every == 0
+            f_value = _value_of(problem, z) if want_value else None
+            records.append(k, samples, grad_evals, f_value,
+                           _gap_of(problem, f_value), _norm(g), _norm(step_vec),
+                           time.perf_counter() - t0, gamma)
+        else:  # a dropped row costs no objective, norm or clock reading
+            records.skip()
         if trace is not None:
             trace.append({"k": k, "x": x.copy(), "handle": handle,
                           "gamma": gamma, "pairs": list(mem.pairs)})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,18 +331,31 @@ def test_mean_consistency_statistical():
     assert err <= 4.0 * sigma
 
 
+class _Fixed:
+    """A problem whose batch gradient is a given array."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def batch_gradient(self, x, handle):
+        return self.g
+
+
 def test_non_finite_batch_gradient_raises_oracle_error():
-    prob = quad_make(4, 5.0, "SC", RngStream(1, 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        for g in (np.full(4, bad), np.array([1e200, 0.0, bad, -1e200])):
+            with pytest.raises(OracleError):
+                evaluate_on_handle(_Fixed(g), np.zeros(4),
+                                   RngStream(0, 0).next_handle(6))
 
-    class Broken:
-        meta = prob.meta
 
-        def batch_gradient(self, x, handle):
-            g = prob.batch_gradient(x, handle)
-            return g + np.nan
-
-    with pytest.raises(OracleError):
-        evaluate_on_handle(Broken(), np.zeros(4), RngStream(0, 0).next_handle(6))
+def test_finite_gradient_whose_square_overflows_passes_without_a_warning():
+    # g . g is inf, so the check falls back to the entries, which are finite
+    g = np.array([1e200, -3e200, 0.0, 5e-324, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate_on_handle(_Fixed(g), np.zeros(5), RngStream(0, 0).next_handle(1))
+    assert got is g
 
 
 def test_non_finite_query_rejected():

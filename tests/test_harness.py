@@ -232,6 +232,17 @@ def test_batch_ceiling_is_checked_over_a_horizon_only_run():
     # before, a run on all-ones features
     ("problem = logistic_synth\ndensity = 2\nscheme = sgd\nhorizon = 5\n",
      "density"),
+    # before, a run with a negative step (exit 0), a non-finite gradient
+    # (exit 3), and a ConfigError naming the mu schedule's exponent
+    ("problem = l1_location\nloc_sc = 0.5\nscheme = rsvs_sqn\nc_gamma = -1\n"
+     "horizon = 5\n", "c_gamma"),
+    ("problem = l1_location\nloc_sc = 0.5\nscheme = rsvs_sqn\nc_gamma = nan\n"
+     "horizon = 5\n", "c_gamma"),
+    ("problem = quadratic_sc\nscheme = rvs_sqn\nepsilon = nan\nhorizon = 5\n",
+     "epsilon"),
+    # before, accepted
+    ("problem = quadratic_sc\nscheme = sgd\nsparsity_threshold = -1\n"
+     "horizon = 5\n", "sparsity_threshold"),
 ])
 def test_cli_out_of_range_value_exits_2_naming_its_key(tmp_path, capsys, lines, key):
     cfg = tmp_path / "cfg.txt"
@@ -529,6 +540,8 @@ def test_cli_field_the_scheme_does_not_read_exits_2_before_creating_out(
     ("problem = isotonic; p = 0; scheme = vs_sqn", "p"),
     ("problem = l1_location; n = 0; scheme = vs_sqn", "n"),
     ("problem = logistic_synth; n = 0; scheme = vs_sqn", "n"),
+    ("problem = logistic_synth; n = -1; scheme = vs_sqn", "n"),
+    ("problem = l1_location; n = -1; scheme = vs_sqn", "n"),
 ])
 def test_cli_problem_key_fault_exits_2_naming_the_key(tmp_path, capsys,
                                                       problem, key):

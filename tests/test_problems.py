@@ -291,6 +291,26 @@ def test_logistic_gradient_keeps_the_sign_of_every_zero():
             assert np.array_equal(bits(got), bits(want)), (mu_l2, lambda_l1, batch)
 
 
+def test_logistic_one_row_gradient_equals_the_index_array_path():
+    # margins of both signs, 0 and past exp's range: the one-row branch (a
+    # sigmoid on a numpy scalar) against the masked sigmoid over the
+    # gathered row, bit for bit up to the sign of a zero
+    gen = np.random.default_rng(8)
+    X = gen.standard_normal((6, 9))
+    X[5] = 0.0
+    v = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    prob = LogisticProblem(X, v)
+    margins = []
+    for scale in (0.0, 0.3, 3.0, 800.0):
+        x = scale * gen.standard_normal(9)
+        for i in range(6):
+            margins.append(float(-v[i] * (X[i] @ x)))
+            want = _reference_logistic_gradient(prob, x, np.array([i]), None)
+            assert np.array_equal(prob._loss_grad(x, slice(i, i + 1)), want)
+            assert np.array_equal(prob._loss_grad(x, np.array([i])), want)
+    assert min(margins) < -745 and max(margins) > 745 and 0.0 in margins
+
+
 # --- row draws held as counts --------------------------------------------------
 
 

@@ -809,6 +809,24 @@ def test_iterate_log_keeps_only_the_rows_the_csv_writes(tmp_path, monkeypatch):
     assert summary["iterations"] == str(K) and summary["termination"] == "horizon"
 
 
+@pytest.mark.parametrize("K", [9_999, 10_000, 10_001, 25_000])
+def test_iterate_log_skipping_what_it_drops_keeps_what_appending_keeps(K):
+    # a writer that asks keeps_next and skips a dropped row keeps the rows
+    # that offering every row to append keeps, the closing row included
+    appended, skipped = IterateLog(), IterateLog()
+    for i in range(K):
+        appended.append(i, i, i, None, None, 0.5, 0.25, 0.0, 0.1)
+        if skipped.keeps_next():
+            skipped.append(i, i, i, None, None, 0.5, 0.25, 0.0, 0.1)
+        else:
+            skipped.skip()
+    for log in (appended, skipped):
+        log.append(K, K, K, 1.0, None, math.nan, 0.0, 0.0, closing=True)
+    marks = [m for m in (math.ceil(10_000 * 1.05**j) for j in range(1, 40)) if m < K]
+    assert [r.k for r in skipped] == [*range(min(K, 10_000)), *marks, K]
+    assert skipped._rows == appended._rows
+
+
 def test_iterate_log_holds_at_most_100_bytes_a_record():
     # the record bytes of the benchmark's record_bytes: live bytes while the
     # result is held, minus those after its records are dropped
