@@ -172,8 +172,8 @@ class ExperimentConfig:
                 raise ConfigError(key, f"problem {self.problem_kind} does not "
                                        f"read it; it reads {', '.join(reads)}")
         n = self.problem_params.get("n")
-        if n is not None and n < 1:  # before a builder draws an n-vector
-            raise ConfigError("n", f"dimension must be >= 1, got {n}")
+        if n is not None:
+            _check_dimension(n)
         if self.problem_kind == "lewis_overton" and n not in (None, 2):
             raise ConfigError("n", f"lewis_overton is a 2-D problem; got n = {n}")
         t = self.sparsity_threshold
@@ -189,6 +189,14 @@ class ExperimentConfig:
 
     def solver_config(self, seed: int) -> SolverConfig:
         return SolverConfig(seed=seed, **self.solver_params)
+
+
+def _check_dimension(n) -> None:
+    """A given n must be >= 1.  Checked before the start point or a builder
+    draws an n-vector, which would fail inside numpy first; ``ProblemMeta``
+    checks the same for problems built outside a config."""
+    if n < 1:
+        raise ConfigError("n", f"dimension must be >= 1, got {n}")
 
 
 def config_from_keys(keys: dict) -> ExperimentConfig:
@@ -230,6 +238,7 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
             raise ConfigError("x0_value", "needs n, the length of the start point")
         if not np.isfinite(keys["x0_value"]):
             raise ConfigError("x0_value", f"must be finite, got {keys['x0_value']!r}")
+        _check_dimension(keys["n"])
         solver_params["x0"] = np.full(keys["n"], keys["x0_value"], dtype=float)
 
     return ExperimentConfig(

@@ -10,20 +10,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..solvers import packed_rows
-
 CSV_HEADER = "k,samples_cum,grad_evals_cum,fval,gap,grad_norm,step_norm,wall_ms"
 
 
 def write_csv(path, records) -> None:
-    """Write a run's ``IterateLog`` (it holds only the rows it kept), or any
-    iterable of ``IterateRecord``s, one line a row.  Both are read as
-    ``packed_rows`` tuples, where a None field is NaN, written "nan"."""
+    """Write a run's ``IterateLog`` (it holds only the rows it kept), one
+    line a row; a None field is NaN, written "nan"."""
     lines = [CSV_HEADER]
     lines += [f"{k},{samples_cum},{grad_evals_cum},{f_value!r},{gap!r},"
               f"{grad_norm!r},{step_norm!r},{wall_time * 1000.0!r}"
               for (k, samples_cum, grad_evals_cum, f_value, gap, grad_norm,
-                   step_norm, wall_time, _, _) in packed_rows(records)]
+                   step_norm, wall_time) in records.csv_fields()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

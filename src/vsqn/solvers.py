@@ -176,6 +176,8 @@ _NAN = float("nan")
 # an IterateLog row: the three counts, the six float fields, and a byte whose
 # bits mark which of f_value, gap and gamma_k is None (73 bytes)
 _ROW = struct.Struct("<3q6dB")
+# a row's first eight fields, k to wall_time; gamma_k and the byte are skipped
+_CSV_FIELDS = struct.Struct("<3q5d9x")
 FULL_FIDELITY_ROWS = 10_000
 THIN_FACTOR = 1.05
 
@@ -187,12 +189,13 @@ class IterateLog(Sequence):
     row, when i < FULL_FIDELITY_ROWS, or when i is a mark
     ceil(FULL_FIDELITY_ROWS * THIN_FACTOR**j), j >= 1.  So a K-iteration run
     keeps all K + 1 rows up to K = 10^4, and 10^4 + (marks below K) + 1
-    past that.  A writer that asks ``keeps_next`` first offers a row it
-    would drop with ``skip``, so it need not compute that row's fields;
-    ``append`` offers a built row and drops it the same way.  Reading a row,
-    by index from either end, by slice (a list) or by iteration, builds an
-    equal ``IterateRecord``: ints for the counts, floats, and None where no
-    value was taken; ``packed_rows`` reads the rows as tuples.
+    past that.  The writer asks ``keeps_next`` before it builds a row: a
+    row the log keeps, and the closing row, it ``append``s; a row the log
+    drops it only ``skip``s, so it computes none of that row's fields.
+    Reading a row, by index from either end, by slice (a list) or by
+    iteration, builds an equal ``IterateRecord``: ints for the counts,
+    floats, and None where no value was taken; ``csv_fields`` reads the
+    rows as tuples of the CSV's columns.
     """
 
     def __init__(self):
@@ -212,17 +215,21 @@ class IterateLog(Sequence):
     def append(self, k: int, samples_cum: int, grad_evals_cum: int,
                f_value: Optional[float], gap: Optional[float], grad_norm: float,
                step_norm: float, wall_time: float,
-               gamma_k: Optional[float] = None, closing: bool = False) -> None:
-        """Offer one row, its fields in ``IterateRecord``'s order."""
-        if not (closing or self.keeps_next()):
-            self._offered += 1
-            return
+               gamma_k: Optional[float] = None) -> None:
+        """Keep one row, its fields in ``IterateRecord``'s order."""
         if self._offered == self._next_mark:
             self._mark *= THIN_FACTOR
             self._next_mark = math.ceil(self._mark)
         self._offered += 1
-        self._rows += _pack(k, samples_cum, grad_evals_cum, f_value, gap,
-                            grad_norm, step_norm, wall_time, gamma_k)
+        self._rows += _ROW.pack(
+            k, samples_cum, grad_evals_cum, _NAN if f_value is None else f_value,
+            _NAN if gap is None else gap, grad_norm, step_norm, wall_time,
+            _NAN if gamma_k is None else gamma_k,
+            (f_value is None) | (gap is None) << 1 | (gamma_k is None) << 2)
+
+    def csv_fields(self) -> Iterator[tuple]:
+        """Each row's first eight fields, the CSV's columns, NaN where None."""
+        return _CSV_FIELDS.iter_unpack(self._rows)
 
     def __len__(self) -> int:
         return len(self._rows) // _ROW.size
@@ -239,34 +246,11 @@ class IterateLog(Sequence):
         return map(_record, _ROW.iter_unpack(self._rows))
 
 
-def _pack(k, samples_cum, grad_evals_cum, f_value, gap, grad_norm, step_norm,
-          wall_time, gamma_k) -> bytes:
-    return _ROW.pack(
-        k, samples_cum, grad_evals_cum, _NAN if f_value is None else f_value,
-        _NAN if gap is None else gap, grad_norm, step_norm, wall_time,
-        _NAN if gamma_k is None else gamma_k,
-        (f_value is None) | (gap is None) << 1 | (gamma_k is None) << 2)
-
-
 def _record(row: tuple) -> IterateRecord:
     k, samples, evals, f_value, gap, grad_norm, step_norm, wall, gamma, none = row
     return IterateRecord(k, samples, evals, None if none & 1 else f_value,
                          None if none & 2 else gap, grad_norm, step_norm, wall,
                          None if none & 4 else gamma)
-
-
-def packed_rows(records) -> Iterator[tuple]:
-    """The rows of an ``IterateLog``, or of any iterable of
-    ``IterateRecord``s, as the tuples ``_ROW`` unpacks: the record's fields
-    in order, ints for the counts and floats, NaN where a field is None,
-    then the byte of None bits.  Both sources give equal tuples for equal
-    records."""
-    if isinstance(records, IterateLog):
-        return _ROW.iter_unpack(records._rows)
-    return (_ROW.unpack(_pack(r.k, r.samples_cum, r.grad_evals_cum, r.f_value,
-                              r.gap, r.grad_norm, r.step_norm, r.wall_time,
-                              r.gamma_k))
-            for r in records)
 
 
 @dataclass
@@ -438,7 +422,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
 
     f_final = _value_of(problem, z)
     records.append(k, samples, grad_evals, f_final, _gap_of(problem, f_final),
-                   _NAN, 0.0, time.perf_counter() - t0, closing=True)
+                   _NAN, 0.0, time.perf_counter() - t0)
     x_avg = None if avg_acc is None else avg_acc / iters
     return RunResult(
         scheme=config.scheme, records=records, x_final=z, x_averaged=x_avg,

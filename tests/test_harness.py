@@ -15,7 +15,7 @@ from vsqn.harness.config import (
 )
 from vsqn.harness.logs import CSV_HEADER, read_csv, read_summary, write_csv
 from vsqn.harness.presets import PRESET_NAMES, preset_cells
-from vsqn.solvers import ConfigError, IterateRecord, run
+from vsqn.solvers import ConfigError, IterateLog, run
 
 
 # --- finite differences ---------------------------------------------------------
@@ -79,14 +79,12 @@ def test_sparsity_count_cases():
 
 # --- csv log ----------------------------------------------------------------------
 
-def _record(k, wall=0.0):
-    return IterateRecord(k, k + 1, k + 1, 1.0 / (k + 1), 1.0 / (k + 1),
-                         0.5, 0.1, wall)
-
-
 def test_csv_schema_and_round_trip(tmp_path):
     path = tmp_path / "log.csv"
-    write_csv(path, [_record(k) for k in range(5)])
+    log = IterateLog()
+    for k in range(5):
+        log.append(k, k + 1, k + 1, 1.0 / (k + 1), 1.0 / (k + 1), 0.5, 0.1, 0.0)
+    write_csv(path, log)
     rows = read_csv(path)
     assert len(rows) == 5
     assert rows[3]["k"] == 3
@@ -96,9 +94,10 @@ def test_csv_schema_and_round_trip(tmp_path):
 
 
 def test_csv_nan_cells_parse(tmp_path):
-    rec = IterateRecord(0, 1, 1, None, None, 0.5, 0.1, 0.0)
+    log = IterateLog()
+    log.append(0, 1, 1, None, None, 0.5, 0.1, 0.0)
     path = tmp_path / "log.csv"
-    write_csv(path, [rec])
+    write_csv(path, log)
     row = read_csv(path)[0]
     assert math.isnan(row["fval"]) and math.isnan(row["gap"])
 
@@ -542,6 +541,7 @@ def test_cli_field_the_scheme_does_not_read_exits_2_before_creating_out(
     ("problem = logistic_synth; n = 0; scheme = vs_sqn", "n"),
     ("problem = logistic_synth; n = -1; scheme = vs_sqn", "n"),
     ("problem = l1_location; n = -1; scheme = vs_sqn", "n"),
+    ("problem = l1_location; n = -1; x0_value = 1; scheme = vs_sqn", "n"),
 ])
 def test_cli_problem_key_fault_exits_2_naming_the_key(tmp_path, capsys,
                                                       problem, key):

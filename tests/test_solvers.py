@@ -810,21 +810,23 @@ def test_iterate_log_keeps_only_the_rows_the_csv_writes(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("K", [9_999, 10_000, 10_001, 25_000])
-def test_iterate_log_skipping_what_it_drops_keeps_what_appending_keeps(K):
-    # a writer that asks keeps_next and skips a dropped row keeps the rows
-    # that offering every row to append keeps, the closing row included
-    appended, skipped = IterateLog(), IterateLog()
+def test_iterate_log_keeps_next_the_head_the_marks_and_nothing_else(K):
+    # keeps_next says yes for rows 0..9,999 and the rows at ceil(10^4 1.05^j),
+    # j >= 1; appending what it keeps and skipping the rest, then appending
+    # the closing row, leaves exactly those rows
+    log = IterateLog()
+    said = []
     for i in range(K):
-        appended.append(i, i, i, None, None, 0.5, 0.25, 0.0, 0.1)
-        if skipped.keeps_next():
-            skipped.append(i, i, i, None, None, 0.5, 0.25, 0.0, 0.1)
+        said.append(log.keeps_next())
+        if said[-1]:
+            log.append(i, i, i, None, None, 0.5, 0.25, 0.0, 0.1)
         else:
-            skipped.skip()
-    for log in (appended, skipped):
-        log.append(K, K, K, 1.0, None, math.nan, 0.0, 0.0, closing=True)
+            log.skip()
+    log.append(K, K, K, 1.0, None, math.nan, 0.0, 0.0)
     marks = [m for m in (math.ceil(10_000 * 1.05**j) for j in range(1, 40)) if m < K]
-    assert [r.k for r in skipped] == [*range(min(K, 10_000)), *marks, K]
-    assert skipped._rows == appended._rows
+    kept = [*range(min(K, 10_000)), *marks]
+    assert [i for i in range(K) if said[i]] == kept
+    assert [r.k for r in log] == [*kept, K]
 
 
 def test_iterate_log_holds_at_most_100_bytes_a_record():
