@@ -45,6 +45,11 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
 
 
+class BatchCeilingError(ConfigError):
+    """A batch schedule's N_k passed ``MAX_BATCH``; ``field`` names the
+    schedule's growth field.  A budget-bounded run meets it mid-run."""
+
+
 class OracleError(RuntimeError):
     """A stochastic oracle returned a non-finite batch gradient."""
 
@@ -372,8 +377,8 @@ class BatchSchedule:
       constant:   N_k = N0
 
     N_k may not pass ``MAX_BATCH``: an N0 above it is ConfigError("N0"),
-    and ``eval`` raises ConfigError naming the growth field (``rate`` or
-    ``exponent``) at a k whose N_k would pass it.
+    and ``eval`` raises BatchCeilingError naming the growth field (``rate``
+    or ``exponent``) at a k whose N_k would pass it.
     """
 
     kind: str
@@ -409,8 +414,8 @@ class BatchSchedule:
         except OverflowError:
             v = math.inf
         if not v <= MAX_BATCH:
-            raise ConfigError("rate" if geometric else "exponent",
-                              f"N_{k} = {v:.4g} samples passes 2**53")
+            raise BatchCeilingError("rate" if geometric else "exponent",
+                                    f"N_{k} = {v:.4g} samples passes 2**53")
         return max(1, _ceil_stable(v))
 
 

@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import OracleError
+from ..core import BatchCeilingError, OracleError
 from ..hessian import SecantError
 from ..smoothing import ProxSolverError
 from ..solvers import PAIR_COUNTERS, ConfigError, SolverConfig, run
 from .checks import sparsity_count
-from .config import ExperimentConfig, build_problem, load_config
+from .config import ExperimentConfig, batch_key, build_problem, keyed, load_config
 from .logs import write_csv, write_summary
 from .presets import PRESET_NAMES, preset_cells
 
@@ -33,7 +33,9 @@ def _execute_cell(cell: ExperimentConfig, config: SolverConfig,
                   out_dir: Path) -> Path:
     seed = config.seed
     problem = build_problem(cell, seed)
-    result = run(problem, config)
+    # a run a budget may end is not checked against the batch ceiling at
+    # load (only a horizon-only run is); met mid-run, it names its key too
+    result = keyed(batch_key, run, problem, config, catch=BatchCeilingError)
     stem = f"{cell.name}_seed{seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / f"{stem}.csv", result.records)

@@ -12,6 +12,7 @@ fields a scheme reads in ``solvers``, a problem kind's keys and defaults in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -111,7 +112,7 @@ def _schedule_from(keys: dict, prefix: str, batch: bool = False):
     any other key needs the kind, and every key must be one its kind reads.
     Field N0's key is ``batch_n0``: ``<prefix>_<field>`` in lower case."""
     reads = BATCH_READS if batch else SCALAR_READS
-    key = lambda name: f"{prefix}_{name.lower()}"
+    key = lambda name: _schedule_key(prefix, name)
     names = dict.fromkeys(name for kind_reads in reads.values() for name in kind_reads)
     given = {name: keys[key(name)] for name in names if key(name) in keys}
     kind = keys.get(f"{prefix}_kind")
@@ -127,16 +128,26 @@ def _schedule_from(keys: dict, prefix: str, batch: bool = False):
             raise ConfigError(key(name), f"a {kind} {prefix} schedule does not "
                               f"read it; it reads {', '.join(map(key, reads[kind]))}")
     if batch:
-        return _keyed(key, BatchSchedule, kind, **given)
-    return _keyed(key, ScalarSchedule, kind, **{"base": 1.0, **given})
+        return keyed(key, BatchSchedule, kind, **given)
+    return keyed(key, ScalarSchedule, kind, **{"base": 1.0, **given})
 
 
-def _keyed(key, call, *args, **kwargs):
-    """``call(*args, **kwargs)``, its ConfigError renamed to ``key(field)``,
-    the config key that holds the field it names."""
+def _schedule_key(prefix: str, name: str) -> str:
+    """The config key of a schedule field: ``<prefix>_<name>`` in lower case."""
+    return f"{prefix}_{name.lower()}"
+
+
+def batch_key(name: str) -> str:
+    """The config key of batch schedule field ``name``."""
+    return _schedule_key("batch", name)
+
+
+def keyed(key, call, *args, catch=ConfigError, **kwargs):
+    """``call(*args, **kwargs)``, its ``catch`` error renamed to
+    ``key(field)``, the config key that holds the field it names."""
     try:
         return call(*args, **kwargs)
-    except ConfigError as exc:
+    except catch as exc:
         raise ConfigError(key(exc.field),
                           str(exc).removeprefix(f"{exc.field}: ")) from exc
 
@@ -149,10 +160,12 @@ class ExperimentConfig:
     ``problem_kind`` (``PROBLEM_KEYS``).  ``solver_params`` holds the
     ``SolverConfig`` fields other than the seed, the starting point ``x0``
     among them.  Both are checked here, when the cell is built, and so are
-    each seed, as a ``SolverConfig`` field, a given n (>= 1, for every
-    kind) and the sparsity threshold.  A run bounded by its horizon
-    K alone is also checked to stay within the batch schedule's
-    ``MAX_BATCH`` at k = K, which bounds the last iteration of every scheme.
+    each seed, as a ``SolverConfig`` field, a given n (>= 1 for every
+    kind, and within the frame limit for a quadratic one) and the sparsity
+    threshold.  A run bounded by its horizon K alone is also checked to stay
+    within the batch schedule's ``MAX_BATCH`` at k = K, which bounds the
+    last iteration of every scheme; a run that a budget may end first is
+    checked as it goes (``cli``).
     """
 
     name: str
@@ -173,7 +186,7 @@ class ExperimentConfig:
                                        f"read it; it reads {', '.join(reads)}")
         n = self.problem_params.get("n")
         if n is not None:
-            _check_dimension(n)
+            _check_dimension(n, self.problem_kind)
         if self.problem_kind == "lewis_overton" and n not in (None, 2):
             raise ConfigError("n", f"lewis_overton is a 2-D problem; got n = {n}")
         t = self.sparsity_threshold
@@ -185,18 +198,30 @@ class ExperimentConfig:
         batch, horizon = (self.solver_params.get(k) for k in ("batch", "horizon"))
         if (batch is not None and horizon is not None
                 and self.solver_params.get("sample_budget") is None):
-            _keyed(lambda name: f"batch_{name.lower()}", batch.eval, horizon)
+            keyed(batch_key, batch.eval, horizon)
 
     def solver_config(self, seed: int) -> SolverConfig:
         return SolverConfig(seed=seed, **self.solver_params)
 
 
-def _check_dimension(n) -> None:
-    """A given n must be >= 1.  Checked before the start point or a builder
-    draws an n-vector, which would fail inside numpy first; ``ProblemMeta``
-    checks the same for problems built outside a config."""
+# the quadratic kinds draw an n x n frame (then a QR of it, and one n x n
+# Hessian a batch): past this size n is refused at load, before any draw
+_FRAME_KINDS = ("quadratic_sc", "quadratic_c", "l1_quadratic")
+_MAX_FRAME_BYTES = 2**28
+
+
+def _check_dimension(n, problem_kind) -> None:
+    """A given n must be >= 1, and for a quadratic kind its n x n frame of
+    doubles may not pass ``_MAX_FRAME_BYTES``.  Checked before the start
+    point or a builder draws, which would fail inside numpy first;
+    ``ProblemMeta`` checks n >= 1 for problems built outside a config."""
     if n < 1:
         raise ConfigError("n", f"dimension must be >= 1, got {n}")
+    if problem_kind in _FRAME_KINDS and 8 * n * n > _MAX_FRAME_BYTES:
+        limit = math.isqrt(_MAX_FRAME_BYTES // 8)
+        raise ConfigError("n", f"{problem_kind} draws an n x n frame of "
+                               f"{8 * n * n / 2**30:.3g} GiB at n = {n}, past the "
+                               f"{_MAX_FRAME_BYTES // 2**20} MiB limit (n <= {limit})")
 
 
 def config_from_keys(keys: dict) -> ExperimentConfig:
@@ -238,7 +263,7 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
             raise ConfigError("x0_value", "needs n, the length of the start point")
         if not np.isfinite(keys["x0_value"]):
             raise ConfigError("x0_value", f"must be finite, got {keys['x0_value']!r}")
-        _check_dimension(keys["n"])
+        _check_dimension(keys["n"], problem_kind)
         solver_params["x0"] = np.full(keys["n"], keys["x0_value"], dtype=float)
 
     return ExperimentConfig(
@@ -262,8 +287,8 @@ def build_problem(cfg: ExperimentConfig, seed: int):
     names the key of its argument (``_ARGUMENT_KEYS``)."""
     kind = cfg.problem_kind
     keys = _ARGUMENT_KEYS.get(kind, {})
-    return _keyed(lambda name: keys.get(name, name), _build, kind,
-                  {**PROBLEM_KEYS[kind], **cfg.problem_params}, seed)
+    return keyed(lambda name: keys.get(name, name), _build, kind,
+                 {**PROBLEM_KEYS[kind], **cfg.problem_params}, seed)
 
 
 def _build(kind: str, p: dict, seed: int):

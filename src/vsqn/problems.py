@@ -62,11 +62,16 @@ class _LastBatchSlot:
 class BatchFunction:
     """A batch-average function frozen on one sample handle; ``lipschitz_L``
     is its own gradient Lipschitz constant (a quadratic's largest
-    eigenvalue), which an inner solver's step must not pass."""
+    eigenvalue), which an inner solver's step must not pass.  ``hessian``
+    is its constant Hessian when it is a quadratic, else None; with it the
+    inner prox solve on an l1 term ends in one exact Newton step on the
+    support, which it returns only after an inner KKT test passes, and goes
+    on with its momentum loop otherwise (``CompositeProxFunction``)."""
 
     grad: Callable[[Array], Array]
     value: Optional[Callable[[Array], float]]
     lipschitz_L: float
+    hessian: Optional[Array] = None
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +194,9 @@ class QuadraticEnsemble(_LastBatchSlot):
 
     def frozen_batch(self, handle: SampleHandle) -> BatchFunction:
         """The batch mean as Q = V diag(scaled) V' and c = Q x_true, built
-        once a batch, so a gradient is one product, Q u - c.  The noise
-        factors reorder the eigenvalues: L is the largest scaled one."""
+        once a batch, so a gradient is one product, Q u - c, and Q is the
+        Hessian.  The noise factors reorder the eigenvalues: L is the
+        largest scaled one."""
         scaled = self.eigs * self._batch(handle)
         Q = (self.frame * scaled) @ self.frame.T
         c = Q @ self.x_true
@@ -202,7 +208,7 @@ class QuadraticEnsemble(_LastBatchSlot):
             d = np.asarray(u, float) - self.x_true
             return 0.5 * float(d @ (Q @ d))
 
-        return BatchFunction(grad, value, float(scaled.max()))
+        return BatchFunction(grad, value, float(scaled.max()), Q)
 
     def true_gradient(self, x: Array) -> Array:
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
@@ -720,7 +726,7 @@ class CompositeProblem(_LastBatchSlot):
     def _draw(self, handle: SampleHandle) -> CompositeProxFunction:
         bf = self.smooth.frozen_batch(handle)
         return CompositeProxFunction(self.h, bf.value, bf.grad, bf.lipschitz_L,
-                                     self.prox_spec)
+                                     self.prox_spec, bf.hessian)
 
     def batch_gradient(self, x: Array, handle: SampleHandle, eta: float) -> Array:
         """(x - prox of the sample-average composite)/eta."""

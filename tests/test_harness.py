@@ -226,6 +226,12 @@ def test_batch_ceiling_is_checked_over_a_horizon_only_run():
     # N_2 = 2**1000 (N_5 overflows a float): before, it streamed for ever
     ("problem = quadratic_sc\nscheme = apg_baseline\nbatch_kind = polynomial\n"
      "batch_exponent = 1000\nhorizon = 5\n", "batch_exponent"),
+    # the same past the ceiling before a budget ends the run, met mid-run:
+    # before, it named the schedule's field (exponent, rate), not the key
+    ("problem = quadratic_sc\nscheme = apg_baseline\nbatch_kind = polynomial\n"
+     "batch_exponent = 1000\nbudget = 1000000\n", "batch_exponent"),
+    ("problem = quadratic_sc\nscheme = apg_baseline\nbatch_kind = geometric\n"
+     "batch_rate = 1e-20\nbudget = 1000000\n", "batch_rate"),
     # before, an OverflowError traceback from the eigenvalue draw
     ("problem = quadratic_sc\nkappa = nan\nscheme = sgd\nhorizon = 5\n", "kappa"),
     # before, a run on all-ones features
@@ -252,6 +258,22 @@ def test_cli_out_of_range_value_exits_2_naming_its_key(tmp_path, capsys, lines, 
     assert time.perf_counter() - start < 1.0
     assert f"error: {key}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["quadratic_sc", "quadratic_c", "l1_quadratic"])
+def test_quadratic_n_past_the_frame_limit_is_named_at_load(kind):
+    # config_from_keys builds no problem, so nothing is drawn here; before,
+    # n = 100000 failed in the builder, allocating a 74.5 GiB frame
+    keys = {"problem": kind, "scheme": "sgd", "horizon": 5, "step_base": 0.01}
+    with pytest.raises(ConfigError) as info:
+        config_from_keys({**keys, "n": 100_000})
+    assert info.value.field == "n"
+    assert "74.5 GiB" in str(info.value) and "n <= 5792" in str(info.value)
+    with pytest.raises(ConfigError, match="n <= 5792"):
+        config_from_keys({**keys, "n": 5793, "x0_value": 1.0})
+    assert config_from_keys({**keys, "n": 5792}).problem_params["n"] == 5792
+    # the other kinds draw no frame
+    config_from_keys({**keys, "problem": "l1_location", "n": 100_000})
 
 
 def test_lone_step_base_is_a_constant_schedule():

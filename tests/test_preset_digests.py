@@ -8,6 +8,9 @@ on another numpy or SIMD set the test skips and names what differs.  After
 a change that moves a trajectory on purpose, rewrite the manifest with
 
     PYTHONPATH=src python tests/test_preset_digests.py
+
+which first prints each output whose digest differs from the committed
+manifest's (changed, added or gone), so the rewrite shows what it moves.
 """
 
 from __future__ import annotations
@@ -69,11 +72,32 @@ def test_preset_outputs_match_their_digests(tmp_path):
     assert not changed, f"outputs differ from their digests: {changed}"
 
 
+def digest_changes(old: dict, new: dict) -> list:
+    """``changed``, ``added`` or ``gone`` and the file name, per output whose
+    digest differs between the manifests' ``digests`` maps old and new."""
+    return [("changed" if name in old and name in new
+             else "added" if name in new else "gone", name)
+            for name in sorted(old.keys() | new.keys())
+            if old.get(name) != new.get(name)]
+
+
+def test_digest_changes_names_each_changed_added_and_gone_output():
+    old = {"a.csv": "1", "b.csv": "2", "c.csv": "3"}
+    new = {"a.csv": "1", "b.csv": "9", "d.csv": "4"}
+    assert digest_changes(old, new) == [("changed", "b.csv"), ("gone", "c.csv"),
+                                        ("added", "d.csv")]
+    assert digest_changes(new, new) == []
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = {**runtime(), "seed": SEED, "digests": preset_digests(Path(tmp))}
+    old = (json.loads(MANIFEST.read_text(encoding="utf-8"))["digests"]
+           if MANIFEST.exists() else {})
+    for change, name in digest_changes(old, manifest["digests"]):
+        print(f"{change}: {name}")
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(manifest['digests'])} digests to {MANIFEST}")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -159,10 +160,12 @@ def _l1_quadratic_batch(n, kappa, seed, batch):
 
 @pytest.mark.parametrize("n", [2, 10, 30])
 @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
-def test_inner_prox_matches_a_long_run_reference(n, eta):
+@pytest.mark.parametrize("finish", [False, True])
+def test_inner_prox_matches_a_long_run_reference(n, eta, finish):
     # the reference is plain proximal gradient for a fixed 5000 steps, with
     # no momentum and no stopping test: at most (1 - 1/(1 + 15 eta))^5000
-    # of the start's distance is left, below double precision
+    # of the start's distance is left, below double precision; with the
+    # Hessian the solve may end in the Newton finish, without it it may not
     for seed in range(3):
         quad, lam, bf = _l1_quadratic_batch(n, 10.0, seed, 3)
         x = quad.x_true + np.random.default_rng(100 + seed).standard_normal(n)
@@ -172,16 +175,129 @@ def test_inner_prox_matches_a_long_run_reference(n, eta):
             ref = prox_soft_threshold(ref - step * (bf.grad(ref) + (ref - x) / eta),
                                       step * lam)
         comp = CompositeProxFunction(L1Function(lam), bf.value, bf.grad,
-                                     bf.lipschitz_L)
+                                     bf.lipschitz_L,
+                                     hessian=bf.hessian if finish else None)
         u = comp.prox(x, eta)
         assert np.linalg.norm(u - ref) <= 1e-9 * (1.0 + np.linalg.norm(x)), seed
 
 
-def test_inner_prox_takes_at_most_18_gradients_a_call():
+@pytest.mark.parametrize("n", [2, 10, 30])
+@pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
+def test_inner_prox_finish_meets_the_inner_kkt_conditions(n, eta):
+    # a finish returns the point of its last gradient call, which the loop's
+    # T(y) never is; at the inner minimizer u the inner gradient
+    # r = grad g(u) + (u - x)/eta is -lam sign(u_i) on the support (here to
+    # rounding) and at most lam in size off it
+    finished = 0
+    for seed in range(10):
+        quad, lam, bf = _l1_quadratic_batch(n, 10.0, seed, 3)
+        x = quad.x_true + np.random.default_rng(200 + seed).standard_normal(n)
+        seen = []
+
+        def grad(u, grad=bf.grad):
+            seen.append(u)
+            return grad(u)
+
+        comp = CompositeProxFunction(L1Function(lam), bf.value, grad,
+                                     bf.lipschitz_L, hessian=bf.hessian)
+        u = comp.prox(x, eta)
+        if u is not seen[-1]:
+            continue
+        finished += 1
+        r = bf.grad(u) + (u - x) / eta
+        on = u != 0
+        scale = (np.linalg.norm(bf.hessian, 2) * np.linalg.norm(u)
+                 + np.linalg.norm(u - x) / eta + lam)
+        assert np.abs(r[on] + lam * np.sign(u[on])).max(initial=0.0) \
+            <= 1e-14 * scale, seed
+        assert np.abs(r[~on]).max(initial=0.0) <= lam, seed
+    assert finished >= 8
+
+
+def test_inner_prox_with_a_wrong_hessian_falls_back_to_the_loop():
+    # Q + I in place of Q: the Newton point misses the inner minimizer, so
+    # the KKT test rejects it until the loop itself is within tolerance; a
+    # rejected pattern is not solved again, so the finish costs at most 2
+    # gradients a distinct pattern, far from the loop's one a step
+    loop_grads = extra_grads = 0
+    for n, eta, seed in itertools.product((2, 10, 30), (0.01, 0.1, 1.0), range(3)):
+        quad, lam, bf = _l1_quadratic_batch(n, 10.0, seed, 3)
+        x = quad.x_true + np.random.default_rng(100 + seed).standard_normal(n)
+        calls = 0
+
+        def grad(u, grad=bf.grad):
+            nonlocal calls
+            calls += 1
+            return grad(u)
+
+        results = []
+        for hessian in (None, bf.hessian + np.eye(n)):
+            calls = 0
+            comp = CompositeProxFunction(L1Function(lam), bf.value, grad,
+                                         bf.lipschitz_L, hessian=hessian)
+            results.append((comp.prox(x, eta), calls))
+        (u_loop, loop), (u, wrong) = results
+        assert np.linalg.norm(u - u_loop) <= 1e-9 * (1.0 + np.linalg.norm(x))
+        loop_grads += loop
+        extra_grads += wrong - loop
+    assert extra_grads <= 0.2 * loop_grads
+
+
+def _loop_prox(comp, x, eta):
+    """The momentum loop alone, step for step: what a solve without the
+    Newton finish computes."""
+    step = 1.0 / (comp.lipschitz_L + 1.0 / eta)
+    q = math.sqrt(step / eta)
+    beta = (1.0 - q) / (1.0 + q)
+    keep, shift = 1.0 - step / eta, (step / eta) * x
+    tol = comp.spec.tolerance * (1.0 + math.sqrt(x @ x))
+    u = y = x
+    for _ in range(comp.spec.max_inner_iters):
+        v = keep * y
+        v += shift
+        v -= step * comp.smooth_grad(y)
+        u_next = comp.h.prox(v, step)
+        d = u_next - y
+        if math.sqrt(d @ d) / step <= tol:
+            return u_next
+        y = u_next - u
+        y *= beta
+        y += u_next
+        u = u_next
+    raise AssertionError("reference loop stalled")
+
+
+class _DuckL1:
+    """lam * |u|_1 by duck typing: l1's prox, but not an ``L1Function``,
+    so the finish does not know it."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def prox(self, x, t):
+        return prox_soft_threshold(x, t * self.lam)
+
+
+def test_inner_prox_without_a_usable_hessian_keeps_the_loops_bits():
+    # without a Hessian, or with an h other than L1Function, the solve is
+    # the momentum loop alone and returns its bits
+    for seed in range(6):
+        quad, lam, bf = _l1_quadratic_batch(10, 10.0, seed, 5)
+        x = quad.x_true + np.random.default_rng(300 + seed).standard_normal(10)
+        for h, hessian in ((L1Function(lam), None), (_DuckL1(lam), bf.hessian)):
+            comp = CompositeProxFunction(h, bf.value, bf.grad, bf.lipschitz_L,
+                                         hessian=hessian)
+            for eta in (0.01, 0.1, 1.0):
+                assert np.array_equal(comp.prox(x, eta), _loop_prox(comp, x, eta))
+
+
+def test_inner_prox_takes_at_most_3_5_gradients_a_call():
     # sc_nonsmooth's shape: n = 10, kappa = 10, l1 weight 0.5, noise 0.5,
     # eta = 0.1, geometric batches N_k = ceil(2 / 0.9^k), and points near
-    # the composite's minimizer x*, a fixed point of the mean's prox;
-    # proximal gradient without momentum takes about 26 a call here
+    # the composite's minimizer x*, a fixed point of the mean's prox; the
+    # momentum loop alone takes about 17 a call here, proximal gradient
+    # without momentum about 26, and a call that finishes after its first
+    # step takes 3 (the step, the Newton residual and the KKT test)
     eta, calls, proxes = 0.1, 0, 0
     for seed in range(4):
         quad = quad_make(10, 10.0, "SC", RngStream(seed, 1), noise_half_width=0.5)
@@ -200,10 +316,10 @@ def test_inner_prox_takes_at_most_18_gradients_a_call():
                 return grad(u)
 
             comp = CompositeProxFunction(L1Function(0.5), bf.value, counted,
-                                         bf.lipschitz_L)
+                                         bf.lipschitz_L, hessian=bf.hessian)
             comp.prox(x_star + 0.1 * gen.standard_normal(10), eta)
             proxes += 1
-    assert calls / proxes <= 18
+    assert calls / proxes <= 3.5
 
 
 def test_moreau_fixed_eta_preserves_minimizer():
