@@ -3,7 +3,6 @@
 from .core import (
     BatchSchedule,
     ConfigError,
-    OracleError,
     ProblemMeta,
     RngStream,
     SampleHandle,
@@ -23,8 +22,7 @@ from .hessian import (
 from .solvers import IterateRecord, RunResult, SolverConfig, run
 
 __all__ = [
-    "BatchSchedule", "OracleError", "ProblemMeta", "RngStream", "SampleHandle",
-    "ScalarSchedule",
+    "BatchSchedule", "ProblemMeta", "RngStream", "SampleHandle", "ScalarSchedule",
     "CurvaturePair", "HessianBounds", "LbfgsMemory", "SecantError",
     "collect_pair", "materialize_dense", "materialize_inverse",
     "theoretical_bounds", "verify_secant",

@@ -1,6 +1,7 @@
 """Shared numerical plumbing: reproducible counter-based random streams,
 batch-size and steplength schedules, and the one oracle contract every
-solver queries (``StochasticProblem``, through ``evaluate_on_handle``).
+solver queries (``StochasticProblem``, through ``evaluate_on_handle``; the
+solver loop, not the oracle, checks that each step is finite).
 
 A sample handle's generator is ``Philox(SeedSequence(seed,
 spawn_key=(stream_id, start)))``.  Philox is counter-based: its whole state
@@ -30,8 +31,7 @@ Array = np.ndarray
 # per schedule kind, the fields it reads; any other field must keep its default
 BATCH_READS = {"geometric": ("N0", "rate", "offset"),
                "polynomial": ("N0", "exponent", "offset"), "constant": ("N0",)}
-SCALAR_READS = {"constant": ("base",), "power": ("base", "exponent", "offset"),
-                "horizon_constant": ("base", "exponent")}
+SCALAR_READS = {"constant": ("base",), "power": ("base", "exponent", "offset")}
 SMOOTHING_KINDS = (None, "smoothable", "moreau")
 # the largest batch size N_k: past 2**53 a float names no single integer
 MAX_BATCH = 2**53
@@ -48,10 +48,6 @@ class ConfigError(ValueError):
 class BatchCeilingError(ConfigError):
     """A batch schedule's N_k passed ``MAX_BATCH``; ``field`` names the
     schedule's growth field.  A budget-bounded run meets it mid-run."""
-
-
-class OracleError(RuntimeError):
-    """A stochastic oracle returned a non-finite batch gradient."""
 
 
 def assert_finite(x, what: str = "vector") -> Array:
@@ -424,10 +420,8 @@ class ScalarSchedule:
     """Scalar-parameter rule (steplengths, regularization, smoothing).
 
     kinds (the fields each reads are ``SCALAR_READS``):
-      constant:         base
-      power:            base * max(k+offset, 1)**exponent
-      horizon_constant: base * K**exponent for a run of fixed horizon K;
-                        ``SolverConfig`` resolves it to that constant
+      constant: base
+      power:    base * max(k+offset, 1)**exponent
     """
 
     kind: str
@@ -445,27 +439,13 @@ class ScalarSchedule:
     def eval(self, k: int) -> float:
         if self.kind == "constant":
             return self.base
-        if self.kind == "horizon_constant":
-            raise ValueError("a horizon_constant schedule takes its value from "
-                             "SolverConfig's horizon")
         t = max(k + self.offset, 1)
         return self.base * float(t) ** self.exponent
 
 
 def evaluate_on_handle(problem, x: Array, handle: SampleHandle, eta=None) -> Array:
     """(Re-)evaluate a problem's batch-average gradient on a stored handle
-    at smoothing level ``eta`` (None: unsmoothed, a two-argument call).
-
-    Raises OracleError when the batch average is non-finite.  The problems
-    that take outside data reject non-finite values at construction, so on
-    them this means the iterate has overflowed: the run has diverged.  The
-    check is one dot product, g . g, finite whenever every entry is; only a
-    non-finite one (a NaN or inf entry, or a finite g whose square
-    overflows) is checked entry by entry.  ``np.vdot`` rather than ``@``,
-    which warns on that overflow.
-    """
-    g = (problem.batch_gradient(x, handle) if eta is None
-         else problem.batch_gradient(x, handle, eta))
-    if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
-        raise OracleError("non-finite batch gradient")
-    return g
+    at smoothing level ``eta`` (None: unsmoothed, a two-argument call)."""
+    if eta is None:
+        return problem.batch_gradient(x, handle)
+    return problem.batch_gradient(x, handle, eta)

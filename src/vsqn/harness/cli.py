@@ -6,9 +6,10 @@
 Writes one CSV log and one key=value summary per (cell, seed), one after
 another; the output directory is made at the first write.  Exit code 2
 signals a configuration error (the message names the offending field);
-exit code 3 signals a run that broke down (a non-finite gradient, a pair
-with s.y <= 0, or a stalled inner prox solve), and the message names its
-cell and seed.
+exit code 3 signals a run that broke down (a step that is not finite, a
+pair with s.y <= 0, or a stalled inner prox solve).  That run's CSV and
+summary are written, up to its last finite iterate, and the message names
+its cell, seed, termination and iteration.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import BatchCeilingError, OracleError
-from ..hessian import SecantError
-from ..smoothing import ProxSolverError
-from ..solvers import PAIR_COUNTERS, ConfigError, SolverConfig, run
+from ..core import BatchCeilingError
+from ..solvers import PAIR_COUNTERS, ConfigError, RunResult, SolverConfig, run
 from .checks import sparsity_count
 from .config import ExperimentConfig, batch_key, build_problem, keyed, load_config
 from .logs import write_csv, write_summary
@@ -30,7 +29,7 @@ from .presets import PRESET_NAMES, preset_cells
 
 
 def _execute_cell(cell: ExperimentConfig, config: SolverConfig,
-                  out_dir: Path) -> Path:
+                  out_dir: Path) -> RunResult:
     seed = config.seed
     problem = build_problem(cell, seed)
     # a run a budget may end is not checked against the batch ceiling at
@@ -58,14 +57,15 @@ def _execute_cell(cell: ExperimentConfig, config: SolverConfig,
     estimator = result.x_averaged if result.x_averaged is not None else result.x_final
     if cell.sparsity_threshold is not None:
         summary["n0"] = sparsity_count(estimator, cell.sparsity_threshold)
-    if hasattr(problem, "violation"):
-        summary["final_violation"] = problem.violation(result.x_final)
-    x_star = problem.meta.x_star
-    if x_star is not None:
-        summary["dist_to_opt"] = float(np.linalg.norm(result.x_final - x_star))
-    path = out_dir / f"{stem}_summary.txt"
-    write_summary(path, summary)
-    return path
+    # a diverged run's last iterate is finite, but these may overflow to inf
+    with np.errstate(over="ignore"):
+        if hasattr(problem, "violation"):
+            summary["final_violation"] = problem.violation(result.x_final)
+        x_star = problem.meta.x_star
+        if x_star is not None:
+            summary["dist_to_opt"] = float(np.linalg.norm(result.x_final - x_star))
+    write_summary(out_dir / f"{stem}_summary.txt", summary)
+    return result
 
 
 def main(argv=None) -> int:
@@ -95,10 +95,10 @@ def main(argv=None) -> int:
             for seed in seeds:
                 tasks.append((cell, cell.solver_config(seed)))
         for cell, config in tasks:
-            try:
-                _execute_cell(cell, config, args.out)
-            except (OracleError, SecantError, ProxSolverError) as exc:
-                print(f"error: {cell.name} seed {config.seed}: {exc}",
+            result = _execute_cell(cell, config, args.out)
+            if result.termination not in ("horizon", "budget"):
+                print(f"error: {cell.name} seed {config.seed}: {result.termination} "
+                      f"at k = {result.records[-1].k}: {result.extras['breakdown']}",
                       file=sys.stderr)
                 return 3
     except ConfigError as exc:

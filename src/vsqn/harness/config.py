@@ -61,6 +61,9 @@ _ARGUMENT_KEYS = {
     "l1_quadratic": {"noise_half_width": "noise", "lam": "l1_weight"},
 }
 
+# the config key of each SolverConfig field whose name differs from it
+_FIELD_KEYS = {"sample_budget": "budget"}
+
 _STR_KEYS = {
     "name", "scheme", "problem", "batch_kind", "step_kind", "mu_kind",
     "eta_kind", "l1_smoothing", "dataset_path",
@@ -194,7 +197,7 @@ class ExperimentConfig:
             raise ConfigError("sparsity_threshold", f"must be finite and >= 0, "
                                                     f"got {t!r}")
         for seed in self.seeds or (0,):
-            self.solver_config(seed)
+            keyed(lambda name: _FIELD_KEYS.get(name, name), self.solver_config, seed)
         batch, horizon = (self.solver_params.get(k) for k in ("batch", "horizon"))
         if (batch is not None and horizon is not None
                 and self.solver_params.get("sample_budget") is None):

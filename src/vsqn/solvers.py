@@ -30,6 +30,10 @@ unset; explicit overrides are honored as given and the theoretical
 steplength is recorded alongside the used one.  A default step the
 problem's constants cannot give (no tau or L, or a theorem step of 0 where
 the eigenvalue bound overflows at large m) is ConfigError("step").
+
+A run that leaves the paper's assumptions ends, as ``RunResult.termination``
+says, rather than raising: "diverged" (a step is not finite), "secant" (s.y <=
+0) or "prox-stall" (the inner prox solve stalls).  Its log closes at z_k, finite.
 """
 
 from __future__ import annotations
@@ -52,11 +56,14 @@ from .core import (
     assert_finite,
     evaluate_on_handle,
 )
-from .hessian import LbfgsMemory, collect_pair, theoretical_bounds
-from .smoothing import eta_schedule_diminishing
+from .hessian import LbfgsMemory, SecantError, collect_pair, theoretical_bounds
+from .smoothing import ProxSolverError, eta_schedule_diminishing
 
 # RunResult.extras keys of the quasi-Newton loop's pair counters
 PAIR_COUNTERS = ("pairs_formed", "pairs_skipped", "pair_grads_reused")
+# RunResult.termination of a run that ends on a breakdown, by the exception
+# that ends it; a non-finite step ends one "diverged"
+BREAKDOWNS = {SecantError: "secant", ProxSolverError: "prox-stall"}
 
 
 @dataclass
@@ -116,20 +123,9 @@ class SolverConfig:
             raise ConfigError("horizon", "set horizon or sample_budget")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
-        for name in ("step", "mu", "eta"):
+        for name in fixed:
             sched = getattr(self, name)
-            if sched is not None and sched.kind == "horizon_constant":
-                if self.horizon is None:
-                    raise ConfigError(name, "a horizon_constant schedule is "
-                                            "fixed from the horizon K; set horizon")
-                try:
-                    sched = ScalarSchedule("constant", sched.base
-                                           * float(self.horizon) ** sched.exponent)
-                except (OverflowError, ConfigError):
-                    raise ConfigError(name, f"base * K**exponent is not finite "
-                                            f"and > 0 at K = {self.horizon}") from None
-                setattr(self, name, sched)
-            if sched is not None and name in fixed and sched.kind != "constant":
+            if sched is not None and sched.kind != "constant":
                 raise ConfigError(name, f"{self.scheme} holds {name} fixed over "
                                         f"the run; got a {sched.kind!r} schedule")
         if self.sample_budget is not None and self.sample_budget < 1:
@@ -263,8 +259,9 @@ class RunResult:
     records: Sequence
     x_final: Array
     x_averaged: Optional[Array]
-    # "budget": sum N_k reached sample_budget; "horizon": the loop ran
-    # horizon iterations
+    # "horizon": the loop ran horizon iterations; "budget": sum N_k reached
+    # sample_budget; else the breakdown "diverged" or a BREAKDOWNS value, at
+    # the closing row's k, its message in extras["breakdown"]
     termination: str
     theoretical_step: Optional[float] = None
     used_step: Optional[float] = None
@@ -336,6 +333,7 @@ def _gap_of(problem, f_value) -> Optional[float]:
     return f_value - f_star
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends a run "diverged"
 def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     x = (np.zeros(problem.meta.n) if config.x0 is None
          else assert_finite(config.x0, "x0").copy())
@@ -356,79 +354,94 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     k = plan.start_k
     iters = 0
     termination = "horizon"
+    extras = {}
 
-    while iters != config.horizon:
-        if plan.pairs and k % 2 == 1 and prev is not None:
-            x_prev, h_prev, n_prev, level_prev, g_prev = prev
-            # a step at rounding scale carries no curvature information:
-            # y would be pure cancellation noise, so skip the pair
-            if _norm(x - x_prev) > 1e-13 * (1.0 + _norm(x)):
-                eta = plan.level(k)
-                level = None if eta is None else eta ** plan.delta
-                # evaluate_on_handle is looked up at call time, so the
-                # module global can be wrapped
-                g_hi = evaluate_on_handle(problem, x, h_prev, eta=level)
-                if level == level_prev:
-                    g_lo = g_prev
-                    counters["pair_grads_reused"] += 1
+    try:
+        while iters != config.horizon:
+            if plan.pairs and k % 2 == 1 and prev is not None:
+                x_prev, h_prev, n_prev, level_prev, g_prev = prev
+                # a step at rounding scale carries no curvature information:
+                # y would be pure cancellation noise, so skip the pair
+                if _norm(x - x_prev) > 1e-13 * (1.0 + _norm(x)):
+                    eta = plan.level(k)
+                    level = None if eta is None else eta ** plan.delta
+                    # evaluate_on_handle is looked up at call time, so the
+                    # module global can be wrapped
+                    g_hi = evaluate_on_handle(problem, x, h_prev, eta=level)
+                    if level == level_prev:
+                        g_lo = g_prev
+                        counters["pair_grads_reused"] += 1
+                    else:
+                        g_lo = evaluate_on_handle(problem, x_prev, h_prev, eta=level)
+                    grad_evals += 2 * n_prev
+                    mem.push(collect_pair(
+                        x, x_prev, g_hi, g_lo, k,
+                        mu_i=None if plan.mu is None else plan.mu(k - 1),
+                        eta_i=eta, delta_bar=plan.delta_bar,
+                    ))
+                    counters["pairs_formed"] += 1
                 else:
-                    g_lo = evaluate_on_handle(problem, x_prev, h_prev, eta=level)
-                grad_evals += 2 * n_prev
-                mem.push(collect_pair(
-                    x, x_prev, g_hi, g_lo, k,
-                    mu_i=None if plan.mu is None else plan.mu(k - 1),
-                    eta_i=eta, delta_bar=plan.delta_bar,
-                ))
-                counters["pairs_formed"] += 1
-            else:
-                counters["pairs_skipped"] += 1
+                    counters["pairs_skipped"] += 1
 
-        n_k = plan.batch_n(k)
-        handle = rng.next_handle(n_k)
-        level = plan.level(k)
-        raw = evaluate_on_handle(problem, x, handle, eta=level)
-        g = raw if plan.mu is None else raw + plan.mu(k) * (x - x0)
-        samples += n_k
-        grad_evals += n_k
-        gamma = plan.gamma(k)
-        # H is the identity while no pair is stored
-        step_vec = gamma * (mem.apply(g) if mem.pairs else g)
+            n_k = plan.batch_n(k)
+            handle = rng.next_handle(n_k)
+            level = plan.level(k)
+            raw = evaluate_on_handle(problem, x, handle, eta=level)
+            g = raw if plan.mu is None else raw + plan.mu(k) * (x - x0)
+            samples += n_k
+            grad_evals += n_k
+            gamma = plan.gamma(k)
+            # H is the identity while no pair is stored
+            step_vec = gamma * (mem.apply(g) if mem.pairs else g)
+            z_next = x - step_vec
+            x_next = z_next if plan.momentum is None else (
+                z_next + plan.momentum(k) * (z_next - z))
+            # the run's one finite check, before row k: a non-finite gradient
+            # or pair makes x_next non-finite, and a finite x_next has a finite
+            # z_next; the entries are read only when x . x is not finite
+            if (not math.isfinite(np.vdot(x_next, x_next))
+                    and not np.isfinite(x_next).all()):
+                termination = "diverged"
+                extras["breakdown"] = f"the step from iteration {k} is not finite"
+                break
 
-        if avg_acc is not None:
-            avg_acc += z
+            if avg_acc is not None:
+                avg_acc += z
 
-        if records.keeps_next():
-            want_value = iters % config.value_every == 0
-            f_value = _value_of(problem, z) if want_value else None
-            records.append(k, samples, grad_evals, f_value,
-                           _gap_of(problem, f_value), _norm(g), _norm(step_vec),
-                           time.perf_counter() - t0, gamma)
-        else:  # a dropped row costs no objective, norm or clock reading
-            records.skip()
-        if trace is not None:
-            trace.append({"k": k, "x": x.copy(), "handle": handle,
-                          "gamma": gamma, "pairs": list(mem.pairs)})
+            if records.keeps_next():
+                want_value = iters % config.value_every == 0
+                f_value = _value_of(problem, z) if want_value else None
+                records.append(k, samples, grad_evals, f_value,
+                               _gap_of(problem, f_value), _norm(g), _norm(step_vec),
+                               time.perf_counter() - t0, gamma)
+            else:  # a dropped row costs no objective, norm or clock reading
+                records.skip()
+            if trace is not None:
+                trace.append({"k": k, "x": x.copy(), "handle": handle,
+                              "gamma": gamma, "pairs": list(mem.pairs)})
 
-        prev = (x, handle, n_k, level, raw)
-        z_next = x - step_vec
-        x = z_next if plan.momentum is None else (
-            z_next + plan.momentum(k) * (z_next - z))
-        z = z_next
-        iters += 1
-        k += 1
-        if config.sample_budget is not None and samples >= config.sample_budget:
-            termination = "budget"
-            break
+            prev = (x, handle, n_k, level, raw)
+            x, z = x_next, z_next
+            iters += 1
+            k += 1
+            if config.sample_budget is not None and samples >= config.sample_budget:
+                termination = "budget"
+                break
+    except tuple(BREAKDOWNS) as exc:
+        termination = BREAKDOWNS[type(exc)]
+        extras["breakdown"] = str(exc)
 
+    # the closing row: z_k, the last iterate, finite after a breakdown too
     f_final = _value_of(problem, z)
     records.append(k, samples, grad_evals, f_final, _gap_of(problem, f_final),
                    _NAN, 0.0, time.perf_counter() - t0)
-    x_avg = None if avg_acc is None else avg_acc / iters
+    # a run that broke down at its first iteration stepped from no iterate
+    x_avg = None if avg_acc is None or not iters else avg_acc / iters
     return RunResult(
         scheme=config.scheme, records=records, x_final=z, x_averaged=x_avg,
         termination=termination, theoretical_step=plan.theoretical,
         used_step=records[0].gamma_k if records else None,
-        extras={**counters, **plan.extras}, trace=trace,
+        extras={**counters, **plan.extras, **extras}, trace=trace,
     )
 
 
@@ -653,7 +666,8 @@ SCHEMES = tuple(_SCHEMES)
 
 
 def run(problem, config: SolverConfig) -> RunResult:
-    """Run the configured scheme on a problem and return the full log.
+    """Run the configured scheme on a problem and return the full log; a
+    breakdown ends the run with its ``termination``.
 
     Raises ConfigError("scheme") when the problem's oracle does not take
     the smoothing levels the scheme queries (``ProblemMeta.smoothing``),

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from vsqn.core import (
     MAX_BATCH,
     BatchSchedule,
     ConfigError,
-    OracleError,
     ProblemMeta,
     RngStream,
     SampleHandle,
@@ -75,10 +72,8 @@ def test_invalid_schedules_rejected_at_construction():
     (lambda: BatchSchedule("constant", 1, offset=2), "offset"),
     (lambda: ScalarSchedule("constant", 1.0, exponent=-1.0), "exponent"),
     (lambda: ScalarSchedule("constant", 1.0, offset=2), "offset"),
-    (lambda: ScalarSchedule("horizon_constant", 1.0, exponent=-1.0, offset=2),
-     "offset"),
 ], ids=["polynomial-rate", "geometric-exponent", "batch-constant-offset",
-        "constant-exponent", "constant-offset", "horizon_constant-offset"])
+        "constant-exponent", "constant-offset"])
 def test_schedule_field_its_kind_does_not_read_is_rejected(build, field):
     with pytest.raises(ConfigError) as info:
         build()
@@ -126,12 +121,6 @@ def test_power_schedule_positive_and_non_increasing():
     values = [sched.eval(k) for k in range(1, 50)]
     assert all(v > 0 for v in values)
     assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_horizon_constant_takes_its_value_from_the_config():
-    # SolverConfig resolves it (tests/test_solvers.py); on its own it has none
-    with pytest.raises(ValueError):
-        ScalarSchedule("horizon_constant", base=1.0, exponent=-1 / 3).eval(5)
 
 
 # --- random streams and the oracle contract ---------------------------------
@@ -329,33 +318,6 @@ def test_mean_consistency_statistical():
     err = np.linalg.norm(mean - prob.true_gradient(x))
     sigma = np.sqrt(np.sum(per_batch.var(axis=0)) / M)
     assert err <= 4.0 * sigma
-
-
-class _Fixed:
-    """A problem whose batch gradient is a given array."""
-
-    def __init__(self, g):
-        self.g = g
-
-    def batch_gradient(self, x, handle):
-        return self.g
-
-
-def test_non_finite_batch_gradient_raises_oracle_error():
-    for bad in (np.nan, np.inf, -np.inf):
-        for g in (np.full(4, bad), np.array([1e200, 0.0, bad, -1e200])):
-            with pytest.raises(OracleError):
-                evaluate_on_handle(_Fixed(g), np.zeros(4),
-                                   RngStream(0, 0).next_handle(6))
-
-
-def test_finite_gradient_whose_square_overflows_passes_without_a_warning():
-    # g . g is inf, so the check falls back to the entries, which are finite
-    g = np.array([1e200, -3e200, 0.0, 5e-324, 1.7e308])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = evaluate_on_handle(_Fixed(g), np.zeros(5), RngStream(0, 0).next_handle(1))
-    assert got is g
 
 
 def test_non_finite_query_rejected():

@@ -5,7 +5,7 @@ another src line or exported in ``vsqn.__all__``, every public method,
 dataclass field and ``self.`` attribute of a src class must be read by src
 code, and every import must be used in its module.  Every optional
 ``ProblemMeta`` constant must be stated by some src problem.  A knob ledger
-pins the number of ``SolverConfig`` fields and config keys.
+pins the number of ``SolverConfig`` fields, config keys and schedule kinds.
 """
 
 import ast
@@ -13,7 +13,7 @@ import dataclasses
 from pathlib import Path
 
 import vsqn
-from vsqn.core import ProblemMeta
+from vsqn.core import BATCH_READS, SCALAR_READS, ProblemMeta
 from vsqn.harness.config import KNOWN_KEYS
 from vsqn.solvers import SolverConfig
 
@@ -199,4 +199,7 @@ def test_knob_ledger():
         "update this count")
     assert len(KNOWN_KEYS) == 50, (
         "config keys changed: log the change in CHANGES.md, then update "
+        "this count")
+    assert len(BATCH_READS) + len(SCALAR_READS) == 5, (
+        "schedule kinds changed: log the change in CHANGES.md, then update "
         "this count")

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_scalar_schedule_shape_key_without_kind_is_rejected(key, value):
 
 @pytest.mark.parametrize("kind_keys, unread", [
     ({"step_kind": "constant", "step_base": 0.1}, "step_exponent"),
-    ({"eta_kind": "horizon_constant", "eta_base": 0.1}, "eta_offset"),
+    ({"eta_kind": "constant", "eta_base": 0.1}, "eta_offset"),
     ({"batch_kind": "constant"}, "batch_rate"),
     ({"batch_kind": "geometric", "batch_rate": 0.9}, "batch_exponent"),
     ({"batch_kind": "polynomial", "batch_exponent": 1.5}, "batch_rate"),
@@ -248,6 +249,11 @@ def test_batch_ceiling_is_checked_over_a_horizon_only_run():
     # before, accepted
     ("problem = quadratic_sc\nscheme = sgd\nsparsity_threshold = -1\n"
      "horizon = 5\n", "sparsity_threshold"),
+    # before, named the SolverConfig field sample_budget
+    ("problem = quadratic_sc\nscheme = sgd\nbudget = 0\n", "budget"),
+    # a schedule kind that no longer exists
+    ("problem = quadratic_sc\nscheme = sgd\nstep_kind = horizon_constant\n"
+     "horizon = 5\n", "step_kind"),
 ])
 def test_cli_out_of_range_value_exits_2_naming_its_key(tmp_path, capsys, lines, key):
     cfg = tmp_path / "cfg.txt"
@@ -463,16 +469,6 @@ def test_cli_non_positive_eta_exits_2_naming_eta(tmp_path, capsys):
     assert "error: eta:" in capsys.readouterr().err
 
 
-def test_cli_horizon_constant_without_horizon_exits_2_naming_eta(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("problem = l1_location\nloc_sc = 0.5\n"
-                   "scheme = svs_sqn_diminishing\neta_kind = horizon_constant\n"
-                   "budget = 1000\n")
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "error: eta:" in capsys.readouterr().err
-
-
 def test_cli_scheme_unfit_for_problem_exits_2_naming_scheme(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("problem = l1_quadratic\nscheme = vs_sqn\nhorizon = 10\n")
@@ -605,16 +601,32 @@ def test_cli_schedule_held_fixed_exits_2_naming_it(tmp_path, capsys, scheme, nam
     assert f"error: {name}:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+def _strip_wall(path):
+    """A CSV log's lines without the wall-clock column."""
+    lines = path.read_text().splitlines()
+    return ["\x1f".join(line.split(",")[:-1]) for line in lines]
+
+
 def test_cli_diverging_run_exits_3_naming_cell_and_seed(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("problem = quadratic_sc\nn = 20\nkappa = 100\n"
-                   "scheme = vs_sqn\nstep_base = 50\nhorizon = 200\n")
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert ("error: quadratic_sc_vs_sqn seed 0: non-finite batch gradient"
-            in capsys.readouterr().err)
+    cfg.write_text("problem = quadratic_sc\nkappa = 100\n"
+                   "scheme = vs_sqn\nstep_base = 50\nhorizon = 500\n")
+    logs = []
+    for out in (tmp_path / "r1", tmp_path / "r2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        # the partial log and summary are written, and one line names the run
+        log = out / "quadratic_sc_vs_sqn_seed0.csv"
+        k = read_csv(log)[-1]["k"]
+        summary = read_summary(out / "quadratic_sc_vs_sqn_seed0_summary.txt")
+        assert summary["termination"] == "diverged"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: quadratic_sc_vs_sqn seed 0: diverged at k = {k}:")
+        logs.append(_strip_wall(log))
+    # a diverging run reruns byte-identical outside the wall-clock column
+    assert logs[0] == logs[1]
 
 
 def test_cli_isotonic_config_reports_final_violation(tmp_path):
@@ -633,12 +645,7 @@ def test_cli_rerun_byte_identical_modulo_wall_clock(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-
-    def strip_wall(path):
-        lines = path.read_text().splitlines()
-        return ["\x1f".join(line.split(",")[:-1]) for line in lines]
-
-    assert strip_wall(out1 / "smoke_seed0.csv") == strip_wall(out2 / "smoke_seed0.csv")
+    assert _strip_wall(out1 / "smoke_seed0.csv") == _strip_wall(out2 / "smoke_seed0.csv")
 
 
 def test_cli_preset_runs_all_cells(tmp_path):
