@@ -629,6 +629,26 @@ def test_cli_diverging_run_exits_3_naming_cell_and_seed(tmp_path, capsys):
     assert logs[0] == logs[1]
 
 
+def test_cli_secant_breakdown_exits_3_keeping_its_message(tmp_path, capsys):
+    # l1_location's subgradient is piecewise constant, so a pair's s.y is 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = l1_location\nscheme = vs_sqn\nstep_kind = constant\n"
+                   "step_base = 0.001\nhorizon = 4\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    k = read_csv(out / "l1_location_vs_sqn_seed0.csv")[-1]["k"]
+    summary = read_summary(out / "l1_location_vs_sqn_seed0_summary.txt")
+    assert summary["termination"] == "secant"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    # the line keeps the caught SecantError's message, which carries s.y
+    assert err[0].startswith(f"error: l1_location_vs_sqn seed 0: secant at k = {k}: "
+                             "curvature pair at iteration ")
+    assert "s.y = " in err[0]
+
+
 def test_cli_isotonic_config_reports_final_violation(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("name = iso\nproblem = isotonic\nn = 6\np = 10\n"
