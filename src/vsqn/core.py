@@ -417,7 +417,7 @@ class BatchSchedule:
 
 @dataclass(frozen=True)
 class ScalarSchedule:
-    """Scalar-parameter rule (steplengths, regularization, smoothing).
+    """Scalar-parameter rule (steplengths, rvs_sqn's regularization weight).
 
     kinds (the fields each reads are ``SCALAR_READS``):
       constant: base

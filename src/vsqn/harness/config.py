@@ -65,20 +65,19 @@ _ARGUMENT_KEYS = {
 _FIELD_KEYS = {"sample_budget": "budget"}
 
 _STR_KEYS = {
-    "name", "scheme", "problem", "batch_kind", "step_kind", "mu_kind",
-    "eta_kind", "l1_smoothing", "dataset_path",
+    "name", "scheme", "problem", "batch_kind", "step_kind", "l1_smoothing",
+    "dataset_path",
 }
 _INT_KEYS = {
     "m", "horizon", "budget", "seed", "repeats", "n", "num_samples", "p",
-    "batch_n0", "batch_offset", "step_offset", "mu_offset", "eta_offset",
-    "value_every",
+    "batch_n0", "batch_offset", "step_offset", "value_every",
 }
 _FLOAT_KEYS = {
     "kappa", "noise", "epsilon", "c_gamma", "delta", "delta_bar",
-    "batch_rate", "batch_exponent", "step_base", "step_exponent", "mu_base",
-    "mu_exponent", "eta", "eta_base", "eta_exponent", "mu_l2", "lambda_l1",
-    "l1_eta", "density", "support_frac", "iso_eta", "lo_eta", "loc_width",
-    "loc_sc", "l1_weight", "sparsity_threshold", "x0_value",
+    "batch_rate", "batch_exponent", "step_base", "step_exponent", "eta",
+    "mu_l2", "lambda_l1", "l1_eta", "density", "support_frac", "iso_eta",
+    "lo_eta", "loc_width", "loc_sc", "l1_weight", "sparsity_threshold",
+    "x0_value",
 }
 KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
 
@@ -240,19 +239,13 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
     problem_params = {k: keys[k] for k in problem_keys if k in keys}
 
     solver_params: dict = {"scheme": scheme}
-    for k in ("m", "horizon", "epsilon", "c_gamma", "delta", "delta_bar",
+    for k in ("m", "horizon", "eta", "epsilon", "c_gamma", "delta", "delta_bar",
               "value_every"):
         if k in keys:
             solver_params[k] = keys[k]
     if "budget" in keys:
         solver_params["sample_budget"] = keys["budget"]
-    if "eta" in keys:
-        clash = [k for k in keys if k.startswith("eta_")]
-        if clash:
-            raise ConfigError(clash[0], "a constant eta is given; set eta or "
-                                        "an eta schedule, not both")
-        solver_params["eta"] = keys["eta"]
-    for prefix in ("batch", "step", "mu", "eta"):
+    for prefix in ("batch", "step"):
         schedule = _schedule_from(keys, prefix, batch=prefix == "batch")
         if schedule is not None:
             solver_params[prefix] = schedule

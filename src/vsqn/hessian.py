@@ -161,12 +161,14 @@ def materialize_inverse(mem: LbfgsMemory, n: int) -> Array:
 
 @dataclass(frozen=True)
 class HessianBounds:
+    """lo <= lambda(H) <= hi; lo is 0 where it underflows, hi inf where it overflows."""
+
     lambda_lo: float
     lambda_hi: float
 
     def __post_init__(self):
-        if not (0 < self.lambda_lo <= self.lambda_hi):
-            raise ValueError("need 0 < lambda_lo <= lambda_hi")
+        if not (0 <= self.lambda_lo <= self.lambda_hi):
+            raise ValueError("need 0 <= lambda_lo <= lambda_hi")
 
 
 def _or_inf(power, *args) -> float:
@@ -200,7 +202,7 @@ def theoretical_bounds(regime: str, *, m: int, n: int,
         hi  = (m+n)**(n+m-1) (eta_k**-delta + mu0**delta_bar)**(n+m-1)
               / ((n-1)! mu_k**((n+m) delta_bar))
 
-    hi is inf where it overflows a float.
+    lo is 0 where it underflows a float, and hi is inf where it overflows one.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")

@@ -668,7 +668,8 @@ def lewis_overton_oracle(x: Array, eta: float = 0.0):
 
 class LewisOvertonProblem:
     """Deterministic smoothed view of the 2-D benchmark, exposed through
-    the stochastic-oracle interface (draws are consumed but unused)."""
+    the stochastic-oracle interface (its oracle draws nothing: a batch's
+    handle is unused)."""
 
     def __init__(self, eta: float = 0.05):
         if not 0 < eta < np.inf:

@@ -26,10 +26,11 @@ the loop's momentum hook.  The averaged iterate is the plain mean of the
 iterates the run steps from.
 
 Theorem-prescribed default schedules are built when the config leaves them
-unset; explicit overrides are honored as given and the theoretical
-steplength is recorded alongside the used one.  A default step the
-problem's constants cannot give (no tau or L, or a theorem step of 0 where
-the eigenvalue bound overflows at large m) is ConfigError("step").
+unset; an explicit step or batch is honored as given (eta is one fixed
+level, mu always the theorem's) and the theoretical steplength is recorded
+alongside the used one.  A default step the problem's constants cannot give
+(no tau or L, or 0 where L or the eigenvalue bound leaves float range) is
+ConfigError("step").
 
 A run that leaves the paper's assumptions ends, as ``RunResult.termination``
 says, rather than raising: "diverged" (a step is not finite), "secant" (s.y <=
@@ -43,7 +44,7 @@ import struct
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -84,23 +85,22 @@ class SolverConfig:
     horizon: Optional[int] = None          # iteration count K
     sample_budget: Optional[int] = None    # stop once sum N_k reaches this
     batch: Optional[BatchSchedule] = None
-    step: Optional[ScalarSchedule] = None
-    mu: Optional[ScalarSchedule] = None
-    eta: Union[None, float, ScalarSchedule] = None  # a float becomes "constant"
+    step: Optional[ScalarSchedule] = None  # rsvs_sqn takes only a constant
+    eta: Optional[float] = None            # one fixed smoothing level
     epsilon: float = 0.1
     c_gamma: float = 1.0
     delta: Optional[float] = None
     delta_bar: Optional[float] = None
     seed: int = 0
     x0: Optional[Array] = None
-    value_every: int = 1             # objective evaluation cadence in records
+    value_every: int = 1  # objective cadence in records; thinned rows all take one
     record_trace: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError("scheme", f"unknown scheme {self.scheme!r}; "
                                         f"choose one of {', '.join(SCHEMES)}")
-        _, batch_kinds, _, fixed, reads = _SCHEMES[self.scheme]
+        _, batch_kinds, _, reads = _SCHEMES[self.scheme]
         for name in _SCHEME_FIELDS:  # class attributes hold the defaults
             if name not in reads and getattr(self, name) != getattr(SolverConfig, name):
                 raise ConfigError(name, f"{self.scheme} does not read it; it reads "
@@ -111,23 +111,20 @@ class SolverConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(name, f"must be finite and > 0, "
                                         f"got {getattr(self, name)!r}")
-        if self.eta is not None and not isinstance(self.eta, ScalarSchedule):
-            if not 0 < self.eta < math.inf:
-                raise ConfigError("eta", f"smoothing level must be finite and "
-                                         f"> 0, got {self.eta!r}")
-            self.eta = ScalarSchedule("constant", float(self.eta))
-        if self.scheme == "rsvs_sqn" and self.horizon is None:
-            raise ConfigError("horizon", "rsvs_sqn fixes its parameters from "
-                                         "the horizon K; set horizon")
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise ConfigError("eta", f"smoothing level must be finite and "
+                                     f"> 0, got {self.eta!r}")
+        if self.scheme == "rsvs_sqn":
+            if self.horizon is None:
+                raise ConfigError("horizon", "rsvs_sqn fixes its parameters "
+                                             "from the horizon K; set horizon")
+            if self.step is not None and self.step.kind != "constant":
+                raise ConfigError("step", f"rsvs_sqn holds step fixed over the "
+                                          f"run; got a {self.step.kind!r} schedule")
         if self.horizon is None and self.sample_budget is None:
             raise ConfigError("horizon", "set horizon or sample_budget")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
-        for name in fixed:
-            sched = getattr(self, name)
-            if sched is not None and sched.kind != "constant":
-                raise ConfigError(name, f"{self.scheme} holds {name} fixed over "
-                                        f"the run; got a {sched.kind!r} schedule")
         if self.sample_budget is not None and self.sample_budget < 1:
             raise ConfigError("sample_budget", "must be >= 1")
         if self.batch is not None and self.batch.kind not in batch_kinds:
@@ -316,9 +313,10 @@ class _Plan:
 
 
 def _norm(v: Array) -> float:
-    """np.linalg.norm of a 1-D float array (that is sqrt(v . v)), without
-    its dispatch."""
-    return math.sqrt(float(v @ v))
+    """The 2-norm of a 1-D float array, sqrt(v . v) without np.linalg.norm's
+    dispatch; where v . v overflows, math.hypot's scaled sum."""
+    sq = float(v @ v)
+    return math.sqrt(sq) if math.isfinite(sq) else math.hypot(*v)
 
 
 def _value_of(problem, x) -> Optional[float]:
@@ -409,7 +407,8 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
                 avg_acc += z
 
             if records.keeps_next():
-                want_value = iters % config.value_every == 0
+                want_value = (iters % config.value_every == 0
+                              or iters >= FULL_FIDELITY_ROWS)
                 f_value = _value_of(problem, z) if want_value else None
                 records.append(k, samples, grad_evals, f_value,
                                _gap_of(problem, f_value), _norm(g), _norm(step_vec),
@@ -450,19 +449,22 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_theorem_step(config: SolverConfig, theoretical: Optional[float]):
-    """ConfigError("step") when the config sets no step and the theorem
-    steplength, the default, is missing (the problem states no tau or
-    lipschitz_L) or not > 0 (its eigenvalue envelope overflows at this m)."""
+def _check_default_step(config: SolverConfig, default: Optional[float],
+                        needs: str = "tau and lipschitz_L"):
+    """ConfigError("step") when the config sets no step and the default is
+    missing (the problem states no ``needs``) or not finite and > 0: the
+    theorem steplength where its eigenvalue bound leaves float range, a 1/L
+    default (``needs`` is "lipschitz_L") where L does."""
     if config.step is not None:
         return
-    if theoretical is None:
+    if default is None:
         raise ConfigError("step", f"{config.scheme}'s default step needs problem "
-                                  f"meta tau and lipschitz_L; set step")
-    if not theoretical > 0:
+                                  f"meta {needs}; set step")
+    if not 0 < default < math.inf:
+        cause = ("lipschitz_L leaves float range" if needs == "lipschitz_L" else
+                 f"its eigenvalue bound leaves float range at m = {config.m}")
         raise ConfigError("step", f"{config.scheme}'s default step is "
-                                  f"{theoretical:.3g} at m = {config.m}, where its "
-                                  f"eigenvalue bound overflows; set step or lower m")
+                                  f"{default:.3g}: {cause}; set step")
 
 
 def _plan_vs_sqn(problem, config: SolverConfig) -> _Plan:
@@ -472,7 +474,7 @@ def _plan_vs_sqn(problem, config: SolverConfig) -> _Plan:
         bounds = theoretical_bounds("SC-smooth", m=config.m, n=meta.n,
                                     L=meta.lipschitz_L, tau=meta.tau)
         theoretical = 1.0 / (meta.lipschitz_L * bounds.lambda_hi)
-    _check_theorem_step(config, theoretical)
+    _check_default_step(config, theoretical)
     step = config.step or ScalarSchedule("constant", theoretical)
     batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.95)
     return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval,
@@ -488,17 +490,13 @@ def _plan_svs_moreau(problem, config: SolverConfig) -> _Plan:
                                     "lipschitz_L; this problem lacks one")
     n = meta.n
     cap = min(2.0 / L, (4.0 * (n + 1) ** 2 / tau**2) ** (1.0 / 3.0))
-    if config.eta is None:
-        eta = 0.99 * cap
-    else:
-        eta = config.eta.eval(0)
-        if eta > cap:
-            raise ConfigError(
-                "eta", f"fixed envelope smoothing must satisfy eta <= "
-                       f"min(2/L, (4(n+1)^2/tau^2)^(1/3)) = {cap:.6g}")
+    eta = 0.99 * cap if config.eta is None else config.eta
+    if eta > cap:
+        raise ConfigError("eta", f"fixed envelope smoothing must satisfy eta <= "
+                                 f"min(2/L, (4(n+1)^2/tau^2)^(1/3)) = {cap:.6g}")
     bounds = theoretical_bounds("SC-Moreau", m=config.m, n=n, eta_k=eta, tau=tau)
     theoretical = eta / (4.0 * bounds.lambda_hi)
-    _check_theorem_step(config, theoretical)
+    _check_default_step(config, theoretical)
     step = config.step or ScalarSchedule("constant", theoretical)
     batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.9)
     return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval,
@@ -512,7 +510,7 @@ def _plan_svs_diminishing(problem, config: SolverConfig) -> _Plan:
     n, tau, m = meta.n, meta.tau, config.m
 
     if config.eta is not None:
-        eta_at = config.eta.eval
+        eta_at = lambda k: config.eta
     else:
         eta_at = lambda k: eta_schedule_diminishing(n, tau, k)
 
@@ -521,7 +519,7 @@ def _plan_svs_diminishing(problem, config: SolverConfig) -> _Plan:
                                   tau=tau).lambda_hi
 
     theoretical = eta_at(0) / lam_hi(eta_at(0))
-    _check_theorem_step(config, theoretical)
+    _check_default_step(config, theoretical)
     if config.step is None:
         gamma_at = lambda k: eta_at(k) / lam_hi(eta_at(k))
     else:
@@ -535,18 +533,15 @@ def _plan_svs_diminishing(problem, config: SolverConfig) -> _Plan:
 
 def _plan_rvs_sqn(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
-    if meta.lipschitz_L is None and config.step is None:
-        raise ConfigError("step", "rvs_sqn needs lipschitz_L or a step override")
-    n, m, eps = meta.n, config.m, config.epsilon
-    delta_bar = config.delta_bar if config.delta_bar is not None else (
-        eps / (2.0 * (n + m)))
-    mu_sched = config.mu or ScalarSchedule("power", base=1.0,
-                                           exponent=-(1.0 - 2.0 * eps / 3.0))
-    if mu_sched.kind != "power" or not mu_sched.eval(2) < mu_sched.eval(1):
-        raise ConfigError("mu", "rvs_sqn needs a strictly decreasing power "
-                                "schedule (exponent < 0, offset >= 0; epsilon < 1.5)")
+    n, m, eps, L = meta.n, config.m, config.epsilon, meta.lipschitz_L
+    _check_default_step(config, None if L is None else 1.0 / (2.0 * L),
+                        needs="lipschitz_L")
+    if not eps < 1.5:
+        raise ConfigError("epsilon", "rvs_sqn's weight mu_k = k^-(1 - 2 epsilon/3) "
+                                     "decreases only for epsilon < 1.5")
+    delta_bar = eps / (2.0 * (n + m))
+    mu_sched = ScalarSchedule("power", base=1.0, exponent=-(1.0 - 2.0 * eps / 3.0))
     mu0 = mu_sched.eval(1)
-    L = meta.lipschitz_L
     theoretical = None
     if L is not None:
         bounds0 = theoretical_bounds("C-smooth", m=m, n=n, L=L, mu0=mu0,
@@ -566,8 +561,8 @@ def _plan_rsvs_sqn(problem, config: SolverConfig) -> _Plan:
     n, m, eps = problem.meta.n, config.m, config.epsilon
     K = config.horizon
     eps_bar = 5.0 * eps / 3.0
-    mu = config.mu.eval(0) if config.mu else K ** (-1.0 / 3.0)
-    eta = config.eta.eval(0) if config.eta else K ** (-1.0 / 3.0)
+    mu = K ** (-1.0 / 3.0)
+    eta = mu if config.eta is None else config.eta
     gamma = (config.step.eval(0) if config.step
              else config.c_gamma * K ** (-1.0 / 3.0 + eps_bar))
     delta = config.delta if config.delta is not None else eps / (n + m - 1)
@@ -591,18 +586,22 @@ def _plan_sqn_unit(problem, config: SolverConfig) -> _Plan:
         bounds = theoretical_bounds("SC-smooth", m=config.m, n=meta.n,
                                     L=meta.lipschitz_L, tau=meta.tau)
         theoretical = 2.0 / (meta.lipschitz_L * bounds.lambda_hi)
-    _check_theorem_step(config, theoretical)
+    _check_default_step(config, theoretical)
     step = config.step or ScalarSchedule("power", base=theoretical, exponent=-1.0)
     batch = config.batch or BatchSchedule("constant", N0=1)
     return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval,
                  theoretical=theoretical)
 
 
+def _step_or_inverse_L(problem, config: SolverConfig) -> ScalarSchedule:
+    """The config's step schedule, by default the constant 1/lipschitz_L."""
+    L = problem.meta.lipschitz_L
+    _check_default_step(config, None if L is None else 1.0 / L, needs="lipschitz_L")
+    return config.step or ScalarSchedule("constant", 1.0 / L)
+
+
 def _plan_sgd(problem, config: SolverConfig) -> _Plan:
-    meta = problem.meta
-    if config.step is None and meta.lipschitz_L is None:
-        raise ConfigError("step", "sgd needs lipschitz_L or a step schedule")
-    step = config.step or ScalarSchedule("constant", 1.0 / meta.lipschitz_L)
+    step = _step_or_inverse_L(problem, config)
     batch = config.batch or BatchSchedule("constant", N0=1)
     return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval, pairs=False,
                  average=True)
@@ -613,9 +612,7 @@ def _plan_apg(problem, config: SolverConfig) -> _Plan:
     schedule; momentum from tau/L when strongly convex, otherwise the
     vanishing-momentum sequence."""
     meta = problem.meta
-    if meta.lipschitz_L is None and config.step is None:
-        raise ConfigError("step", "apg_baseline needs lipschitz_L or a step")
-    step = config.step or ScalarSchedule("constant", 1.0 / meta.lipschitz_L)
+    step = _step_or_inverse_L(problem, config)
     batch = config.batch or BatchSchedule("constant", N0=1)
     if meta.tau is not None and meta.lipschitz_L is not None:
         root = math.sqrt(meta.lipschitz_L / meta.tau)
@@ -641,26 +638,25 @@ def _vanishing_momentum():
 _UNSMOOTHED = (None, "smoothable")
 
 # SolverConfig fields that only some schemes read; unread, they keep defaults
-_SCHEME_FIELDS = ("m", "mu", "eta", "epsilon", "c_gamma", "delta", "delta_bar")
+_SCHEME_FIELDS = ("m", "eta", "epsilon", "c_gamma", "delta", "delta_bar")
 
 # per scheme: the function that makes its plan, the batch kinds it takes, the
 # problem smoothing kinds (ProblemMeta.smoothing) whose oracle answers the
-# levels it queries, the schedules it fixes from their k = 0 value, which
-# must be constant, and the _SCHEME_FIELDS it reads
+# levels it queries, and the _SCHEME_FIELDS it reads
 _SCHEMES = {
-    "vs_sqn": (_plan_vs_sqn, ("geometric", "constant"), _UNSMOOTHED, (), ("m",)),
+    "vs_sqn": (_plan_vs_sqn, ("geometric", "constant"), _UNSMOOTHED, ("m",)),
     "svs_sqn_moreau": (_plan_svs_moreau, ("geometric", "constant"),
-                       ("moreau",), ("eta",), ("m", "eta")),
+                       ("moreau",), ("m", "eta")),
     "svs_sqn_diminishing": (_plan_svs_diminishing, ("polynomial", "constant"),
-                            ("smoothable",), (), ("m", "eta")),
-    "rvs_sqn": (_plan_rvs_sqn, ("polynomial", "constant"), _UNSMOOTHED, (),
-                ("m", "mu", "epsilon", "delta_bar")),
+                            ("smoothable",), ("m", "eta")),
+    "rvs_sqn": (_plan_rvs_sqn, ("polynomial", "constant"), _UNSMOOTHED,
+                ("m", "epsilon")),
     "rsvs_sqn": (_plan_rsvs_sqn, ("polynomial", "constant"), ("smoothable",),
-                 ("step", "mu", "eta"), _SCHEME_FIELDS),
-    "sgd": (_plan_sgd, ("constant",), _UNSMOOTHED, (), ()),
-    "sqn_unit": (_plan_sqn_unit, ("constant",), _UNSMOOTHED, (), ("m",)),
+                 _SCHEME_FIELDS),
+    "sgd": (_plan_sgd, ("constant",), _UNSMOOTHED, ()),
+    "sqn_unit": (_plan_sqn_unit, ("constant",), _UNSMOOTHED, ("m",)),
     "apg_baseline": (_plan_apg, ("geometric", "polynomial", "constant"),
-                     _UNSMOOTHED, (), ()),
+                     _UNSMOOTHED, ()),
 }
 SCHEMES = tuple(_SCHEMES)
 
@@ -673,7 +669,7 @@ def run(problem, config: SolverConfig) -> RunResult:
     the smoothing levels the scheme queries (``ProblemMeta.smoothing``),
     and ConfigError("x0") when the start point is not of length n.
     """
-    plan_of, _, fits, _, _ = _SCHEMES[config.scheme]
+    plan_of, _, fits, _ = _SCHEMES[config.scheme]
     if problem.meta.smoothing not in fits:
         raise ConfigError(
             "scheme", f"{config.scheme} needs a problem whose meta.smoothing is "

@@ -15,7 +15,7 @@ from pathlib import Path
 import vsqn
 from vsqn.core import BATCH_READS, SCALAR_READS, ProblemMeta
 from vsqn.harness.config import KNOWN_KEYS
-from vsqn.solvers import SolverConfig
+from vsqn.solvers import _SCHEMES, SolverConfig
 
 SRC = Path(vsqn.__file__).resolve().parent
 
@@ -194,12 +194,15 @@ def test_every_import_is_used():
 def test_knob_ledger():
     # every option is a configuration a test must cover: adding or removing
     # one is a deliberate edit, logged in CHANGES.md along with these counts
-    assert len(dataclasses.fields(SolverConfig)) == 16, (
+    assert len(dataclasses.fields(SolverConfig)) == 15, (
         "SolverConfig fields changed: log the change in CHANGES.md, then "
         "update this count")
-    assert len(KNOWN_KEYS) == 50, (
+    assert len(KNOWN_KEYS) == 42, (
         "config keys changed: log the change in CHANGES.md, then update "
         "this count")
     assert len(BATCH_READS) + len(SCALAR_READS) == 5, (
         "schedule kinds changed: log the change in CHANGES.md, then update "
         "this count")
+    assert sum(len(reads) for *_, reads in _SCHEMES.values()) == 14, (
+        "the fields the schemes read changed: log the change in CHANGES.md, "
+        "then update this count")

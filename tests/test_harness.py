@@ -162,11 +162,6 @@ def _config_error_field(keys: dict) -> str:
     return info.value.field
 
 
-def test_eta_with_an_eta_schedule_key_is_rejected():
-    assert _config_error_field(
-        {**_SVS, "eta": 0.1, "eta_kind": "power", "eta_base": 0.1}) == "eta_kind"
-
-
 def test_batch_key_without_batch_kind_is_rejected():
     assert _config_error_field({**_SVS, "batch_n0": 50}) == "batch_n0"
 
@@ -179,7 +174,6 @@ def test_scalar_schedule_shape_key_without_kind_is_rejected(key, value):
 
 @pytest.mark.parametrize("kind_keys, unread", [
     ({"step_kind": "constant", "step_base": 0.1}, "step_exponent"),
-    ({"eta_kind": "constant", "eta_base": 0.1}, "eta_offset"),
     ({"batch_kind": "constant"}, "batch_rate"),
     ({"batch_kind": "geometric", "batch_rate": 0.9}, "batch_exponent"),
     ({"batch_kind": "polynomial", "batch_exponent": 1.5}, "batch_rate"),
@@ -306,8 +300,12 @@ def test_problem_key_its_kind_does_not_read_is_rejected(key, value):
     assert info.value.field == key
 
 
-@pytest.mark.parametrize("line, key", [("average_iterates = true", "average_iterates"),
-                                       ("max_iters = 7", "max_iters")])
+@pytest.mark.parametrize("line, key", [
+    ("average_iterates = true", "average_iterates"), ("max_iters = 7", "max_iters"),
+    *((f"{key} = 1", key) for key in (
+        "mu_kind", "mu_base", "mu_exponent", "mu_offset",
+        "eta_kind", "eta_base", "eta_exponent", "eta_offset")),
+])
 def test_load_config_rejects_removed_knobs(tmp_path, line, key):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"problem = quadratic_sc\nscheme = sgd\nbudget = 100\n{line}\n")
@@ -451,13 +449,47 @@ def test_cli_theorem_step_past_float_range_needs_an_explicit_step(
     assert not (tmp_path / "b").exists()
 
 
-def test_cli_non_decreasing_mu_exits_2_naming_mu(tmp_path, capsys):
+@pytest.mark.parametrize("line, key", [
+    ("epsilon = 2", "epsilon"),  # rvs_sqn's theorem weight mu_k would grow
+    ("delta_bar = 0.5", "delta_bar"),  # rvs_sqn's delta_bar is the theorem's
+    ("mu_kind = constant", "mu_kind"), ("eta_base = 0.1", "eta_base"),
+])
+def test_cli_rvs_sqn_fault_exits_2_naming_its_key(tmp_path, capsys, line, key):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("problem = quadratic_c\nscheme = rvs_sqn\nmu_kind = constant\n"
-                   "mu_base = 0.5\nhorizon = 10\n")
+    cfg.write_text(f"problem = quadratic_c\nscheme = rvs_sqn\n{line}\nhorizon = 10\n")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "error: mu:" in capsys.readouterr().err
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_HUGE_L = "problem = logistic_synth\nn = 5\nlambda_l1 = 1\nl1_smoothing = huber\nl1_eta = 1e-320"
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    (_HUGE_L, "sgd"), (_HUGE_L, "apg_baseline"), (_HUGE_L, "rvs_sqn"),
+    ("problem = isotonic\niso_eta = 1e-320", "sgd"),
+    ("problem = lewis_overton\nlo_eta = 1e-320", "vs_sqn"),
+    ("problem = logistic_synth\nn = 5\nmu_l2 = 1e308", "vs_sqn"),
+], ids=["sgd", "apg_baseline", "rvs_sqn", "isotonic", "lewis_overton", "mu_l2"])
+def test_cli_default_step_past_float_range_exits_2_naming_step(
+        tmp_path, capsys, problem, scheme):
+    # a smoothing level near 0 or a huge weight makes lipschitz_L overflow
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{problem}\nscheme = {scheme}\nhorizon = 5\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "error: step:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    (_HUGE_L, "rvs_sqn"), ("problem = lewis_overton\nlo_eta = 1e-320", "vs_sqn"),
+], ids=["rvs_sqn", "lewis_overton"])
+def test_cli_explicit_step_runs_where_lipschitz_L_overflows(tmp_path, problem, scheme):
+    # the recorded theorem step's bounds take lo = 0 and hi = inf
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{problem}\nscheme = {scheme}\nhorizon = 5\nstep_base = 0.01\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_cli_non_positive_eta_exits_2_naming_eta(tmp_path, capsys):
@@ -583,22 +615,15 @@ def test_cli_lewis_overton_with_n_3_exits_2_before_creating_out(tmp_path, capsys
     assert not out.exists()
 
 
-_PROBLEM_FOR = {"rsvs_sqn": "problem = l1_location\nloc_sc = 0.5",
-                "svs_sqn_moreau": "problem = l1_quadratic"}
-
-
-@pytest.mark.parametrize("scheme, name", [
-    ("rsvs_sqn", "step"), ("rsvs_sqn", "mu"), ("rsvs_sqn", "eta"),
-    ("svs_sqn_moreau", "eta"),
-])
-def test_cli_schedule_held_fixed_exits_2_naming_it(tmp_path, capsys, scheme, name):
+def test_cli_rsvs_sqn_step_schedule_exits_2_naming_step(tmp_path, capsys):
+    # rsvs_sqn holds its step fixed over the run
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"{_PROBLEM_FOR[scheme]}\nscheme = {scheme}\nhorizon = 50\n"
-                   f"{name}_kind = power\n{name}_base = 0.01\n"
-                   f"{name}_exponent = -1\n")
+    cfg.write_text("problem = l1_location\nloc_sc = 0.5\nscheme = rsvs_sqn\n"
+                   "horizon = 50\nstep_kind = power\nstep_base = 0.01\n"
+                   "step_exponent = -1\n")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert f"error: {name}:" in capsys.readouterr().err
+    assert "error: step:" in capsys.readouterr().err
 
 
 def _strip_wall(path):
@@ -627,6 +652,10 @@ def test_cli_diverging_run_exits_3_naming_cell_and_seed(tmp_path, capsys):
         logs.append(_strip_wall(log))
     # a diverging run reruns byte-identical outside the wall-clock column
     assert logs[0] == logs[1]
+    # row 89's vectors are finite, though their squared norms overflow
+    (row,) = [r for r in read_csv(log) if r["k"] == 89]
+    assert row["grad_norm"] > 1e154 and row["step_norm"] > 1e154
+    assert math.isfinite(row["grad_norm"]) and math.isfinite(row["step_norm"])
 
 
 def test_cli_secant_breakdown_exits_3_keeping_its_message(tmp_path, capsys):

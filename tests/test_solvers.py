@@ -57,11 +57,10 @@ def test_rsvs_requires_horizon():
     assert info.value.field == "horizon"
 
 
-_NON_DEFAULT = {"m": 3, "mu": ScalarSchedule("constant", 0.5), "eta": 0.1,
-                "epsilon": 0.7, "c_gamma": 9.0, "delta": 0.5, "delta_bar": 0.5}
+_NON_DEFAULT = {"m": 3, "eta": 0.1, "epsilon": 0.7, "c_gamma": 9.0, "delta": 0.5,
+                "delta_bar": 0.5}
 _READS = {"vs_sqn": ("m",), "svs_sqn_moreau": ("m", "eta"),
-          "svs_sqn_diminishing": ("m", "eta"),
-          "rvs_sqn": ("m", "mu", "epsilon", "delta_bar"),
+          "svs_sqn_diminishing": ("m", "eta"), "rvs_sqn": ("m", "epsilon"),
           "rsvs_sqn": tuple(_NON_DEFAULT), "sgd": (), "sqn_unit": ("m",),
           "apg_baseline": ()}
 
@@ -86,16 +85,12 @@ def test_incompatible_batch_kind_rejected():
     assert info.value.field == "batch"
 
 
-@pytest.mark.parametrize("scheme, name", [
-    ("rsvs_sqn", "step"), ("rsvs_sqn", "mu"), ("rsvs_sqn", "eta"),
-    ("svs_sqn_moreau", "eta"),
-])
-def test_schedules_held_fixed_must_be_constant(scheme, name):
+def test_rsvs_sqn_step_must_be_constant():
     power = ScalarSchedule("power", base=0.5, exponent=-1.0)
     with pytest.raises(ConfigError) as info:
-        SolverConfig(scheme, horizon=100, **{name: power})
-    assert info.value.field == name
-    SolverConfig(scheme, horizon=100, **{name: ScalarSchedule("constant", 0.5)})
+        SolverConfig("rsvs_sqn", horizon=100, step=power)
+    assert info.value.field == "step"
+    SolverConfig("rsvs_sqn", horizon=100, step=ScalarSchedule("constant", 0.5))
 
 
 def test_sqn_unit_honours_a_constant_batch():
@@ -443,17 +438,14 @@ def test_rvs_sqn_schedules_and_monotone_mu():
     assert res.extras["delta_bar"] == pytest.approx(0.3 / (2 * (6 + 2)))
 
 
-@pytest.mark.parametrize("overrides", [
-    {"mu": ScalarSchedule("constant", 0.5)},
-    {"mu": ScalarSchedule("power", 1.0, exponent=-0.5, offset=-3)},
-    {"epsilon": 1.5},
-], ids=["constant", "power_offset_-3", "epsilon_1.5"])
-def test_rvs_sqn_rejects_non_decreasing_mu_before_the_loop(overrides):
+@pytest.mark.parametrize("epsilon", [1.5, 2.0])
+def test_rvs_sqn_rejects_non_decreasing_mu_before_the_loop(epsilon):
+    # mu_k = k^-(1 - 2 epsilon/3) decreases only for epsilon < 1.5
     prob = quad_make(6, 5.0, "C", RngStream(7, 1))
-    cfg = SolverConfig("rvs_sqn", m=2, horizon=20, seed=0, **overrides)
+    cfg = SolverConfig("rvs_sqn", m=2, horizon=20, seed=0, epsilon=epsilon)
     with pytest.raises(ConfigError) as info:
         run(prob, cfg)
-    assert info.value.field == "mu"
+    assert info.value.field == "epsilon"
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.1, math.inf])
@@ -868,6 +860,9 @@ def test_iterate_log_keeps_only_the_rows_the_csv_writes(tmp_path, monkeypatch):
     assert marks[0] == 10_500 and len(marks) == 32
     (res,) = results
     assert len(res.records) == 10_000 + len(marks) + 1
+    # past the full-fidelity head every row carries the objective, whatever
+    # value_every says
+    assert all(r.f_value is not None for r in res.records[10_000:])
     kept = [*range(10_000), *marks, K]
     rows = read_csv(tmp_path / "lewis_overton_sgd_seed0.csv")
     assert [row["k"] for row in rows] == [1 + i for i in kept]  # sgd starts at k = 1
