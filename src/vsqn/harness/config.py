@@ -144,14 +144,15 @@ def batch_key(name: str) -> str:
     return _schedule_key("batch", name)
 
 
-def keyed(key, call, *args, catch=ConfigError, **kwargs):
+def keyed(key, call, *args, catch=ConfigError, note="", **kwargs):
     """``call(*args, **kwargs)``, its ``catch`` error renamed to
-    ``key(field)``, the config key that holds the field it names."""
+    ``key(field)``, the config key that holds the field it names, and its
+    message followed by ``note``."""
     try:
         return call(*args, **kwargs)
     except catch as exc:
         raise ConfigError(key(exc.field),
-                          str(exc).removeprefix(f"{exc.field}: ")) from exc
+                          str(exc).removeprefix(f"{exc.field}: ") + note) from exc
 
 
 @dataclass
@@ -165,9 +166,10 @@ class ExperimentConfig:
     each seed, as a ``SolverConfig`` field, a given n (>= 1 for every
     kind, and within the frame limit for a quadratic one) and the sparsity
     threshold.  A run bounded by its horizon K alone is also checked to stay
-    within the batch schedule's ``MAX_BATCH`` at k = K, which bounds the
-    last iteration of every scheme; a run that a budget may end first is
-    checked as it goes (``cli``).
+    within its batch schedule's ``MAX_BATCH`` at k = K, which bounds the
+    last iteration of every scheme; the schedule is the scheme's default
+    where the config sets none, and the error then says so.  A run that a
+    budget may end first is checked as it goes (``cli``).
     """
 
     name: str
@@ -196,11 +198,12 @@ class ExperimentConfig:
             raise ConfigError("sparsity_threshold", f"must be finite and >= 0, "
                                                     f"got {t!r}")
         for seed in self.seeds or (0,):
-            keyed(lambda name: _FIELD_KEYS.get(name, name), self.solver_config, seed)
-        batch, horizon = (self.solver_params.get(k) for k in ("batch", "horizon"))
-        if (batch is not None and horizon is not None
-                and self.solver_params.get("sample_budget") is None):
-            keyed(batch_key, batch.eval, horizon)
+            config = keyed(lambda name: _FIELD_KEYS.get(name, name),
+                           self.solver_config, seed)
+        if config.sample_budget is None:  # then SolverConfig saw a horizon
+            note = ("" if "batch" in self.solver_params else
+                    f" ({config.scheme}'s default batch schedule; set batch_kind)")
+            keyed(batch_key, config.batch.eval, config.horizon, note=note)
 
     def solver_config(self, seed: int) -> SolverConfig:
         return SolverConfig(seed=seed, **self.solver_params)

@@ -25,12 +25,15 @@ apg_baseline takes it with H = I from an extrapolated query point, through
 the loop's momentum hook.  The averaged iterate is the plain mean of the
 iterates the run steps from.
 
-Theorem-prescribed default schedules are built when the config leaves them
-unset; an explicit step or batch is honored as given (eta is one fixed
-level, mu always the theorem's) and the theoretical steplength is recorded
-alongside the used one.  A default step the problem's constants cannot give
-(no tau or L, or 0 where L or the eigenvalue bound leaves float range) is
-ConfigError("step").
+Each scheme's defaults have one home.  Its default batch schedule, a
+function of epsilon alone, is in ``_SCHEMES``, and ``SolverConfig`` fills an
+unset batch from it, so every check of the config sees it.  Its default
+step, which the problem's constants decide, goes through ``_step``; an
+explicit step or batch is honored as given (eta is one fixed level, mu
+always the theorem's) and the theoretical steplength is recorded alongside
+the used one.  A default step the problem's constants cannot give (no tau
+or L, or not finite and > 0 where L, the eigenvalue bound or rsvs_sqn's
+c_gamma K^(-1/3 + 5 epsilon/3) leaves float range) is ConfigError("step").
 
 A run that leaves the paper's assumptions ends, as ``RunResult.termination``
 says, rather than raising: "diverged" (a step is not finite), "secant" (s.y <=
@@ -57,7 +60,8 @@ from .core import (
     assert_finite,
     evaluate_on_handle,
 )
-from .hessian import LbfgsMemory, SecantError, collect_pair, theoretical_bounds
+from .hessian import (LbfgsMemory, SecantError, _or_inf, collect_pair,
+                      theoretical_bounds)
 from .smoothing import ProxSolverError, eta_schedule_diminishing
 
 # RunResult.extras keys of the quasi-Newton loop's pair counters
@@ -75,18 +79,19 @@ class SolverConfig:
     exactly; ``sample_budget`` stops the run once sum N_k reaches it.  Set
     at least one.  A budget-only run ends too, since every iteration draws
     at least one sample, and its log stays bounded (``IterateLog``).
-    Every other rule (schedule defaults, the theorem steplength, whether
-    to average) is the scheme's own and lives in its plan: rsvs_sqn and
-    sgd report the mean iterate, the rest do not average.
+    An unset batch is the scheme's default (``_SCHEMES``).  Every other
+    rule (the default step, whether to average) is the scheme's own and
+    lives in its plan: rsvs_sqn and sgd report the mean iterate, the rest
+    do not average.
     """
 
     scheme: str
     m: int = 5
     horizon: Optional[int] = None          # iteration count K
     sample_budget: Optional[int] = None    # stop once sum N_k reaches this
-    batch: Optional[BatchSchedule] = None
+    batch: Optional[BatchSchedule] = None  # unset: the scheme's default
     step: Optional[ScalarSchedule] = None  # rsvs_sqn takes only a constant
-    eta: Optional[float] = None            # one fixed smoothing level
+    eta: Optional[float] = None  # svs_sqn_moreau's and rsvs_sqn's fixed level
     epsilon: float = 0.1
     c_gamma: float = 1.0
     delta: Optional[float] = None
@@ -100,7 +105,7 @@ class SolverConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError("scheme", f"unknown scheme {self.scheme!r}; "
                                         f"choose one of {', '.join(SCHEMES)}")
-        _, batch_kinds, _, reads = _SCHEMES[self.scheme]
+        _, batch_kinds, _, default_batch, reads = _SCHEMES[self.scheme]
         for name in _SCHEME_FIELDS:  # class attributes hold the defaults
             if name not in reads and getattr(self, name) != getattr(SolverConfig, name):
                 raise ConfigError(name, f"{self.scheme} does not read it; it reads "
@@ -111,6 +116,8 @@ class SolverConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(name, f"must be finite and > 0, "
                                         f"got {getattr(self, name)!r}")
+        if self.batch is None:
+            self.batch = default_batch(self.epsilon)
         if self.eta is not None and not 0 < self.eta < math.inf:
             raise ConfigError("eta", f"smoothing level must be finite and "
                                      f"> 0, got {self.eta!r}")
@@ -281,7 +288,8 @@ class RunResult:
 
 @dataclass
 class _Plan:
-    """One scheme's schedules for the shared loop.
+    """One scheme's schedules for the shared loop, which takes N_k from
+    the config's batch schedule and gamma_k from ``gamma`` (``_step``).
 
     The raw gradient at k is ``evaluate_on_handle`` on S_k at smoothing
     level ``level(k)`` (None: unsmoothed); the step direction is that, plus
@@ -300,7 +308,6 @@ class _Plan:
 
     start_k: int
     gamma: Callable[[int], float]
-    batch_n: Callable[[int], int]
     level: Callable[[int], Optional[float]] = lambda k: None
     pairs: bool = True
     mu: Optional[Callable[[int], float]] = None
@@ -381,7 +388,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
                 else:
                     counters["pairs_skipped"] += 1
 
-            n_k = plan.batch_n(k)
+            n_k = config.batch.eval(k)
             handle = rng.next_handle(n_k)
             level = plan.level(k)
             raw = evaluate_on_handle(problem, x, handle, eta=level)
@@ -449,36 +456,43 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_default_step(config: SolverConfig, default: Optional[float],
-                        needs: str = "tau and lipschitz_L"):
-    """ConfigError("step") when the config sets no step and the default is
-    missing (the problem states no ``needs``) or not finite and > 0: the
-    theorem steplength where its eigenvalue bound leaves float range, a 1/L
-    default (``needs`` is "lipschitz_L") where L does."""
+def _step(config: SolverConfig, default: Optional[float],
+          rule: Optional[Callable[[int], float]] = None,
+          needs: str = "tau and lipschitz_L",
+          cause: Optional[str] = None) -> Callable[[int], float]:
+    """The run's steplength k -> gamma_k: the config's step schedule, else
+    the scheme's default ``rule`` (None: the constant ``default``) once
+    ``default``, its first steplength, is finite and > 0.  Otherwise
+    ConfigError("step"), saying that the problem states no ``needs`` or
+    that ``cause`` leaves float range: by default the theorem step's
+    eigenvalue bound at m, and lipschitz_L for a 1/L default."""
     if config.step is not None:
-        return
+        return config.step.eval
     if default is None:
         raise ConfigError("step", f"{config.scheme}'s default step needs problem "
                                   f"meta {needs}; set step")
     if not 0 < default < math.inf:
-        cause = ("lipschitz_L leaves float range" if needs == "lipschitz_L" else
-                 f"its eigenvalue bound leaves float range at m = {config.m}")
+        if cause is None:
+            cause = ("lipschitz_L leaves float range" if needs == "lipschitz_L" else
+                     f"its eigenvalue bound leaves float range at m = {config.m}")
         raise ConfigError("step", f"{config.scheme}'s default step is "
                                   f"{default:.3g}: {cause}; set step")
+    return rule or (lambda k: default)
+
+
+def _sc_smooth_step(meta, m: int, c: float) -> Optional[float]:
+    """c / (L lambda_hi), lambda_hi the SC-smooth eigenvalue bound at m, or
+    None where the problem states no tau or L."""
+    if meta.tau is None or meta.lipschitz_L is None:
+        return None
+    bounds = theoretical_bounds("SC-smooth", m=m, n=meta.n, L=meta.lipschitz_L,
+                                tau=meta.tau)
+    return c / (meta.lipschitz_L * bounds.lambda_hi)
 
 
 def _plan_vs_sqn(problem, config: SolverConfig) -> _Plan:
-    meta = problem.meta
-    theoretical = None
-    if meta.tau is not None and meta.lipschitz_L is not None:
-        bounds = theoretical_bounds("SC-smooth", m=config.m, n=meta.n,
-                                    L=meta.lipschitz_L, tau=meta.tau)
-        theoretical = 1.0 / (meta.lipschitz_L * bounds.lambda_hi)
-    _check_default_step(config, theoretical)
-    step = config.step or ScalarSchedule("constant", theoretical)
-    batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.95)
-    return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval,
-                 theoretical=theoretical)
+    theoretical = _sc_smooth_step(problem.meta, config.m, 1.0)
+    return _Plan(start_k=0, gamma=_step(config, theoretical), theoretical=theoretical)
 
 
 def _plan_svs_moreau(problem, config: SolverConfig) -> _Plan:
@@ -496,11 +510,8 @@ def _plan_svs_moreau(problem, config: SolverConfig) -> _Plan:
                                  f"min(2/L, (4(n+1)^2/tau^2)^(1/3)) = {cap:.6g}")
     bounds = theoretical_bounds("SC-Moreau", m=config.m, n=n, eta_k=eta, tau=tau)
     theoretical = eta / (4.0 * bounds.lambda_hi)
-    _check_default_step(config, theoretical)
-    step = config.step or ScalarSchedule("constant", theoretical)
-    batch = config.batch or BatchSchedule("geometric", N0=1, rate=0.9)
-    return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval,
-                 level=lambda k: eta, theoretical=theoretical)
+    return _Plan(start_k=0, gamma=_step(config, theoretical), level=lambda k: eta,
+                 theoretical=theoretical)
 
 
 def _plan_svs_diminishing(problem, config: SolverConfig) -> _Plan:
@@ -508,34 +519,25 @@ def _plan_svs_diminishing(problem, config: SolverConfig) -> _Plan:
     if meta.tau is None:
         raise ConfigError("step", "svs_sqn_diminishing needs tau")
     n, tau, m = meta.n, meta.tau, config.m
+    eta_at = lambda k: eta_schedule_diminishing(n, tau, k)
 
-    if config.eta is not None:
-        eta_at = lambda k: config.eta
-    else:
-        eta_at = lambda k: eta_schedule_diminishing(n, tau, k)
+    def theorem_step(k):
+        eta = eta_at(k)
+        return eta / theoretical_bounds("SC-Moreau", m=m, n=n, eta_k=eta,
+                                        tau=tau).lambda_hi
 
-    def lam_hi(eta):
-        return theoretical_bounds("SC-Moreau", m=m, n=n, eta_k=eta,
-                                  tau=tau).lambda_hi
-
-    theoretical = eta_at(0) / lam_hi(eta_at(0))
-    _check_default_step(config, theoretical)
-    if config.step is None:
-        gamma_at = lambda k: eta_at(k) / lam_hi(eta_at(k))
-    else:
-        gamma_at = config.step.eval
-
-    batch = config.batch or BatchSchedule("polynomial", N0=1,
-                                          exponent=1.5 + 2.0 / 3.0, offset=2)
-    return _Plan(start_k=0, gamma=gamma_at, batch_n=batch.eval, level=eta_at,
-                 theoretical=theoretical)
+    theoretical = theorem_step(0)
+    return _Plan(start_k=0, gamma=_step(config, theoretical, theorem_step),
+                 level=eta_at, theoretical=theoretical)
 
 
 def _plan_rvs_sqn(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     n, m, eps, L = meta.n, config.m, config.epsilon, meta.lipschitz_L
-    _check_default_step(config, None if L is None else 1.0 / (2.0 * L),
-                        needs="lipschitz_L")
+    step0 = None if L is None else 1.0 / (2.0 * L)
+    # gamma_k = k^-epsilon / (2L), k >= 1
+    gamma = _step(config, step0, lambda k: step0 * float(k) ** -eps,
+                  needs="lipschitz_L")
     if not eps < 1.5:
         raise ConfigError("epsilon", "rvs_sqn's weight mu_k = k^-(1 - 2 epsilon/3) "
                                      "decreases only for epsilon < 1.5")
@@ -548,63 +550,40 @@ def _plan_rvs_sqn(problem, config: SolverConfig) -> _Plan:
                                      mu_k=mu0, delta_bar=delta_bar)
         # steplength ceiling gamma <= lo/(hi^2 (L+mu0)) evaluated at k=1
         theoretical = bounds0.lambda_lo / (bounds0.lambda_hi**2 * (L + mu0))
-    step = config.step or ScalarSchedule(
-        "power", base=1.0 / (2.0 * L), exponent=-eps)
-    batch = config.batch or BatchSchedule("polynomial", N0=1,
-                                          exponent=2.0 + eps, offset=0)
-    return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval,
-                 mu=mu_sched.eval, delta_bar=delta_bar, theoretical=theoretical,
-                 extras={"delta_bar": delta_bar})
+    return _Plan(start_k=1, gamma=gamma, mu=mu_sched.eval, delta_bar=delta_bar,
+                 theoretical=theoretical, extras={"delta_bar": delta_bar})
 
 
 def _plan_rsvs_sqn(problem, config: SolverConfig) -> _Plan:
     n, m, eps = problem.meta.n, config.m, config.epsilon
     K = config.horizon
-    eps_bar = 5.0 * eps / 3.0
     mu = K ** (-1.0 / 3.0)
     eta = mu if config.eta is None else config.eta
-    gamma = (config.step.eval(0) if config.step
-             else config.c_gamma * K ** (-1.0 / 3.0 + eps_bar))
+    default = config.c_gamma * _or_inf(pow, K, -1.0 / 3.0 + 5.0 * eps / 3.0)
+    gamma = _step(config, default,
+                  cause="c_gamma K^(-1/3 + 5 epsilon/3) leaves float range")(0)
     delta = config.delta if config.delta is not None else eps / (n + m - 1)
     delta_bar = config.delta_bar if config.delta_bar is not None else (
         eps / (n + m))
-    batch = config.batch or BatchSchedule("polynomial", N0=1,
-                                          exponent=1.0 + eps, offset=1)
     return _Plan(
-        start_k=0, gamma=lambda k: gamma, batch_n=batch.eval,
-        level=lambda k: eta, mu=lambda k: mu, average=True,
-        delta=delta, delta_bar=delta_bar,
+        start_k=0, gamma=lambda k: gamma, level=lambda k: eta, mu=lambda k: mu,
+        average=True, delta=delta, delta_bar=delta_bar,
         extras={"mu": mu, "eta": eta, "gamma": gamma, "delta": delta,
                 "delta_bar": delta_bar},
     )
 
 
 def _plan_sqn_unit(problem, config: SolverConfig) -> _Plan:
-    meta = problem.meta
-    theoretical = None
-    if meta.tau is not None and meta.lipschitz_L is not None:
-        bounds = theoretical_bounds("SC-smooth", m=config.m, n=meta.n,
-                                    L=meta.lipschitz_L, tau=meta.tau)
-        theoretical = 2.0 / (meta.lipschitz_L * bounds.lambda_hi)
-    _check_default_step(config, theoretical)
-    step = config.step or ScalarSchedule("power", base=theoretical, exponent=-1.0)
-    batch = config.batch or BatchSchedule("constant", N0=1)
-    return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval,
-                 theoretical=theoretical)
-
-
-def _step_or_inverse_L(problem, config: SolverConfig) -> ScalarSchedule:
-    """The config's step schedule, by default the constant 1/lipschitz_L."""
-    L = problem.meta.lipschitz_L
-    _check_default_step(config, None if L is None else 1.0 / L, needs="lipschitz_L")
-    return config.step or ScalarSchedule("constant", 1.0 / L)
+    theoretical = _sc_smooth_step(problem.meta, config.m, 2.0)
+    # gamma_k = theoretical / k, k >= 1
+    gamma = _step(config, theoretical, lambda k: theoretical * float(k) ** -1.0)
+    return _Plan(start_k=1, gamma=gamma, theoretical=theoretical)
 
 
 def _plan_sgd(problem, config: SolverConfig) -> _Plan:
-    step = _step_or_inverse_L(problem, config)
-    batch = config.batch or BatchSchedule("constant", N0=1)
-    return _Plan(start_k=1, gamma=step.eval, batch_n=batch.eval, pairs=False,
-                 average=True)
+    L = problem.meta.lipschitz_L
+    gamma = _step(config, None if L is None else 1.0 / L, needs="lipschitz_L")
+    return _Plan(start_k=1, gamma=gamma, pairs=False, average=True)
 
 
 def _plan_apg(problem, config: SolverConfig) -> _Plan:
@@ -612,17 +591,16 @@ def _plan_apg(problem, config: SolverConfig) -> _Plan:
     schedule; momentum from tau/L when strongly convex, otherwise the
     vanishing-momentum sequence."""
     meta = problem.meta
-    step = _step_or_inverse_L(problem, config)
-    batch = config.batch or BatchSchedule("constant", N0=1)
-    if meta.tau is not None and meta.lipschitz_L is not None:
-        root = math.sqrt(meta.lipschitz_L / meta.tau)
+    L = meta.lipschitz_L
+    gamma = _step(config, None if L is None else 1.0 / L, needs="lipschitz_L")
+    if meta.tau is not None and L is not None:
+        root = math.sqrt(L / meta.tau)
         beta = (root - 1.0) / (root + 1.0)
         momentum = lambda k: beta
     else:
         betas = _vanishing_momentum()
         momentum = lambda k: next(betas)
-    return _Plan(start_k=0, gamma=step.eval, batch_n=batch.eval, pairs=False,
-                 momentum=momentum)
+    return _Plan(start_k=0, gamma=gamma, pairs=False, momentum=momentum)
 
 
 def _vanishing_momentum():
@@ -636,27 +614,35 @@ def _vanishing_momentum():
 
 
 _UNSMOOTHED = (None, "smoothable")
+_UNIT_BATCH = lambda eps: BatchSchedule("constant")
 
 # SolverConfig fields that only some schemes read; unread, they keep defaults
 _SCHEME_FIELDS = ("m", "eta", "epsilon", "c_gamma", "delta", "delta_bar")
 
 # per scheme: the function that makes its plan, the batch kinds it takes, the
 # problem smoothing kinds (ProblemMeta.smoothing) whose oracle answers the
-# levels it queries, and the _SCHEME_FIELDS it reads
+# levels it queries, its default batch schedule as a function of epsilon
+# (the paper's N_k; one of the kinds it takes), and the _SCHEME_FIELDS it reads
 _SCHEMES = {
-    "vs_sqn": (_plan_vs_sqn, ("geometric", "constant"), _UNSMOOTHED, ("m",)),
-    "svs_sqn_moreau": (_plan_svs_moreau, ("geometric", "constant"),
-                       ("moreau",), ("m", "eta")),
-    "svs_sqn_diminishing": (_plan_svs_diminishing, ("polynomial", "constant"),
-                            ("smoothable",), ("m", "eta")),
+    "vs_sqn": (_plan_vs_sqn, ("geometric", "constant"), _UNSMOOTHED,
+               lambda eps: BatchSchedule("geometric", rate=0.95), ("m",)),
+    "svs_sqn_moreau": (_plan_svs_moreau, ("geometric", "constant"), ("moreau",),
+                       lambda eps: BatchSchedule("geometric", rate=0.9),
+                       ("m", "eta")),
+    "svs_sqn_diminishing": (
+        _plan_svs_diminishing, ("polynomial", "constant"), ("smoothable",),
+        lambda eps: BatchSchedule("polynomial", exponent=1.5 + 2.0 / 3.0, offset=2),
+        ("m",)),
     "rvs_sqn": (_plan_rvs_sqn, ("polynomial", "constant"), _UNSMOOTHED,
+                lambda eps: BatchSchedule("polynomial", exponent=2.0 + eps),
                 ("m", "epsilon")),
     "rsvs_sqn": (_plan_rsvs_sqn, ("polynomial", "constant"), ("smoothable",),
+                 lambda eps: BatchSchedule("polynomial", exponent=1.0 + eps, offset=1),
                  _SCHEME_FIELDS),
-    "sgd": (_plan_sgd, ("constant",), _UNSMOOTHED, ()),
-    "sqn_unit": (_plan_sqn_unit, ("constant",), _UNSMOOTHED, ("m",)),
+    "sgd": (_plan_sgd, ("constant",), _UNSMOOTHED, _UNIT_BATCH, ()),
+    "sqn_unit": (_plan_sqn_unit, ("constant",), _UNSMOOTHED, _UNIT_BATCH, ("m",)),
     "apg_baseline": (_plan_apg, ("geometric", "polynomial", "constant"),
-                     _UNSMOOTHED, ()),
+                     _UNSMOOTHED, _UNIT_BATCH, ()),
 }
 SCHEMES = tuple(_SCHEMES)
 
@@ -669,7 +655,7 @@ def run(problem, config: SolverConfig) -> RunResult:
     the smoothing levels the scheme queries (``ProblemMeta.smoothing``),
     and ConfigError("x0") when the start point is not of length n.
     """
-    plan_of, _, fits, _ = _SCHEMES[config.scheme]
+    plan_of, _, fits, *_ = _SCHEMES[config.scheme]
     if problem.meta.smoothing not in fits:
         raise ConfigError(
             "scheme", f"{config.scheme} needs a problem whose meta.smoothing is "

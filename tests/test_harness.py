@@ -495,10 +495,41 @@ def test_cli_explicit_step_runs_where_lipschitz_L_overflows(tmp_path, problem, s
 def test_cli_non_positive_eta_exits_2_naming_eta(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("problem = l1_location\nloc_sc = 0.5\n"
-                   "scheme = svs_sqn_diminishing\neta = 0\nhorizon = 10\n")
+                   "scheme = rsvs_sqn\neta = 0\nhorizon = 10\n")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "error: eta:" in capsys.readouterr().err
+    assert "error: eta: smoothing level must be finite and > 0" in capsys.readouterr().err
+
+
+_LOCATION = "problem = l1_location\nloc_sc = 0.5"
+_RSVS = f"{_LOCATION}\nscheme = rsvs_sqn\nhorizon = 1000"
+
+
+@pytest.mark.parametrize("lines, key, says", [
+    # a default batch past 2**53 samples by k = K: before, the run drew
+    # batches growing toward the ceiling (killed after 30 s)
+    ("problem = quadratic_sc\nn = 5\nscheme = vs_sqn\nhorizon = 1000",
+     "batch_rate", "vs_sqn's default batch schedule"),
+    (f"{_LOCATION}\nscheme = svs_sqn_diminishing\nhorizon = 1000000000\n"
+     "step_base = 0.01", "batch_exponent", "svs_sqn_diminishing's default batch"),
+    # rsvs_sqn's default step past float range: before, a run diverged at
+    # k = 0 (exit 3), or an OverflowError traceback (exit 1)
+    (f"{_RSVS}\nc_gamma = 1e308\nepsilon = 1", "step", "c_gamma K^(-1/3"),
+    (f"{_RSVS}\nepsilon = 1000\nbatch_kind = constant", "step", "c_gamma K^(-1/3"),
+    (f"{_RSVS}\nepsilon = 1000", "batch_exponent", "rsvs_sqn's default batch"),
+], ids=["vs_sqn", "svs_sqn_diminishing", "rsvs_sqn_c_gamma", "rsvs_sqn_epsilon",
+        "rsvs_sqn_epsilon_default_batch"])
+def test_cli_scheme_default_past_its_range_exits_2_naming_its_key(
+        tmp_path, capsys, lines, key, says):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"error: {key}:" in err and says in err
+    assert not out.exists()
 
 
 def test_cli_scheme_unfit_for_problem_exits_2_naming_scheme(tmp_path, capsys):

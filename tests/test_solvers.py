@@ -30,6 +30,7 @@ from vsqn.smoothing import L1Function, ProxSpec, eta_schedule_diminishing
 from vsqn.solvers import (
     FULL_FIDELITY_ROWS,
     SCHEMES,
+    _SCHEMES,
     ConfigError,
     IterateLog,
     IterateRecord,
@@ -60,7 +61,7 @@ def test_rsvs_requires_horizon():
 _NON_DEFAULT = {"m": 3, "eta": 0.1, "epsilon": 0.7, "c_gamma": 9.0, "delta": 0.5,
                 "delta_bar": 0.5}
 _READS = {"vs_sqn": ("m",), "svs_sqn_moreau": ("m", "eta"),
-          "svs_sqn_diminishing": ("m", "eta"), "rvs_sqn": ("m", "epsilon"),
+          "svs_sqn_diminishing": ("m",), "rvs_sqn": ("m", "epsilon"),
           "rsvs_sqn": tuple(_NON_DEFAULT), "sgd": (), "sqn_unit": ("m",),
           "apg_baseline": ()}
 
@@ -76,6 +77,32 @@ def test_field_its_scheme_does_not_read_is_rejected(scheme):
         assert info.value.field == name
     # an unread field at its default is no fault
     SolverConfig(scheme, horizon=10, m=5, epsilon=0.1, c_gamma=1.0)
+
+
+# each scheme's default batch as its plan built it before the defaults moved
+# into _SCHEMES, at epsilon = 0.7 where the scheme reads epsilon
+_DEFAULT_BATCH = {
+    "vs_sqn": BatchSchedule("geometric", N0=1, rate=0.95),
+    "svs_sqn_moreau": BatchSchedule("geometric", N0=1, rate=0.9),
+    "svs_sqn_diminishing": BatchSchedule("polynomial", N0=1,
+                                         exponent=1.5 + 2.0 / 3.0, offset=2),
+    "rvs_sqn": BatchSchedule("polynomial", N0=1, exponent=2.0 + 0.7, offset=0),
+    "rsvs_sqn": BatchSchedule("polynomial", N0=1, exponent=1.0 + 0.7, offset=1),
+    "sgd": BatchSchedule("constant", N0=1),
+    "sqn_unit": BatchSchedule("constant", N0=1),
+    "apg_baseline": BatchSchedule("constant", N0=1),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_unset_batch_is_the_schemes_default(scheme):
+    eps = {"epsilon": 0.7} if "epsilon" in _READS[scheme] else {}
+    config = SolverConfig(scheme, horizon=10, **eps)
+    assert config.batch == _DEFAULT_BATCH[scheme]
+    assert config.batch.kind in _SCHEMES[scheme][1]
+    # an explicit batch is kept as given
+    unit = BatchSchedule("constant", N0=3)
+    assert SolverConfig(scheme, horizon=10, batch=unit, **eps).batch is unit
 
 
 def test_incompatible_batch_kind_rejected():
@@ -658,10 +685,6 @@ PAIR_CASES = [
      lambda pair, extras: pair.eta_used),
     ("svs_sqn_diminishing", _location_factory(1.0), SolverConfig(
         "svs_sqn_diminishing", m=2, horizon=12, seed=4, record_trace=True),
-     lambda pair, extras: pair.eta_used),
-    ("svs_sqn_diminishing_const_eta", _location_factory(1.0), SolverConfig(
-        "svs_sqn_diminishing", m=2, horizon=12, eta=0.3, seed=5,
-        record_trace=True),
      lambda pair, extras: pair.eta_used),
     ("rvs_sqn", _quad_factory("C"), SolverConfig(
         "rvs_sqn", m=2, horizon=12, epsilon=0.3, seed=6, record_trace=True),
