@@ -6,8 +6,9 @@ benchmark with a known optimum, and a sparse text dataset loader.
 Every problem answers ``batch_gradient(x, handle, eta)`` at the smoothing
 levels its ``meta.smoothing`` declares (``core.StochasticProblem``).  All
 oracles draw their randomness from a replayable SampleHandle and reduce in
-fixed index order, so replays are bit-identical.  Each sampled problem
-keeps the reduced draw of its most recent handle in a one-slot cache, so
+fixed index order, so replays are bit-identical (a quadratic's noise draw
+is an exact integer sum, which has no order).  Each sampled problem keeps
+the reduced draw of its most recent handle in a one-slot cache, so
 re-evaluating that batch at another point (a curvature pair) draws nothing.
 The row-sampled problems (logistic, isotonic) hold a batch of at least a
 quarter of their N data rows as per-row draw counts and reduce it in one
@@ -42,9 +43,10 @@ class _LastBatchSlot:
     offsets, or a frozen batch function.  Handles compare by value, so a
     replayed handle hits the slot and any other one replaces it; the old
     draw is dropped before the new one is made, so at most one is held.
-    A quadratic's draw is n mean factors made in O(chunk * n) memory, and a
-    counted row draw is N counts made in O(chunk + N), whatever the batch
-    size.  ``_batch`` is the only caller of ``_draw``.
+    A quadratic's draw is n mean factors, summed exactly as integers in
+    O(chunk) memory at every n, and a counted row draw is N counts made in
+    O(chunk + N), whatever the batch size.  ``_batch`` is the only caller
+    of ``_draw``.
     """
 
     _slot_handle: Optional[SampleHandle] = None
@@ -81,6 +83,11 @@ class BatchFunction:
 # elements per streamed chunk of a draw: quadratic noise factors or counted
 # row indices (128 KiB, an L2 fit)
 _DRAW_CHUNK = 1 << 14
+# rows of 53-bit uniform numerators a uint64 sum holds exactly: 2^11 2^53 = 2^64
+_EXACT_ROWS = 1 << 11
+# a quadratic chunk's rows are summed as (rows / _FOLD) rows of _FOLD * n
+# words, then _FOLD rows of n: two reduces over few rows, not one over many
+_FOLD = 32
 # a row draw of at least N / _COUNT_FRACTION of N data rows is held as counts:
 # past there one count-weighted pass over the N rows is cheaper than
 # gathering the drawn ones (measured on the sparsity and c_smooth data sets)
@@ -124,8 +131,9 @@ class QuadraticEnsemble(_LastBatchSlot):
     noise, so every sample stays convex and the gradient noise scales with
     |x - x_true| (state-dependent).  Values are reported relative to the
     optimum, i.e. true_value(x) is exactly the optimality gap.  A batch's
-    noise factors are drawn and averaged in fixed-size row chunks, so one
-    draw takes O(chunk * n) memory, not O(batch * n).
+    noise factors are drawn in chunks of at most _DRAW_CHUNK words and their
+    uniforms summed exactly as integers, so one draw takes O(chunk) memory
+    at every n, not O(batch * n), and its mean is rounded once.
     """
 
     def __init__(self, frame: Array, eigs: Array, x_true: Array,
@@ -158,12 +166,13 @@ class QuadraticEnsemble(_LastBatchSlot):
         return self.meta.lipschitz_L * (1.0 + self.noise)
 
     def _draw(self, handle: SampleHandle) -> Array:
-        """Mean of the batch's noise factors, bit for bit
-        ``gen.uniform(1 - noise, 1 + noise, size=(batch, n)).mean(axis=0)``
-        but streamed through one buffer of at most ``_DRAW_CHUNK`` doubles
-        plus a row: each chunk is drawn in place as ``lo + width * u`` (what
-        numpy's uniform computes), and the running sum rides in row 0, so
-        the axis-0 reduce adds rows in the same order as one whole reduce.
+        """Mean of the batch's noise factors as ``lo + width * ubar`` (numpy's
+        uniform is ``lo + width * u``) rounded once, ubar the exact mean of
+        the (batch, n) ``gen.random`` doubles u = (r >> 11) 2^-53 of the
+        generator's raw words r.  The numerators r >> 11 are summed exactly
+        in uint64 over chunks of at most _EXACT_ROWS rows and _DRAW_CHUNK
+        words and carried across chunks as a (high, low) word pair; an exact
+        sum has no order to reproduce, so every n streams in O(chunk) memory.
         """
         gen = handle.generator()  # at noise 0 too: one generator per handle
         n = self.eigs.size
@@ -171,21 +180,23 @@ class QuadraticEnsemble(_LastBatchSlot):
             return np.ones(n)
         lo = 1.0 - self.noise
         width = (1.0 + self.noise) - lo  # numpy's scale; may differ from 2*noise
-        batch = handle.batch
-        # numpy sums a single column pairwise, which a carried sum cannot
-        # reproduce; it is only batch doubles, so draw it whole
-        rows = batch if n == 1 else max(1, _DRAW_CHUNK // n)
-        buf = np.empty((min(batch, rows) + 1, n))
-        start, left = 1, batch
+        rows = max(1, min(_EXACT_ROWS, _DRAW_CHUNK // n))
+        raw_words = gen.bit_generator.random_raw
+        high, low = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
+        left = handle.batch
         while left:
             c = min(left, rows)
-            block = buf[1:c + 1]
-            gen.random(out=block)
-            block *= width
-            block += lo
-            buf[0] = np.add.reduce(buf[start:c + 1], axis=0)
-            start, left = 0, left - c
-        return buf[0] / batch
+            f = _FOLD if c >= _FOLD else 1
+            c -= c % f  # a tail past the last whole fold is the next chunk
+            block = raw_words(c * n)
+            block >>= 11
+            part = block.reshape(c // f, f * n).sum(axis=0).reshape(f, n).sum(axis=0)
+            low += part
+            high += low < part  # the carry out of the low word
+            left -= c
+        scale = handle.batch << 53  # int / int below is rounded once
+        return np.array([lo + width * (((h << 64) + l) / scale)
+                         for h, l in zip(high.tolist(), low.tolist())])
 
     def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
         mean_factors = self._batch(handle)
@@ -603,8 +614,8 @@ class L1LocationProblem(_LastBatchSlot):
         self.center = assert_finite(center, "center")
         self.w = float(noise_half_width)
         self.sc = float(sc_weight)
-        if not 0 < self.w < np.inf:
-            raise ConfigError("noise_half_width", f"must be finite and > 0, "
+        if not 0 < 2.0 * self.w < np.inf:  # the draw's uniform(-w, w) spans 2w
+            raise ConfigError("noise_half_width", f"must be > 0 with 2w finite, "
                                                   f"got {noise_half_width!r}")
         if not 0 <= self.sc < np.inf:
             raise ConfigError("sc_weight", f"must be finite and >= 0, got {sc_weight!r}")

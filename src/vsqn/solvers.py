@@ -548,8 +548,10 @@ def _plan_rvs_sqn(problem, config: SolverConfig) -> _Plan:
     if L is not None:
         bounds0 = theoretical_bounds("C-smooth", m=m, n=n, L=L, mu0=mu0,
                                      mu_k=mu0, delta_bar=delta_bar)
-        # steplength ceiling gamma <= lo/(hi^2 (L+mu0)) evaluated at k=1
-        theoretical = bounds0.lambda_lo / (bounds0.lambda_hi**2 * (L + mu0))
+        # steplength ceiling gamma <= lo/(hi^2 (L+mu0)) evaluated at k=1; a
+        # float product overflows to inf (where ** raises), so this goes to 0
+        hi = bounds0.lambda_hi
+        theoretical = bounds0.lambda_lo / (hi * hi * (L + mu0))
     return _Plan(start_k=1, gamma=gamma, mu=mu_sched.eval, delta_bar=delta_bar,
                  theoretical=theoretical, extras={"delta_bar": delta_bar})
 
@@ -565,6 +567,10 @@ def _plan_rsvs_sqn(problem, config: SolverConfig) -> _Plan:
     delta = config.delta if config.delta is not None else eps / (n + m - 1)
     delta_bar = config.delta_bar if config.delta_bar is not None else (
         eps / (n + m))
+    if not (0 < delta <= 1 and 0 < delta_bar <= 1):  # SolverConfig checks explicit ones
+        raise ConfigError("epsilon", f"rsvs_sqn's default delta = epsilon/(n+m-1) "
+                                     f"= {delta:.3g} and delta_bar = epsilon/(n+m) "
+                                     f"= {delta_bar:.3g} must lie in (0, 1]")
     return _Plan(
         start_k=0, gamma=lambda k: gamma, level=lambda k: eta, mu=lambda k: mu,
         average=True, delta=delta, delta_bar=delta_bar,

@@ -492,6 +492,17 @@ def test_cli_explicit_step_runs_where_lipschitz_L_overflows(tmp_path, problem, s
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_cli_rvs_sqn_theorem_step_past_float_range_records_zero(tmp_path):
+    # lambda_hi is finite but its square is not: before, an OverflowError
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = logistic_synth\ndensity = 0.5\nscheme = rvs_sqn\n"
+                   "budget = 100\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_summary(out / "logistic_synth_rvs_sqn_seed0_summary.txt")
+    assert float(summary["theoretical_step"]) == 0.0
+
+
 def test_cli_non_positive_eta_exits_2_naming_eta(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("problem = l1_location\nloc_sc = 0.5\n"
@@ -517,8 +528,11 @@ _RSVS = f"{_LOCATION}\nscheme = rsvs_sqn\nhorizon = 1000"
     (f"{_RSVS}\nc_gamma = 1e308\nepsilon = 1", "step", "c_gamma K^(-1/3"),
     (f"{_RSVS}\nepsilon = 1000\nbatch_kind = constant", "step", "c_gamma K^(-1/3"),
     (f"{_RSVS}\nepsilon = 1000", "batch_exponent", "rsvs_sqn's default batch"),
+    # rsvs_sqn's default delta past 1: before, a run with delta 1.43 (exit 0)
+    (f"{_LOCATION}\nscheme = rsvs_sqn\nhorizon = 50\nepsilon = 20\n"
+     "batch_kind = constant\nstep_base = 0.01", "epsilon", "default delta"),
 ], ids=["vs_sqn", "svs_sqn_diminishing", "rsvs_sqn_c_gamma", "rsvs_sqn_epsilon",
-        "rsvs_sqn_epsilon_default_batch"])
+        "rsvs_sqn_epsilon_default_batch", "rsvs_sqn_default_delta"])
 def test_cli_scheme_default_past_its_range_exits_2_naming_its_key(
         tmp_path, capsys, lines, key, says):
     cfg = tmp_path / "cfg.txt"
@@ -623,6 +637,8 @@ def test_cli_field_the_scheme_does_not_read_exits_2_before_creating_out(
     ("problem = logistic_synth; n = -1; scheme = vs_sqn", "n"),
     ("problem = l1_location; n = -1; scheme = vs_sqn", "n"),
     ("problem = l1_location; n = -1; x0_value = 1; scheme = vs_sqn", "n"),
+    # the draw's uniform(-w, w) spans 2w, which overflows here
+    ("problem = l1_location; loc_width = 1e308; scheme = vs_sqn", "loc_width"),
 ])
 def test_cli_problem_key_fault_exits_2_naming_the_key(tmp_path, capsys,
                                                       problem, key):

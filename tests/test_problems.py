@@ -20,6 +20,8 @@ from vsqn.problems import (
     QuadraticEnsemble,
     _COUNT_FRACTION,
     _DRAW_CHUNK,
+    _EXACT_ROWS,
+    _FOLD,
     _RowCounts,
     lewis_overton_oracle,
     load_sparse_dataset,
@@ -111,12 +113,17 @@ def test_quad_rejects_bad_arguments():
 
 
 class _WholeBatchQuadratic(QuadraticEnsemble):
-    """The reference draw: all (batch, n) noise factors at once."""
+    """The reference draw: all (batch, n) ``gen.random`` doubles at once, and
+    the exact mean of each column, as its integer numerators u 2^53 summed
+    in Python ints, taken to ``lo + width * mean`` with one rounding."""
 
     def _draw(self, handle):
-        return handle.generator().uniform(
-            1.0 - self.noise, 1.0 + self.noise,
-            size=(handle.batch, self.eigs.size)).mean(axis=0)
+        u = handle.generator().random((handle.batch, self.eigs.size))
+        lo = 1.0 - self.noise
+        width = (1.0 + self.noise) - lo
+        numerators = (u * 2.0**53).astype(np.uint64)  # exact: u is k 2^-53
+        return np.array([lo + width * (sum(column.tolist()) / (handle.batch << 53))
+                         for column in numerators.T])
 
 
 def _ensemble(n, noise, cls=QuadraticEnsemble):
@@ -126,13 +133,16 @@ def _ensemble(n, noise, cls=QuadraticEnsemble):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 60])
 @pytest.mark.parametrize("noise", [0.0, 0.1, 0.4, 0.5, 0.9, 0.123456])
 def test_quad_streamed_draw_bitwise_equals_whole_batch(noise, n):
-    # the chunk's width must be numpy's (1 + noise) - (1 - noise): at 0.4
-    # that is 0.7999999999999999, not 2 * 0.4
+    # the width must be numpy's (1 + noise) - (1 - noise): at 0.4 that is
+    # 0.7999999999999999, not 2 * 0.4; the batches sit on each side of the
+    # fold, of the 2^11 rows a uint64 sums exactly and of the chunk's rows
     rows = _DRAW_CHUNK // n
     random_batch = int(np.random.default_rng(n).integers(2, 5 * rows))
     streamed = _ensemble(n, noise)
     whole = _ensemble(n, noise, _WholeBatchQuadratic)
-    for batch in (1, rows - 1, rows, rows + 1, 2 * rows + 3, random_batch):
+    for batch in (1, _FOLD - 1, _FOLD, _FOLD + 1, _EXACT_ROWS - 1, _EXACT_ROWS,
+                  _EXACT_ROWS + 1, rows - 1, rows, rows + 1, 2 * rows + 3,
+                  random_batch):
         handle = RngStream(7, 0).next_handle(batch)
         got, want = streamed._draw(handle), whole._draw(handle)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), batch
@@ -154,9 +164,11 @@ def test_quad_streamed_draw_keeps_the_vs_sqn_trajectory():
     assert np.array_equal(streamed.x_final, whole.x_final)
 
 
-def test_quad_draw_memory_is_bounded_by_the_chunk():
-    prob = _ensemble(20, 0.5)
-    handle = RngStream(2, 0).next_handle(400_000)  # 64 MB as one array
+@pytest.mark.parametrize("n", [1, 20])
+def test_quad_draw_memory_is_bounded_by_the_chunk(n):
+    prob = _ensemble(n, 0.5)
+    handle = RngStream(2, 0).next_handle(400_000)  # 64 MB as one array at n = 20
+    prob._draw(handle)  # a process's first raw draw allocates once, untraced
     tracemalloc.start()
     try:
         prob._draw(handle)
