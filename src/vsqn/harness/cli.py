@@ -4,12 +4,13 @@
     vsqn run --preset lewis_overton --out results/
 
 Writes one CSV log and one key=value summary per (cell, seed), one after
-another; the output directory is made at the first write.  Exit code 2
-signals a configuration error (the message names the offending field);
-exit code 3 signals a run that broke down (a step that is not finite, a
-pair with s.y <= 0, or a stalled inner prox solve).  That run's CSV and
-summary are written, up to its last finite iterate, and the message names
-its cell, seed, termination and iteration.
+another; the output directory is made at the first write.  A summary holds
+every ``RunResult.extras`` key: the pair counters, the scheme's constants
+and any ``breakdown``.  Exit code 2 signals a configuration error (the
+message names the offending field), exit code 3 a run that broke down
+(``RunResult.termination``) and 130 one interrupted.  That run's CSV and
+summary are written, up to its last finite iterate, no later run starts,
+and the message names its cell, seed, termination and iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core import BatchCeilingError
-from ..solvers import PAIR_COUNTERS, ConfigError, RunResult, SolverConfig, run
+from ..solvers import ConfigError, RunResult, SolverConfig, run
 from .checks import sparsity_count
 from .config import ExperimentConfig, batch_key, build_problem, keyed, load_config
 from .logs import write_csv, write_summary
@@ -53,7 +54,7 @@ def _execute_cell(cell: ExperimentConfig, config: SolverConfig,
         "theoretical_step": result.theoretical_step,
         "used_step": result.used_step,
     }
-    summary.update({key: result.extras[key] for key in PAIR_COUNTERS})
+    summary.update(result.extras)
     estimator = result.x_averaged if result.x_averaged is not None else result.x_final
     if cell.sparsity_threshold is not None:
         summary["n0"] = sparsity_count(estimator, cell.sparsity_threshold)
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
                 print(f"error: {cell.name} seed {config.seed}: {result.termination} "
                       f"at k = {result.records[-1].k}: {result.extras['breakdown']}",
                       file=sys.stderr)
-                return 3
+                return 130 if result.termination == "interrupted" else 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ every key and ``config_from_keys`` maps each to its field.  Each rule lives
 with the value it governs: the fields a schedule kind reads in ``core``, the
 fields a scheme reads in ``solvers``, a problem kind's keys and defaults in
 ``PROBLEM_KEYS``.  Only the file's own rules live here, in
-``_schedule_from`` and ``config_from_keys``.  Every fault is a
+``_schedule_from``, ``config_from_keys`` and ``_check_sizes`` (no array made
+from n, p, num_samples or repeats may pass 256 MiB).  Every fault is a
 ``ConfigError`` naming its key, raised before anything runs.
 """
 
@@ -163,8 +164,8 @@ class ExperimentConfig:
     ``problem_kind`` (``PROBLEM_KEYS``).  ``solver_params`` holds the
     ``SolverConfig`` fields other than the seed, the starting point ``x0``
     among them.  Both are checked here, when the cell is built, and so are
-    each seed, as a ``SolverConfig`` field, a given n (>= 1 for every
-    kind, and within the frame limit for a quadratic one) and the sparsity
+    each seed, as a ``SolverConfig`` field, the size keys (n >= 1, and no
+    array the builder makes from them past 256 MiB) and the sparsity
     threshold.  A run bounded by its horizon K alone is also checked to stay
     within its batch schedule's ``MAX_BATCH`` at k = K, which bounds the
     last iteration of every scheme; the schedule is the scheme's default
@@ -188,9 +189,8 @@ class ExperimentConfig:
             if key not in reads:
                 raise ConfigError(key, f"problem {self.problem_kind} does not "
                                        f"read it; it reads {', '.join(reads)}")
+        _check_sizes(self.problem_kind, self.problem_params)
         n = self.problem_params.get("n")
-        if n is not None:
-            _check_dimension(n, self.problem_kind)
         if self.problem_kind == "lewis_overton" and n not in (None, 2):
             raise ConfigError("n", f"lewis_overton is a 2-D problem; got n = {n}")
         t = self.sparsity_threshold
@@ -209,24 +209,34 @@ class ExperimentConfig:
         return SolverConfig(seed=seed, **self.solver_params)
 
 
-# the quadratic kinds draw an n x n frame (then a QR of it, and one n x n
-# Hessian a batch): past this size n is refused at load, before any draw
-_FRAME_KINDS = ("quadratic_sc", "quadratic_c", "l1_quadratic")
-_MAX_FRAME_BYTES = 2**28
+# per problem kind, the dimensions (by key) of each array of doubles that its
+# builder makes beyond length-n vectors, which every kind makes (the start point)
+_ARRAYS = {"quadratic_sc": (("n", "n"),), "quadratic_c": (("n", "n"),),
+           "l1_quadratic": (("n", "n"),), "isotonic": (("p", "n"), ("n", "n")),
+           "logistic_synth": (("num_samples", "n"),)}
+_MAX_ARRAY_BYTES = 2**28
 
 
-def _check_dimension(n, problem_kind) -> None:
-    """A given n must be >= 1, and for a quadratic kind its n x n frame of
-    doubles may not pass ``_MAX_FRAME_BYTES``.  Checked before the start
-    point or a builder draws, which would fail inside numpy first;
+def _check_sizes(problem_kind, params: dict) -> None:
+    """A given n must be >= 1, and no array that the kind's builder or the
+    start point makes from the size keys may pass ``_MAX_ARRAY_BYTES``: the
+    key of its larger dimension is named (n on a tie) before numpy fails.
     ``ProblemMeta`` checks n >= 1 for problems built outside a config."""
-    if n < 1:
-        raise ConfigError("n", f"dimension must be >= 1, got {n}")
-    if problem_kind in _FRAME_KINDS and 8 * n * n > _MAX_FRAME_BYTES:
-        limit = math.isqrt(_MAX_FRAME_BYTES // 8)
-        raise ConfigError("n", f"{problem_kind} draws an n x n frame of "
-                               f"{8 * n * n / 2**30:.3g} GiB at n = {n}, past the "
-                               f"{_MAX_FRAME_BYTES // 2**20} MiB limit (n <= {limit})")
+    sizes = {**PROBLEM_KEYS.get(problem_kind, {}), **params}
+    if sizes.get("n") is None:  # logistic_file reads n from its file
+        return
+    if sizes["n"] < 1:
+        raise ConfigError("n", f"dimension must be >= 1, got {sizes['n']}")
+    for dims in (*_ARRAYS.get(problem_kind, ()), ("n",)):
+        size = 8 * math.prod(sizes[d] for d in dims)
+        if size <= _MAX_ARRAY_BYTES:
+            continue
+        key = max(dims, key=lambda d: (sizes[d], d == "n"))
+        cap = _MAX_ARRAY_BYTES // (size // sizes[key] ** dims.count(key))
+        raise ConfigError(key, f"{problem_kind} makes a {size / 2**30:.3g} GiB array "
+                               f"({' x '.join(dims)}) at {key} = {sizes[key]}, past "
+                               f"the {_MAX_ARRAY_BYTES // 2**20} MiB limit ({key} <= "
+                               f"{math.isqrt(cap) if dims == ('n', 'n') else cap})")
 
 
 def config_from_keys(keys: dict) -> ExperimentConfig:
@@ -255,14 +265,15 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
 
     base_seed = keys.get("seed", 0)
     repeats = keys.get("repeats", 1)
-    if repeats < 1:
-        raise ConfigError("repeats", "must be >= 1")
+    if not 1 <= repeats <= _MAX_ARRAY_BYTES // 8:  # 8 bytes a seed
+        raise ConfigError("repeats", f"must lie in [1, {_MAX_ARRAY_BYTES // 8}] (the "
+                                     f"seeds' 256 MiB limit); got {repeats}")
     if "x0_value" in keys:
         if "n" not in keys:
             raise ConfigError("x0_value", "needs n, the length of the start point")
         if not np.isfinite(keys["x0_value"]):
             raise ConfigError("x0_value", f"must be finite, got {keys['x0_value']!r}")
-        _check_dimension(keys["n"], problem_kind)
+        _check_sizes(problem_kind, problem_params)
         solver_params["x0"] = np.full(keys["n"], keys["x0_value"], dtype=float)
 
     return ExperimentConfig(

@@ -280,12 +280,13 @@ def indicator_smooth(x: Array, project: Callable[[Array], Array], eta: float):
 
 
 def eta_schedule_diminishing(n: int, tau: float, k: int) -> float:
-    """Smoothing level (2(n+1)^2 / (tau^2 (k+2)))^(1/3); decreasing in k."""
+    """Smoothing level (2(n+1)^2 / (tau^2 (k+2)))^(1/3); decreasing in k,
+    and finite and > 0 for every tau > 0: tau^2 is never formed."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return (2.0 * (n + 1) ** 2 / (tau**2 * (k + 2))) ** (1.0 / 3.0)
+    return (2.0 * (n + 1) ** 2 / (k + 2)) ** (1.0 / 3.0) / tau ** (2.0 / 3.0)
 
 
 @dataclass

@@ -32,12 +32,13 @@ step, which the problem's constants decide, goes through ``_step``; an
 explicit step or batch is honored as given (eta is one fixed level, mu
 always the theorem's) and the theoretical steplength is recorded alongside
 the used one.  A default step the problem's constants cannot give (no tau
-or L, or not finite and > 0 where L, the eigenvalue bound or rsvs_sqn's
-c_gamma K^(-1/3 + 5 epsilon/3) leaves float range) is ConfigError("step").
+or L, an empty eigenvalue envelope, or not finite and > 0 where L, the bound
+or c_gamma K^(-1/3 + 5 epsilon/3) leaves float range) is ConfigError("step").
 
 A run that leaves the paper's assumptions ends, as ``RunResult.termination``
 says, rather than raising: "diverged" (a step is not finite), "secant" (s.y <=
-0) or "prox-stall" (the inner prox solve stalls).  Its log closes at z_k, finite.
+0), "prox-stall" (the inner prox solve stalls) or "interrupted".  Its log
+closes at z_k, the last iterate that stepped, finite.
 """
 
 from __future__ import annotations
@@ -264,8 +265,9 @@ class RunResult:
     x_final: Array
     x_averaged: Optional[Array]
     # "horizon": the loop ran horizon iterations; "budget": sum N_k reached
-    # sample_budget; else the breakdown "diverged" or a BREAKDOWNS value, at
-    # the closing row's k, its message in extras["breakdown"]
+    # sample_budget; else "interrupted" (a KeyboardInterrupt), "diverged" or
+    # a BREAKDOWNS value, at the closing row's k, its message in
+    # extras["breakdown"]
     termination: str
     theoretical_step: Optional[float] = None
     used_step: Optional[float] = None
@@ -436,6 +438,9 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     except tuple(BREAKDOWNS) as exc:
         termination = BREAKDOWNS[type(exc)]
         extras["breakdown"] = str(exc)
+    except KeyboardInterrupt:
+        termination = "interrupted"
+        extras["breakdown"] = f"interrupted in iteration {k}"
 
     # the closing row: z_k, the last iterate, finite after a breakdown too
     f_final = _value_of(problem, z)
@@ -480,18 +485,31 @@ def _step(config: SolverConfig, default: Optional[float],
     return rule or (lambda k: default)
 
 
-def _sc_smooth_step(meta, m: int, c: float) -> Optional[float]:
-    """c / (L lambda_hi), lambda_hi the SC-smooth eigenvalue bound at m, or
-    None where the problem states no tau or L."""
+def _over_hi(config: SolverConfig, c: float, regime: str, scale: float = 1.0,
+             **constants) -> Optional[float]:
+    """c / (scale lambda_hi) at m, 0.0 where hi overflows.  An empty envelope
+    (lo > hi, as SC-smooth's once tau is small on L's scale) gives no theorem
+    step: None beside an explicit step, else ConfigError("step")."""
+    try:
+        hi = theoretical_bounds(regime, m=config.m, **constants).lambda_hi
+    except ValueError:  # HessianBounds refuses lo > hi
+        if config.step is None:
+            raise ConfigError("step", f"{config.scheme}'s default step has no "
+                              f"eigenvalue envelope at m = {config.m}; set step")
+        return None
+    return c / (scale * hi)
+
+
+def _sc_smooth_step(meta, config: SolverConfig, c: float) -> Optional[float]:
+    """c / (L lambda_hi) (``_over_hi``), or None without tau or L."""
     if meta.tau is None or meta.lipschitz_L is None:
         return None
-    bounds = theoretical_bounds("SC-smooth", m=m, n=meta.n, L=meta.lipschitz_L,
-                                tau=meta.tau)
-    return c / (meta.lipschitz_L * bounds.lambda_hi)
+    L = meta.lipschitz_L
+    return _over_hi(config, c, "SC-smooth", scale=L, n=meta.n, L=L, tau=meta.tau)
 
 
 def _plan_vs_sqn(problem, config: SolverConfig) -> _Plan:
-    theoretical = _sc_smooth_step(problem.meta, config.m, 1.0)
+    theoretical = _sc_smooth_step(problem.meta, config, 1.0)
     return _Plan(start_k=0, gamma=_step(config, theoretical), theoretical=theoretical)
 
 
@@ -508,8 +526,8 @@ def _plan_svs_moreau(problem, config: SolverConfig) -> _Plan:
     if eta > cap:
         raise ConfigError("eta", f"fixed envelope smoothing must satisfy eta <= "
                                  f"min(2/L, (4(n+1)^2/tau^2)^(1/3)) = {cap:.6g}")
-    bounds = theoretical_bounds("SC-Moreau", m=config.m, n=n, eta_k=eta, tau=tau)
-    theoretical = eta / (4.0 * bounds.lambda_hi)
+    theoretical = _over_hi(config, eta, "SC-Moreau", scale=4.0, n=n, eta_k=eta,
+                           tau=tau)
     return _Plan(start_k=0, gamma=_step(config, theoretical), level=lambda k: eta,
                  theoretical=theoretical)
 
@@ -518,13 +536,12 @@ def _plan_svs_diminishing(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
     if meta.tau is None:
         raise ConfigError("step", "svs_sqn_diminishing needs tau")
-    n, tau, m = meta.n, meta.tau, config.m
+    n, tau = meta.n, meta.tau
     eta_at = lambda k: eta_schedule_diminishing(n, tau, k)
 
-    def theorem_step(k):
+    def theorem_step(k):  # eta_k decreases, so an envelope at k = 0 lasts
         eta = eta_at(k)
-        return eta / theoretical_bounds("SC-Moreau", m=m, n=n, eta_k=eta,
-                                        tau=tau).lambda_hi
+        return _over_hi(config, eta, "SC-Moreau", n=n, eta_k=eta, tau=tau)
 
     theoretical = theorem_step(0)
     return _Plan(start_k=0, gamma=_step(config, theoretical, theorem_step),
@@ -580,7 +597,7 @@ def _plan_rsvs_sqn(problem, config: SolverConfig) -> _Plan:
 
 
 def _plan_sqn_unit(problem, config: SolverConfig) -> _Plan:
-    theoretical = _sc_smooth_step(problem.meta, config.m, 2.0)
+    theoretical = _sc_smooth_step(problem.meta, config, 2.0)
     # gamma_k = theoretical / k, k >= 1
     gamma = _step(config, theoretical, lambda k: theoretical * float(k) ** -1.0)
     return _Plan(start_k=1, gamma=gamma, theoretical=theoretical)

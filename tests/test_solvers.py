@@ -244,6 +244,22 @@ def test_a_pair_with_negative_curvature_ends_the_run_secant():
     assert np.array_equal(res.x_final, np.full(4, 1.1))
 
 
+def test_an_interrupt_ends_the_run_interrupted_at_the_last_iterate_that_stepped():
+    # sgd steps at k = 1, 2, 3 and is interrupted in its oracle call at k = 4
+    calls = iter(range(3))
+
+    def grad(x):
+        if next(calls, None) is None:
+            raise KeyboardInterrupt
+        return x
+
+    cfg = SolverConfig("sgd", horizon=10, x0=np.ones(3), record_trace=True,
+                       step=ScalarSchedule("constant", 0.5))
+    res = run(_GradientOf(3, grad), cfg)
+    _assert_broke_down(res, "interrupted", 4)
+    assert np.array_equal(res.x_final, np.full(3, 0.125))
+
+
 def test_a_stalled_inner_prox_solve_ends_the_run_prox_stall():
     prob = CompositeProblem(L1Function(0.5), sc_quad(kappa=10.0),
                             prox_spec=ProxSpec(max_inner_iters=1))
