@@ -4,7 +4,10 @@
     vsqn run --preset lewis_overton --out results/
 
 Writes one CSV log and one key=value summary per (cell, seed), one after
-another; the output directory is made at the first write.  A summary holds
+another; each run's solver config is built as the run starts, and the
+output directory is made at the first write.  A config fault found at
+load exits 2 before any ``--out`` exists, and so does a negative
+``--seed``, at the first run's config.  A summary holds
 every ``RunResult.extras`` key: the pair counters, the scheme's constants
 and any ``breakdown``.  Exit code 2 signals a configuration error (the
 message names the offending field), exit code 3 a run that broke down
@@ -89,26 +92,25 @@ def main(argv=None) -> int:
             cells = preset_cells(args.preset)
         else:
             cells = [load_config(args.config)]
-        tasks = []  # (cell, solver config): every seed is checked before a run
+        runs = 0
         for cell in cells:
-            seeds = cell.seeds if args.seed is None else tuple(
-                args.seed + i for i in range(len(cell.seeds)))
+            seeds = cell.seeds if args.seed is None else range(
+                args.seed, args.seed + len(cell.seeds))
             for seed in seeds:
-                tasks.append((cell, cell.solver_config(seed)))
-        for cell, config in tasks:
-            result = _execute_cell(cell, config, args.out)
-            if result.termination not in ("horizon", "budget"):
-                print(f"error: {cell.name} seed {config.seed}: {result.termination} "
-                      f"at k = {result.records[-1].k}: {result.extras['breakdown']}",
-                      file=sys.stderr)
-                return 130 if result.termination == "interrupted" else 3
+                result = _execute_cell(cell, cell.solver_config(seed), args.out)
+                runs += 1
+                if result.termination not in ("horizon", "budget"):
+                    print(f"error: {cell.name} seed {seed}: {result.termination} "
+                          f"at k = {result.records[-1].k}: "
+                          f"{result.extras['breakdown']}", file=sys.stderr)
+                    return 130 if result.termination == "interrupted" else 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(tasks)} run(s) to {args.out}")
+    print(f"wrote {runs} run(s) to {args.out}")
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..problems import (
     make_synthetic_sparse_logistic,
     quad_make,
 )
-from ..smoothing import L1Function, ProxSpec
+from ..smoothing import L1Function
 from ..solvers import SolverConfig
 
 
@@ -62,8 +62,12 @@ _ARGUMENT_KEYS = {
     "l1_quadratic": {"noise_half_width": "noise", "lam": "l1_weight"},
 }
 
-# the config key of each SolverConfig field whose name differs from it
-_FIELD_KEYS = {"sample_budget": "budget"}
+# the SolverConfig field each solver key sets, beside the scheme, the seed,
+# the schedules and x0; its inverse names the key of a field's ConfigError
+_SOLVER_KEYS = {"m": "m", "horizon": "horizon", "eta": "eta", "epsilon": "epsilon",
+                "c_gamma": "c_gamma", "delta": "delta", "delta_bar": "delta_bar",
+                "value_every": "value_every", "budget": "sample_budget"}
+_FIELD_KEYS = {field: key for key, field in _SOLVER_KEYS.items()}
 
 _STR_KEYS = {
     "name", "scheme", "problem", "batch_kind", "step_kind", "l1_smoothing",
@@ -164,20 +168,22 @@ class ExperimentConfig:
     ``problem_kind`` (``PROBLEM_KEYS``).  ``solver_params`` holds the
     ``SolverConfig`` fields other than the seed, the starting point ``x0``
     among them.  Both are checked here, when the cell is built, and so are
-    each seed, as a ``SolverConfig`` field, the size keys (n >= 1, and no
-    array the builder makes from them past 256 MiB) and the sparsity
-    threshold.  A run bounded by its horizon K alone is also checked to stay
-    within its batch schedule's ``MAX_BATCH`` at k = K, which bounds the
-    last iteration of every scheme; the schedule is the scheme's default
-    where the config sets none, and the error then says so.  A run that a
-    budget may end first is checked as it goes (``cli``).
+    the size keys (n >= 1, and no array the builder makes from them past
+    256 MiB) and the sparsity threshold.  The solver settings are checked
+    once, as one ``SolverConfig`` at the smallest seed: a run's config is
+    built only as the run starts, and seed >= 0 is the one check that
+    reads the seed.  A run bounded by its horizon K alone is also checked
+    to stay within its batch schedule's ``MAX_BATCH`` at k = K, which
+    bounds the last iteration of every scheme; the schedule is the
+    scheme's default where the config sets none, and the error then says
+    so.  A run that a budget may end first is checked as it goes (``cli``).
     """
 
     name: str
     problem_kind: str
     problem_params: dict = field(default_factory=dict)
     solver_params: dict = field(default_factory=dict)
-    seeds: tuple = (0,)
+    seeds: Sequence[int] = (0,)
     sparsity_threshold: Optional[float] = None
 
     def __post_init__(self):
@@ -197,9 +203,10 @@ class ExperimentConfig:
         if t is not None and not 0 <= t < np.inf:
             raise ConfigError("sparsity_threshold", f"must be finite and >= 0, "
                                                     f"got {t!r}")
-        for seed in self.seeds or (0,):
-            config = keyed(lambda name: _FIELD_KEYS.get(name, name),
-                           self.solver_config, seed)
+        # seed >= 0 is the one SolverConfig check that reads the seed, and
+        # the smallest seed decides it, so one config checks every seed
+        config = keyed(lambda name: _FIELD_KEYS.get(name, name),
+                       self.solver_config, min(self.seeds, default=0))
         if config.sample_budget is None:  # then SolverConfig saw a horizon
             note = ("" if "batch" in self.solver_params else
                     f" ({config.scheme}'s default batch schedule; set batch_kind)")
@@ -252,12 +259,8 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
     problem_params = {k: keys[k] for k in problem_keys if k in keys}
 
     solver_params: dict = {"scheme": scheme}
-    for k in ("m", "horizon", "eta", "epsilon", "c_gamma", "delta", "delta_bar",
-              "value_every"):
-        if k in keys:
-            solver_params[k] = keys[k]
-    if "budget" in keys:
-        solver_params["sample_budget"] = keys["budget"]
+    solver_params.update({field: keys[key] for key, field in _SOLVER_KEYS.items()
+                          if key in keys})
     for prefix in ("batch", "step"):
         schedule = _schedule_from(keys, prefix, batch=prefix == "batch")
         if schedule is not None:
@@ -281,7 +284,7 @@ def config_from_keys(keys: dict) -> ExperimentConfig:
         problem_kind=problem_kind,
         problem_params=problem_params,
         solver_params=solver_params,
-        seeds=tuple(range(base_seed, base_seed + repeats)),
+        seeds=range(base_seed, base_seed + repeats),
         sparsity_threshold=keys.get("sparsity_threshold"),
     )
 
@@ -325,4 +328,4 @@ def _build(kind: str, p: dict, seed: int):
                                  sc_weight=p["loc_sc"])
     # l1_quadratic: l1 piece + strongly convex sampled quadratic
     quad = quad_make(p["n"], p["kappa"], "SC", rng, noise_half_width=p["noise"])
-    return CompositeProblem(L1Function(p["l1_weight"]), quad, prox_spec=ProxSpec())
+    return CompositeProblem(L1Function(p["l1_weight"]), quad)

@@ -33,7 +33,6 @@ def _cells_sc_smooth():
             problem_params=problem,
             solver_params={"scheme": scheme, "sample_budget": budget,
                            "batch": BatchSchedule(**batch), **extra},
-            seeds=(0,),
         ))
     return cells
 
@@ -48,7 +47,6 @@ def _cells_sc_nonsmooth():
             "batch": BatchSchedule("geometric", N0=2, rate=0.9),
             "eta": 0.1, "step": ScalarSchedule("constant", 0.5),
         },
-        seeds=(0,),
     )]
 
 
@@ -64,7 +62,6 @@ def _cells_c_smooth():
                 "epsilon": 0.1,
                 "step": ScalarSchedule("power", base=1.0, exponent=-0.1),
             },
-            seeds=(0,),
         ),
         ExperimentConfig(
             name="c_smooth_sqn_unit",
@@ -75,7 +72,6 @@ def _cells_c_smooth():
                 "step": ScalarSchedule("power", base=1.0, exponent=-2.0 / 3.0),
                 "value_every": 50,
             },
-            seeds=(0,),
         ),
         ExperimentConfig(
             name="c_smooth_apg",
@@ -85,7 +81,6 @@ def _cells_c_smooth():
                 "scheme": "apg_baseline", "sample_budget": 60_000,
                 "batch": BatchSchedule("polynomial", N0=1, exponent=2.1),
             },
-            seeds=(0,),
         ),
     ]
     return cells
@@ -101,7 +96,6 @@ def _cells_c_nonsmooth():
             "scheme": "rsvs_sqn", "m": 3, "horizon": 120, "epsilon": 0.1,
             "c_gamma": 1.0,
         },
-        seeds=(0,),
     )]
 
 
@@ -124,7 +118,6 @@ def _cells_illcond():
             problem_params=problem,
             solver_params={"scheme": scheme, "sample_budget": budget,
                            "batch": batch, **extra},
-            seeds=(0,),
         ))
     return cells
 
@@ -144,7 +137,6 @@ def _cells_sparsity():
                 "step": ScalarSchedule("power", base=0.5, exponent=-0.1),
                 "value_every": 10,
             },
-            seeds=(0,),
             sparsity_threshold=1e-4,
         ),
         ExperimentConfig(
@@ -156,7 +148,6 @@ def _cells_sparsity():
                 "step": ScalarSchedule("power", base=0.5, exponent=-0.5),
                 "value_every": 5000,
             },
-            seeds=(0,),
             sparsity_threshold=1e-4,
         ),
     ]
@@ -173,7 +164,6 @@ def _cells_isotonic():
             "step": ScalarSchedule("constant", 0.05),
             "batch": BatchSchedule("polynomial", N0=2, exponent=1.1, offset=1),
         },
-        seeds=(0,),
     )]
 
 
@@ -192,7 +182,6 @@ def _cells_lewis_overton():
                 "batch": BatchSchedule("constant", N0=1),
                 "step": ScalarSchedule("constant", 0.5), "x0": x0,
             },
-            seeds=(0,),
         ))
     return cells
 

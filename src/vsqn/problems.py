@@ -475,17 +475,6 @@ def load_sparse_dataset(path, n: Optional[int] = None, **kwargs) -> LogisticProb
     return LogisticProblem(features, np.asarray(mapped), **kwargs)
 
 
-def save_sparse_dataset(path, features: Array, labels: Array) -> None:
-    """Write rows in the loader's text format (zeros omitted)."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, label in zip(features, labels):
-            nz = np.flatnonzero(row)
-            tokens = " ".join(f"{j + 1}:{float(row[j])!r}" for j in nz)
-            fh.write(f"{int(label):+d} {tokens}".rstrip() + "\n")
-
-
 # ---------------------------------------------------------------------------
 # isotonic-constrained least squares
 # ---------------------------------------------------------------------------

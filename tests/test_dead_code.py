@@ -27,7 +27,6 @@ ALLOWED = {
     "check_smoothing_chain": "smoothing chain inequality certificate (criterion 5)",
     "StochasticProblem": "the one oracle contract, batch_gradient(x, handle, eta), "
                          "and the meta.smoothing levels, written as a Protocol",
-    "save_sparse_dataset": "writer of the loader's format, for its round trip",
 }
 
 # Members no src code reads, kept on purpose ("Class.name").

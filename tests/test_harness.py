@@ -7,6 +7,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_parse_good_config():
     cfg = config_from_keys(parse_config_text(GOOD_CONFIG))
     assert cfg.name == "smoke"
     assert cfg.problem_kind == "quadratic_sc"
-    assert cfg.seeds == (0, 1)
+    assert tuple(cfg.seeds) == (0, 1)
     solver = cfg.solver_config(seed=1)
     assert solver.scheme == "vs_sqn"
     assert solver.sample_budget == 2000
@@ -237,6 +238,51 @@ def test_cli_negative_seed_exits_2_naming_seed_before_creating_out(
     assert main(["run", *source, "--out", str(out), *flag]) == 2
     assert "error: seed:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# one cell repeated over a million seeds
+_MANY_SEEDS = ("problem = quadratic_sc\nscheme = vs_sqn\nhorizon = 5\n"
+               f"repeats = {10**6}\n")
+
+
+def test_load_config_time_does_not_grow_with_repeats(tmp_path):
+    # the cell is checked at its smallest seed only, and its seeds are a range
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_MANY_SEEDS)
+    start = time.perf_counter()
+    cell = load_config(cfg)
+    assert time.perf_counter() - start < 0.5
+    assert len(cell.seeds) == 10**6
+
+
+@pytest.mark.parametrize("flag", [[], ["--seed", "7"]], ids=["config", "flag"])
+def test_cli_builds_each_solver_config_as_its_run_starts(
+        tmp_path, capsys, monkeypatch, flag):
+    built, started = [], []
+    solver_config = ExperimentConfig.solver_config
+
+    def counted(cell, seed):
+        built.append(seed)
+        return solver_config(cell, seed)
+
+    def execute(cell, config, out_dir):  # the second run is interrupted
+        started.append(config.seed)
+        return SimpleNamespace(
+            termination="interrupted" if len(started) == 2 else "horizon",
+            records=[SimpleNamespace(k=0)], extras={"breakdown": "stub"})
+
+    monkeypatch.setattr(ExperimentConfig, "solver_config", counted)
+    monkeypatch.setattr("vsqn.harness.cli._execute_cell", execute)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_MANY_SEEDS)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 *flag]) == 130
+    first = int(flag[-1]) if flag else 0
+    # one config checks the cell at load, then one is built per run started
+    assert built == [0, first, first + 1]
+    assert started == [first, first + 1]
+    assert capsys.readouterr().err == (f"error: quadratic_sc_vs_sqn seed {first + 1}: "
+                                       "interrupted at k = 0: stub\n")
 
 
 def test_lewis_overton_rejects_n_other_than_2():
@@ -476,6 +522,16 @@ def test_config_fault_exits_2_naming_its_key(tmp_path, config, key, says):
     assert code == 2 and time.perf_counter() - start < 1.0
     assert f"error: {key}:" in err and says in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, key, says",
+                         [row for row in CONFIG_FAULTS if "seed=" not in row.values[0]])
+def test_config_fault_is_the_same_at_a_large_seed(tmp_path, config, key, says):
+    # a cell is checked at its smallest seed only (ExperimentConfig), which
+    # holds while seed >= 0 is the one check that reads the seed
+    code, err, _ = _run_config(tmp_path, config)
+    assert code == 2
+    assert _run_config(tmp_path, f"{config} seed={2**31 - 1}")[:2] == (2, err)
 
 
 @pytest.mark.parametrize("config, theoretical", [

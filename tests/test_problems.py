@@ -30,7 +30,6 @@ from vsqn.problems import (
     monotone_violation,
     pava_project,
     quad_make,
-    save_sparse_dataset,
 )
 from vsqn.smoothing import L1Function
 from vsqn.solvers import SolverConfig, run
@@ -516,7 +515,11 @@ def test_dataset_round_trip(tmp_path):
     X = np.where(gen.random((20, 9)) < 0.2, gen.standard_normal((20, 9)), 0.0)
     v = np.where(gen.random(20) < 0.5, 1.0, -1.0)
     path = tmp_path / "round.txt"
-    save_sparse_dataset(path, X, v)
+    # the loader's format: a label, then 1-based idx:val for each nonzero
+    path.write_text("".join(
+        " ".join([f"{int(label):+d}", *(f"{j + 1}:{float(row[j])!r}"
+                                        for j in np.flatnonzero(row))]) + "\n"
+        for row, label in zip(X, v)))
     prob = load_sparse_dataset(path, n=9)
     assert np.array_equal(prob.features, X)
     assert np.array_equal(prob.labels, v)

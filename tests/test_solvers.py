@@ -387,7 +387,7 @@ def test_update_rule_fidelity_bitwise():
         assert np.array_equal(x_next, after["x"])
 
 
-def test_zero_step_terminates_as_converged():
+def test_zero_steps_skip_their_pairs_and_the_run_reaches_its_horizon():
     # zero steps leave x in place and skip their pairs; the run goes on
     prob = quad_make(3, 1.0, "SC", RngStream(0, 1), noise_half_width=0.0)
     cfg = SolverConfig("vs_sqn", m=1, horizon=50,
