@@ -204,9 +204,13 @@ class ExperimentConfig:
             raise ConfigError("sparsity_threshold", f"must be finite and >= 0, "
                                                     f"got {t!r}")
         # seed >= 0 is the one SolverConfig check that reads the seed, and
-        # the smallest seed decides it, so one config checks every seed
+        # the smallest seed decides it, so one config checks every seed; a
+        # range's smallest is one of its ends, found without walking it
+        seeds = self.seeds
+        if isinstance(seeds, range) and seeds:
+            seeds = (seeds[0], seeds[-1])
         config = keyed(lambda name: _FIELD_KEYS.get(name, name),
-                       self.solver_config, min(self.seeds, default=0))
+                       self.solver_config, min(seeds, default=0))
         if config.sample_budget is None:  # then SolverConfig saw a horizon
             note = ("" if "batch" in self.solver_params else
                     f" ({config.scheme}'s default batch schedule; set batch_kind)")

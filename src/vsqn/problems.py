@@ -10,6 +10,11 @@ fixed index order, so replays are bit-identical (a quadratic's noise draw
 is an exact integer sum, which has no order).  Each sampled problem keeps
 the reduced draw of its most recent handle in a one-slot cache, so
 re-evaluating that batch at another point (a curvature pair) draws nothing.
+The quadratics also share one module-level memo of the most recent sample
+stream's costly draws (``_StreamMemo``): runs on common random numbers,
+such as the ill-conditioning cells of one seed, each build their own
+problem, and every run after the first takes a shared handle's noise
+factors from the memo, bit for bit, instead of drawing them again.
 The row-sampled problems (logistic, isotonic) hold a batch of at least a
 quarter of their N data rows as per-row draw counts and reduce it in one
 count-weighted pass over the data, so such a draw and its gradient take
@@ -45,8 +50,9 @@ class _LastBatchSlot:
     draw is dropped before the new one is made, so at most one is held.
     A quadratic's draw is n mean factors, summed exactly as integers in
     O(chunk) memory at every n, and a counted row draw is N counts made in
-    O(chunk + N), whatever the batch size.  ``_batch`` is the only caller
-    of ``_draw``.
+    O(chunk + N), whatever the batch size.  A slot miss goes to ``_recall``,
+    which is ``_draw`` here; a quadratic's first asks the stream memo
+    (``_StreamMemo``).  Only ``_recall`` and the memo call ``_draw``.
     """
 
     _slot_handle: Optional[SampleHandle] = None
@@ -55,9 +61,12 @@ class _LastBatchSlot:
     def _batch(self, handle: SampleHandle):
         if handle != self._slot_handle:
             self._slot_handle = self._slot_value = None
-            self._slot_value = self._draw(handle)
+            self._slot_value = self._recall(handle)
             self._slot_handle = handle
         return self._slot_value
+
+    def _recall(self, handle: SampleHandle):
+        return self._draw(handle)
 
 
 @dataclass
@@ -92,6 +101,9 @@ _FOLD = 32
 # past there one count-weighted pass over the N rows is cheaper than
 # gathering the drawn ones (measured on the sparsity and c_smooth data sets)
 _COUNT_FRACTION = 4
+# bytes of noise factors the stream memo keeps at most (4 MiB); a 2M-sample
+# geometric run at n = 20, as in criterion 10, keeps about 30 KB
+_MEMO_BYTES = 1 << 22
 
 
 class _RowCounts(NamedTuple):
@@ -123,6 +135,49 @@ def _draw_rows(handle: SampleHandle, N: int):
     return _RowCounts(counts, batch)
 
 
+class _StreamMemo:
+    """The costly quadratic draws of the most recent sample stream, shared
+    by every problem that replays it.
+
+    A quadratic's draw is a pure function of (handle, n, noise), and runs
+    share no object, so runs on common random numbers (the illcond cells,
+    criterion 10's roles) would each pay a shared handle's batch * n words;
+    through the memo only the first does.  It holds one stream, the
+    handle's (seed, stream_id): a draw from any other empties it first, so
+    whether a draw hits never depends on how many runs came before.  It
+    keeps the draws with noise > 0 and at least ``_DRAW_CHUNK`` words, each
+    made read-only, keyed on (the class whose ``_draw`` made it, start,
+    batch, n, noise), and at most ``_MEMO_BYTES`` of factors: past that a
+    draw is returned but not kept.  A hit returns the same bits a miss
+    computes.
+    """
+
+    def __init__(self):
+        self.stream: Optional[tuple] = None
+        self.draws: dict = {}
+        self.nbytes = 0
+
+    def recall(self, problem: QuadraticEnsemble, handle: SampleHandle) -> Array:
+        stream = (handle.seed, handle.stream_id)
+        if stream != self.stream:
+            self.stream, self.draws, self.nbytes = stream, {}, 0
+        n = problem.eigs.size
+        if problem.noise == 0.0 or handle.batch * n < _DRAW_CHUNK:
+            return problem._draw(handle)
+        key = (type(problem), handle.start, handle.batch, n, problem.noise)
+        factors = self.draws.get(key)
+        if factors is None:
+            factors = problem._draw(handle)
+            factors.flags.writeable = False
+            if self.nbytes + factors.nbytes <= _MEMO_BYTES:
+                self.draws[key] = factors
+                self.nbytes += factors.nbytes
+        return factors
+
+
+_STREAM_MEMO = _StreamMemo()
+
+
 class QuadraticEnsemble(_LastBatchSlot):
     """E[(1/2) x'Q(w)x + c(w)'x] with c(w) = -Q(w) x_true.
 
@@ -133,7 +188,10 @@ class QuadraticEnsemble(_LastBatchSlot):
     optimum, i.e. true_value(x) is exactly the optimality gap.  A batch's
     noise factors are drawn in chunks of at most _DRAW_CHUNK words and their
     uniforms summed exactly as integers, so one draw takes O(chunk) memory
-    at every n, not O(batch * n), and its mean is rounded once.
+    at every n, not O(batch * n), and its mean is rounded once.  A batch of
+    at least one chunk is looked up in the stream memo (``_StreamMemo``)
+    before it is drawn, so another instance that replays the stream, at
+    the same n and noise, reuses its factors; those factors are read-only.
     """
 
     def __init__(self, frame: Array, eigs: Array, x_true: Array,
@@ -197,6 +255,9 @@ class QuadraticEnsemble(_LastBatchSlot):
         scale = handle.batch << 53  # int / int below is rounded once
         return np.array([lo + width * (((h << 64) + l) / scale)
                          for h, l in zip(high.tolist(), low.tolist())])
+
+    def _recall(self, handle: SampleHandle) -> Array:
+        return _STREAM_MEMO.recall(self, handle)
 
     def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
         mean_factors = self._batch(handle)

@@ -255,6 +255,18 @@ def test_load_config_time_does_not_grow_with_repeats(tmp_path):
     assert len(cell.seeds) == 10**6
 
 
+def test_load_config_reads_the_smallest_seed_off_the_range_ends(tmp_path):
+    # the most seeds allowed: the smallest seed comes off the range's ends,
+    # not from walking it
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("problem = quadratic_sc\nscheme = vs_sqn\nhorizon = 5\n"
+                   f"seed = 3\nrepeats = {2**25}\n")
+    start = time.perf_counter()
+    cell = load_config(cfg)
+    assert time.perf_counter() - start < 0.5
+    assert cell.seeds == range(3, 3 + 2**25)
+
+
 @pytest.mark.parametrize("flag", [[], ["--seed", "7"]], ids=["config", "flag"])
 def test_cli_builds_each_solver_config_as_its_run_starts(
         tmp_path, capsys, monkeypatch, flag):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsqn.core import BatchSchedule, RngStream, SampleHandle
+from vsqn.core import BatchSchedule, RngStream, SampleHandle, ScalarSchedule
 from vsqn.harness.checks import fd_check
+from vsqn.harness.config import build_problem
+from vsqn.harness.presets import preset_cells
 from vsqn.problems import (
     CompositeProblem,
     IsotonicLasso,
@@ -23,6 +25,7 @@ from vsqn.problems import (
     _EXACT_ROWS,
     _FOLD,
     _RowCounts,
+    _STREAM_MEMO,
     lewis_overton_oracle,
     load_sparse_dataset,
     make_isotonic,
@@ -147,20 +150,33 @@ def test_quad_streamed_draw_bitwise_equals_whole_batch(noise, n):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), batch
 
 
-def test_quad_streamed_draw_keeps_the_vs_sqn_trajectory():
+def _same_run(a, b):
+    """Equal records (but the clock) and x_final; a closing row's grad_norm
+    is nan, so records compare as numpy does."""
+    np.testing.assert_equal([astuple(replace(r, wall_time=0.0)) for r in a.records],
+                            [astuple(replace(r, wall_time=0.0)) for r in b.records])
+    assert np.array_equal(a.x_final, b.x_final)
+
+
+def test_quad_streamed_draw_keeps_the_vs_sqn_trajectory(monkeypatch):
     # batches 100 * 2^k cross the 819-row chunk of n = 20 from k = 4 on
     base = quad_make(20, 50.0, "SC", RngStream(3, 1), noise_half_width=0.4)
     config = SolverConfig("vs_sqn", horizon=8, seed=4,
                           batch=BatchSchedule("geometric", N0=100, rate=0.5))
+    drawn = []
+    reference = _WholeBatchQuadratic._draw
+    monkeypatch.setattr(_WholeBatchQuadratic, "_draw",
+                        lambda self, h: drawn.append(h.batch) or reference(self, h))
     streamed, whole = (
         run(cls(base.frame, base.eigs, base.x_true, base.noise), config)
         for cls in (QuadraticEnsemble, _WholeBatchQuadratic))
     assert config.batch.eval(7) > 2 * (_DRAW_CHUNK // 20)
-    # the closing row's grad_norm is nan on both, so compare as numpy does
-    np.testing.assert_equal(
-        [astuple(replace(r, wall_time=0.0)) for r in streamed.records],
-        [astuple(replace(r, wall_time=0.0)) for r in whole.records])
-    assert np.array_equal(streamed.x_final, whole.x_final)
+    # the reference drew each batch of a chunk or more itself: the stream
+    # memo keys on the drawing class, so the streamed run's draws are not hits
+    chunked = [b for b in map(config.batch.eval, range(8)) if b * 20 >= _DRAW_CHUNK]
+    assert len(chunked) == 4
+    assert [b for b in drawn if b * 20 >= _DRAW_CHUNK] == chunked
+    _same_run(streamed, whole)
 
 
 @pytest.mark.parametrize("n", [1, 20])
@@ -175,6 +191,96 @@ def test_quad_draw_memory_is_bounded_by_the_chunk(n):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * _DRAW_CHUNK
+
+
+# --- the stream memo ---------------------------------------------------------
+
+def _empty_the_memo():
+    """A draw of one chunk on a stream no other test uses."""
+    _ensemble(20, 0.5)._batch(RngStream(2**31, 9).next_handle(_DRAW_CHUNK))
+    assert _STREAM_MEMO.stream == (2**31, 9)
+
+
+def _counted_runs(monkeypatch, runs):
+    """For each (problem, config): the result, the handles of one chunk or
+    more that the run asked for, and those it drew through a generator."""
+    asked, drawn, out = [], [], []
+    batch, generator = QuadraticEnsemble._batch, SampleHandle.generator
+    with monkeypatch.context() as patch:
+        patch.setattr(QuadraticEnsemble, "_batch",
+                      lambda self, h: asked.append(h) or batch(self, h))
+        patch.setattr(SampleHandle, "generator",
+                      lambda h: drawn.append(h) or generator(h))
+        for problem, config in runs:
+            asked.clear()
+            drawn.clear()
+            result = run(problem, config)
+            n = problem.meta.n
+            out.append((result, {h for h in asked if h.batch * n >= _DRAW_CHUNK},
+                        [h for h in drawn if h.batch * n >= _DRAW_CHUNK]))
+    return out
+
+
+def test_illcond_cells_draw_a_shared_batch_once(monkeypatch):
+    cells = preset_cells("illcond_sweep")
+    assert [c.name for c in cells] == ["illcond_vs_sqn_m1", "illcond_vs_sqn_m10",
+                                       "illcond_apg"]
+    _empty_the_memo()
+    shared = _counted_runs(monkeypatch, [(build_problem(c, 0), c.solver_config(0))
+                                         for c in cells])
+    (_, m1_asked, m1_drawn), *replays = shared
+    assert m1_asked and sorted(h.start for h in m1_drawn) == sorted(
+        h.start for h in m1_asked)
+    for _, asked, drawn in replays:
+        assert asked == m1_asked and drawn == []
+    for cell, (result, asked, _) in zip(cells, shared):
+        _empty_the_memo()
+        [(alone, _, drawn)] = _counted_runs(
+            monkeypatch, [(build_problem(cell, 0), cell.solver_config(0))])
+        assert set(drawn) == asked
+        _same_run(result, alone)
+
+
+def test_memo_keeps_one_stream():
+    handle = RngStream(5, 0).next_handle(2 * _DRAW_CHUNK // 20)
+    first = _ensemble(20, 0.5)._batch(handle)
+    assert _ensemble(20, 0.5)._batch(handle) is first  # another instance hits
+    _empty_the_memo()
+    again = _ensemble(20, 0.5)._batch(handle)
+    assert again is not first
+    assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
+    # n, noise and a batch under one chunk are drawn, not recalled
+    assert _ensemble(20, 0.4)._batch(handle) is not again
+    assert _ensemble(21, 0.5)._batch(handle) is not again
+    small = RngStream(5, 0).next_handle(_DRAW_CHUNK // 20 - 1)
+    assert _ensemble(20, 0.5)._batch(small) is not _ensemble(20, 0.5)._batch(small)
+
+
+def test_memo_stays_within_its_bytes_and_keeps_the_run(monkeypatch):
+    base = _ensemble(20, 0.5)
+    config = SolverConfig("vs_sqn", m=3, horizon=40, seed=6,
+                          batch=BatchSchedule("constant", _DRAW_CHUNK // 20 + 1),
+                          step=ScalarSchedule("constant", 0.1), x0=np.ones(20))
+    _empty_the_memo()
+    [(free, _, _)] = _counted_runs(monkeypatch, [(base, config)])
+    cap = 10 * 20 * 8  # ten draws' factors
+    monkeypatch.setattr("vsqn.problems._MEMO_BYTES", cap)
+    _empty_the_memo()
+    [(capped, asked, drawn), (replay, _, redrawn)] = _counted_runs(
+        monkeypatch, [(_ensemble(20, 0.5), config), (_ensemble(20, 0.5), config)])
+    assert len(drawn) == len(asked) == 40
+    assert 0 < _STREAM_MEMO.nbytes <= cap and len(_STREAM_MEMO.draws) == 10
+    assert len(redrawn) == 30  # the ten kept are hits, the rest are drawn again
+    _same_run(capped, free)
+    _same_run(replay, free)
+
+
+def test_recalled_factors_are_read_only():
+    handle = RngStream(5, 0).next_handle(_DRAW_CHUNK)
+    for _ in range(2):  # the miss and the hit
+        factors = _ensemble(20, 0.5)._batch(handle)
+        with pytest.raises(ValueError):
+            factors[0] = 1.0
 
 
 # --- logistic ----------------------------------------------------------------
