@@ -213,9 +213,9 @@ class SampleHandle:
     a problem may key a cache on them: the built-in problems keep the
     reduced draw (row indices, mean noise factors, a frozen batch function)
     of their most recent handle and draw at most once per handle in a
-    solver run.  A quadratic's costly draws are also shared across runs:
-    one memo keeps the factors of the most recent (seed, stream_id), so a
-    run that replays that stream draws none of them
+    solver run.  A quadratic's draw, ``problems._noise_factors``, is also
+    memoized across runs for the most recent (seed, stream_id), so a run
+    that replays that stream draws none of its costly batches
     (``problems._StreamMemo``).
 
     A problem must consume the generator with a fixed recipe (same calls,

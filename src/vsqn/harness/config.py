@@ -14,6 +14,7 @@ from n, p, num_samples or repeats may pass 256 MiB).  Every fault is a
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -88,8 +89,10 @@ KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines ('#' starts a comment)."""
+    """Parse flat ``key = value`` lines ('#' starts a comment); a key may
+    be set once."""
     out: dict = {}
+    lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,6 +104,9 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if key not in KNOWN_KEYS:
             raise ConfigError(key, "unknown configuration key")
+        if key in lines:
+            raise ConfigError(key, f"set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         try:
             if key in _INT_KEYS:
                 out[key] = int(value)
@@ -162,7 +168,8 @@ def keyed(key, call, *args, catch=ConfigError, note="", **kwargs):
 
 @dataclass
 class ExperimentConfig:
-    """One runnable cell family: a problem, a solver, and seeds.
+    """One runnable cell family: a problem, a solver, and seeds.  Its
+    name is the stem of its output files, so it holds no path separator.
 
     ``problem_params`` holds only keys that ``build_problem`` reads for
     ``problem_kind`` (``PROBLEM_KEYS``).  ``solver_params`` holds the
@@ -187,6 +194,8 @@ class ExperimentConfig:
     sparsity_threshold: Optional[float] = None
 
     def __post_init__(self):
+        if self.name in (".", "..") or os.path.basename(self.name) != self.name:
+            raise ConfigError("name", f"must be a plain file stem, got {self.name!r}")
         if self.problem_kind not in PROBLEM_KINDS:
             raise ConfigError("problem", f"unknown problem kind "
                                          f"{self.problem_kind!r}")

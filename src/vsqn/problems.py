@@ -10,8 +10,9 @@ fixed index order, so replays are bit-identical (a quadratic's noise draw
 is an exact integer sum, which has no order).  Each sampled problem keeps
 the reduced draw of its most recent handle in a one-slot cache, so
 re-evaluating that batch at another point (a curvature pair) draws nothing.
-The quadratics also share one module-level memo of the most recent sample
-stream's costly draws (``_StreamMemo``): runs on common random numbers,
+A quadratic's draw, ``_noise_factors``, is a pure function of (handle,
+n, noise), and one module-level memo (``_StreamMemo``) keeps its costly
+results for the most recent sample stream: runs on common random numbers,
 such as the ill-conditioning cells of one seed, each build their own
 problem, and every run after the first takes a shared handle's noise
 factors from the memo, bit for bit, instead of drawing them again.
@@ -31,7 +32,6 @@ import numpy as np
 from .core import Array, ConfigError, ProblemMeta, SampleHandle, assert_finite
 from .smoothing import (
     CompositeProxFunction,
-    ProxSpec,
     huber_l1,
     huber_l1_grad,
     lse_smooth_max,
@@ -50,9 +50,13 @@ class _LastBatchSlot:
     draw is dropped before the new one is made, so at most one is held.
     A quadratic's draw is n mean factors, summed exactly as integers in
     O(chunk) memory at every n, and a counted row draw is N counts made in
-    O(chunk + N), whatever the batch size.  A slot miss goes to ``_recall``,
-    which is ``_draw`` here; a quadratic's first asks the stream memo
-    (``_StreamMemo``).  Only ``_recall`` and the memo call ``_draw``.
+    O(chunk + N), whatever the batch size.  The slot stays, though the
+    quadratic stream memo also serves a replayed handle: without it every
+    other draw is made again, and a composite's frozen batch (its Q and
+    Newton system) is rebuilt.  On a 2-core box (``perfbench/run.py
+    --seconds 8``, seed 1, 4 alternating pairs) dropping it took
+    ``composite_prox`` ``solve_s`` from 0.1429 to 0.1573 s (+10%, slower
+    in 4 of 4 pairs) and left ``unit_batch`` at 0.26 s (pairs split 2-2).
     """
 
     _slot_handle: Optional[SampleHandle] = None
@@ -61,12 +65,9 @@ class _LastBatchSlot:
     def _batch(self, handle: SampleHandle):
         if handle != self._slot_handle:
             self._slot_handle = self._slot_value = None
-            self._slot_value = self._recall(handle)
+            self._slot_value = self._draw(handle)
             self._slot_handle = handle
         return self._slot_value
-
-    def _recall(self, handle: SampleHandle):
-        return self._draw(handle)
 
 
 @dataclass
@@ -135,21 +136,51 @@ def _draw_rows(handle: SampleHandle, N: int):
     return _RowCounts(counts, batch)
 
 
-class _StreamMemo:
-    """The costly quadratic draws of the most recent sample stream, shared
-    by every problem that replays it.
+def _noise_factors(handle: SampleHandle, n: int, noise: float) -> Array:
+    """Mean of the batch's n noise factors as ``lo + width * ubar`` (numpy's
+    uniform is ``lo + width * u``) rounded once, ubar the exact mean of the
+    (batch, n) ``gen.random`` doubles u = (r >> 11) 2^-53 of the generator's
+    raw words r.  The numerators r >> 11 are summed exactly in uint64 over
+    chunks of at most _EXACT_ROWS rows and _DRAW_CHUNK words and carried
+    across chunks as a (high, low) word pair; an exact sum has no order to
+    reproduce, so every n streams in O(chunk) memory.
+    """
+    gen = handle.generator()  # at noise 0 too: one generator per handle
+    if noise == 0.0:
+        return np.ones(n)
+    lo = 1.0 - noise
+    width = (1.0 + noise) - lo  # numpy's scale; may differ from 2*noise
+    rows = max(1, min(_EXACT_ROWS, _DRAW_CHUNK // n))
+    raw_words = gen.bit_generator.random_raw
+    high, low = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
+    left = handle.batch
+    while left:
+        c = min(left, rows)
+        f = _FOLD if c >= _FOLD else 1
+        c -= c % f  # a tail past the last whole fold is the next chunk
+        block = raw_words(c * n)
+        block >>= 11
+        part = block.reshape(c // f, f * n).sum(axis=0).reshape(f, n).sum(axis=0)
+        low += part
+        high += low < part  # the carry out of the low word
+        left -= c
+    scale = handle.batch << 53  # int / int below is rounded once
+    return np.array([lo + width * (((h << 64) + l) / scale)
+                     for h, l in zip(high.tolist(), low.tolist())])
 
-    A quadratic's draw is a pure function of (handle, n, noise), and runs
-    share no object, so runs on common random numbers (the illcond cells,
-    criterion 10's roles) would each pay a shared handle's batch * n words;
-    through the memo only the first does.  It holds one stream, the
-    handle's (seed, stream_id): a draw from any other empties it first, so
-    whether a draw hits never depends on how many runs came before.  It
-    keeps the draws with noise > 0 and at least ``_DRAW_CHUNK`` words, each
-    made read-only, keyed on (the class whose ``_draw`` made it, start,
-    batch, n, noise), and at most ``_MEMO_BYTES`` of factors: past that a
-    draw is returned but not kept.  A hit returns the same bits a miss
-    computes.
+
+class _StreamMemo:
+    """``_noise_factors`` memoized for the most recent sample stream.
+
+    Runs share no object, so runs on common random numbers (the illcond
+    cells, criterion 10's roles) would each pay a shared handle's
+    batch * n words; through the memo only the first does.  It holds one
+    stream, the handle's (seed, stream_id): a draw from any other empties
+    it first, so whether a draw hits never depends on how many runs came
+    before.  It keeps the draws with noise > 0 and at least ``_DRAW_CHUNK``
+    words, each made read-only, keyed on (start, batch, n, noise), and at
+    most ``_MEMO_BYTES`` of factors: past that a draw is returned but not
+    kept.  A hit returns the same bits a miss computes.
     """
 
     def __init__(self):
@@ -157,17 +188,16 @@ class _StreamMemo:
         self.draws: dict = {}
         self.nbytes = 0
 
-    def recall(self, problem: QuadraticEnsemble, handle: SampleHandle) -> Array:
+    def recall(self, handle: SampleHandle, n: int, noise: float) -> Array:
         stream = (handle.seed, handle.stream_id)
         if stream != self.stream:
             self.stream, self.draws, self.nbytes = stream, {}, 0
-        n = problem.eigs.size
-        if problem.noise == 0.0 or handle.batch * n < _DRAW_CHUNK:
-            return problem._draw(handle)
-        key = (type(problem), handle.start, handle.batch, n, problem.noise)
+        if noise == 0.0 or handle.batch * n < _DRAW_CHUNK:
+            return _noise_factors(handle, n, noise)
+        key = (handle.start, handle.batch, n, noise)
         factors = self.draws.get(key)
         if factors is None:
-            factors = problem._draw(handle)
+            factors = _noise_factors(handle, n, noise)
             factors.flags.writeable = False
             if self.nbytes + factors.nbytes <= _MEMO_BYTES:
                 self.draws[key] = factors
@@ -186,12 +216,9 @@ class QuadraticEnsemble(_LastBatchSlot):
     noise, so every sample stays convex and the gradient noise scales with
     |x - x_true| (state-dependent).  Values are reported relative to the
     optimum, i.e. true_value(x) is exactly the optimality gap.  A batch's
-    noise factors are drawn in chunks of at most _DRAW_CHUNK words and their
-    uniforms summed exactly as integers, so one draw takes O(chunk) memory
-    at every n, not O(batch * n), and its mean is rounded once.  A batch of
-    at least one chunk is looked up in the stream memo (``_StreamMemo``)
-    before it is drawn, so another instance that replays the stream, at
-    the same n and noise, reuses its factors; those factors are read-only.
+    draw is its mean noise factors, ``_noise_factors`` through the stream
+    memo (``_StreamMemo``), which may hand back a read-only array that
+    another instance drew.
     """
 
     def __init__(self, frame: Array, eigs: Array, x_true: Array,
@@ -224,40 +251,7 @@ class QuadraticEnsemble(_LastBatchSlot):
         return self.meta.lipschitz_L * (1.0 + self.noise)
 
     def _draw(self, handle: SampleHandle) -> Array:
-        """Mean of the batch's noise factors as ``lo + width * ubar`` (numpy's
-        uniform is ``lo + width * u``) rounded once, ubar the exact mean of
-        the (batch, n) ``gen.random`` doubles u = (r >> 11) 2^-53 of the
-        generator's raw words r.  The numerators r >> 11 are summed exactly
-        in uint64 over chunks of at most _EXACT_ROWS rows and _DRAW_CHUNK
-        words and carried across chunks as a (high, low) word pair; an exact
-        sum has no order to reproduce, so every n streams in O(chunk) memory.
-        """
-        gen = handle.generator()  # at noise 0 too: one generator per handle
-        n = self.eigs.size
-        if self.noise == 0.0:
-            return np.ones(n)
-        lo = 1.0 - self.noise
-        width = (1.0 + self.noise) - lo  # numpy's scale; may differ from 2*noise
-        rows = max(1, min(_EXACT_ROWS, _DRAW_CHUNK // n))
-        raw_words = gen.bit_generator.random_raw
-        high, low = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
-        left = handle.batch
-        while left:
-            c = min(left, rows)
-            f = _FOLD if c >= _FOLD else 1
-            c -= c % f  # a tail past the last whole fold is the next chunk
-            block = raw_words(c * n)
-            block >>= 11
-            part = block.reshape(c // f, f * n).sum(axis=0).reshape(f, n).sum(axis=0)
-            low += part
-            high += low < part  # the carry out of the low word
-            left -= c
-        scale = handle.batch << 53  # int / int below is rounded once
-        return np.array([lo + width * (((h << 64) + l) / scale)
-                         for h, l in zip(high.tolist(), low.tolist())])
-
-    def _recall(self, handle: SampleHandle) -> Array:
-        return _STREAM_MEMO.recall(self, handle)
+        return _STREAM_MEMO.recall(handle, self.eigs.size, self.noise)
 
     def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
         mean_factors = self._batch(handle)
@@ -626,11 +620,10 @@ class IsotonicLasso(_LastBatchSlot):
         return monotone_violation(x)
 
 
-def make_isotonic(n: int, p: int, rng, eta: float = 1e-2,
-                  sigma: float = 0.01) -> IsotonicLasso:
+def make_isotonic(n: int, p: int, rng, eta: float = 1e-2) -> IsotonicLasso:
     """Design with a planted monotone signal: the first and last quarters
     of x0 ascend over [-10,0] and [0,10], the middle is zero, and
-    b = A(x0 + noise)."""
+    b = A(x0 + noise), the noise normal with standard deviation 0.01."""
     if n < 4:
         raise ConfigError("n", f"must be >= 4, got {n}")
     if p < 1:
@@ -641,7 +634,7 @@ def make_isotonic(n: int, p: int, rng, eta: float = 1e-2,
     x0[:quarter] = np.sort(gen.uniform(-10.0, 0.0, size=quarter))
     x0[n - quarter:] = np.sort(gen.uniform(0.0, 10.0, size=quarter))
     A = gen.standard_normal((p, n))
-    noise = gen.normal(0.0, sigma, size=n)
+    noise = gen.normal(0.0, 0.01, size=n)
     b = A @ (x0 + noise)
     return IsotonicLasso(A, b, eta=eta)
 
@@ -765,10 +758,9 @@ class CompositeProblem(_LastBatchSlot):
     per sample; envelope gradients of the sample-average composite are
     computed through an inner prox solve on the frozen batch."""
 
-    def __init__(self, h, smooth, prox_spec: ProxSpec = ProxSpec()):
+    def __init__(self, h, smooth):
         self.h = h
         self.smooth = smooth
-        self.prox_spec = prox_spec
         base = smooth.meta
         self.meta = ProblemMeta(
             n=base.n,
@@ -788,7 +780,7 @@ class CompositeProblem(_LastBatchSlot):
     def _draw(self, handle: SampleHandle) -> CompositeProxFunction:
         bf = self.smooth.frozen_batch(handle)
         return CompositeProxFunction(self.h, bf.value, bf.grad, bf.lipschitz_L,
-                                     self.prox_spec, bf.hessian)
+                                     bf.hessian)
 
     def batch_gradient(self, x: Array, handle: SampleHandle, eta: float) -> Array:
         """(x - prox of the sample-average composite)/eta."""

@@ -34,20 +34,10 @@ class ProxSolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class ProxSpec:
-    """Limits of the inner proximal solve.
-
-    The solve stops once the fixed-point residual of the inner objective
-    satisfies residual <= tolerance * (1 + |x|).
-    """
-
-    tolerance: float = 1e-10
-    max_inner_iters: int = 20_000
-
-    def __post_init__(self):
-        if self.tolerance <= 0 or self.max_inner_iters < 1:
-            raise ValueError("tolerance must be > 0 and max_inner_iters >= 1")
+# the inner prox solve stops once its residual is at most
+# _PROX_TOLERANCE * (1 + |x|), and stalls past _PROX_MAX_ITERS steps
+_PROX_TOLERANCE = 1e-10
+_PROX_MAX_ITERS = 20_000
 
 
 def prox_soft_threshold(x: Array, threshold: float) -> Array:
@@ -111,12 +101,11 @@ class CompositeProxFunction:
     """
 
     def __init__(self, h, smooth_value, smooth_grad, lipschitz_L,
-                 spec: ProxSpec = ProxSpec(), hessian: Optional[Array] = None):
+                 hessian: Optional[Array] = None):
         self.h = h
         self.smooth_value = smooth_value
         self.smooth_grad = smooth_grad
         self.lipschitz_L = float(lipschitz_L)
-        self.spec = spec
         self.hessian = hessian
         self._newton = None  # (eta, Q + I/eta) of the last finish
 
@@ -132,13 +121,13 @@ class CompositeProxFunction:
         keep = 1.0 - step / eta
         shift = (step / eta) * x
         # norms as sqrt(v . v), which np.linalg.norm computes for a vector
-        tol = self.spec.tolerance * (1.0 + math.sqrt(x @ x))
+        tol = _PROX_TOLERANCE * (1.0 + math.sqrt(x @ x))
         u = y = x
         residual = math.inf
         smooth_grad, h_prox = self.smooth_grad, self.h.prox
         rejected = (set() if self.hessian is not None
                     and isinstance(self.h, L1Function) else None)
-        for _ in range(self.spec.max_inner_iters):
+        for _ in range(_PROX_MAX_ITERS):
             v = keep * y
             v += shift
             v -= step * smooth_grad(y)
@@ -157,7 +146,7 @@ class CompositeProxFunction:
             u = u_next
         raise ProxSolverError(
             f"inner prox solve stalled at residual {residual:.3e} "
-            f"(tolerance {tol:.3e}); widen ProxSpec limits",
+            f"(tolerance {tol:.3e})",
             residual,
         )
 

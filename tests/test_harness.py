@@ -346,6 +346,13 @@ CONFIG_FAULTS = [
            "unknown configuration key"),
     _fault("bad_value", f"{_QSC} kappa=fast scheme=sgd horizon=5", "kappa",
            "bad value"),
+    _fault("key_set_twice", f"{_QSC} scheme=sgd horizon=3 horizon=5", "horizon",
+           "set twice, on lines 3 and 4"),
+    # the name is the stem of the run's files in --out
+    _fault("name_parent_dir", f"{_QSC} scheme=sgd horizon=5 name=../escaped", "name",
+           "plain file stem"),
+    _fault("name_subdir", f"{_QSC} scheme=sgd horizon=5 name=a/b", "name",
+           "plain file stem"),
     _fault("unknown_scheme", f"{_QSC} scheme=sorcery budget=10", "scheme"),
     _fault("scheme_unfit", "problem=l1_quadratic scheme=vs_sqn horizon=10", "scheme"),
     *(_fault(f"removed_{key}", f"{_QSC} scheme=sgd budget=100 {key}={value}", key)

@@ -26,6 +26,7 @@ from vsqn.problems import (
     _FOLD,
     _RowCounts,
     _STREAM_MEMO,
+    _noise_factors,
     lewis_overton_oracle,
     load_sparse_dataset,
     make_isotonic,
@@ -140,13 +141,12 @@ def test_quad_streamed_draw_bitwise_equals_whole_batch(noise, n):
     # fold, of the 2^11 rows a uint64 sums exactly and of the chunk's rows
     rows = _DRAW_CHUNK // n
     random_batch = int(np.random.default_rng(n).integers(2, 5 * rows))
-    streamed = _ensemble(n, noise)
     whole = _ensemble(n, noise, _WholeBatchQuadratic)
     for batch in (1, _FOLD - 1, _FOLD, _FOLD + 1, _EXACT_ROWS - 1, _EXACT_ROWS,
                   _EXACT_ROWS + 1, rows - 1, rows, rows + 1, 2 * rows + 3,
                   random_batch):
         handle = RngStream(7, 0).next_handle(batch)
-        got, want = streamed._draw(handle), whole._draw(handle)
+        got, want = _noise_factors(handle, n, noise), whole._draw(handle)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), batch
 
 
@@ -171,8 +171,8 @@ def test_quad_streamed_draw_keeps_the_vs_sqn_trajectory(monkeypatch):
         run(cls(base.frame, base.eigs, base.x_true, base.noise), config)
         for cls in (QuadraticEnsemble, _WholeBatchQuadratic))
     assert config.batch.eval(7) > 2 * (_DRAW_CHUNK // 20)
-    # the reference drew each batch of a chunk or more itself: the stream
-    # memo keys on the drawing class, so the streamed run's draws are not hits
+    # the reference drew each batch of a chunk or more itself: its _draw
+    # override bypasses the stream memo, so the streamed run's draws are not hits
     chunked = [b for b in map(config.batch.eval, range(8)) if b * 20 >= _DRAW_CHUNK]
     assert len(chunked) == 4
     assert [b for b in drawn if b * 20 >= _DRAW_CHUNK] == chunked
@@ -181,12 +181,12 @@ def test_quad_streamed_draw_keeps_the_vs_sqn_trajectory(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 20])
 def test_quad_draw_memory_is_bounded_by_the_chunk(n):
-    prob = _ensemble(n, 0.5)
     handle = RngStream(2, 0).next_handle(400_000)  # 64 MB as one array at n = 20
-    prob._draw(handle)  # a process's first raw draw allocates once, untraced
+    # a process's first raw draw allocates once, untraced
+    _noise_factors(handle, n, 0.5)
     tracemalloc.start()
     try:
-        prob._draw(handle)
+        _noise_factors(handle, n, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vsqn import smoothing
 from vsqn.core import RngStream
 from vsqn.harness.checks import fd_check
 from vsqn.problems import quad_make
 from vsqn.smoothing import (
     CompositeProxFunction,
     L1Function,
-    ProxSpec,
     ProxSolverError,
     check_smoothing_chain,
     eta_schedule_diminishing,
@@ -139,12 +139,13 @@ def test_inner_prox_solver_matches_closed_form():
     assert np.allclose(u, prox_soft_threshold(x, 1.0), atol=1e-9)
 
 
-def test_inner_prox_solver_budget_error():
+def test_inner_prox_solver_budget_error(monkeypatch):
+    monkeypatch.setattr("vsqn.smoothing._PROX_TOLERANCE", 1e-14)
+    monkeypatch.setattr("vsqn.smoothing._PROX_MAX_ITERS", 3)
     quad = quad_make(6, 50.0, "SC", RngStream(0, 1), noise_half_width=0.0)
     f = CompositeProxFunction(
         L1Function(1.0), quad.true_value, quad.true_gradient,
         lipschitz_L=quad.meta.lipschitz_L,
-        spec=ProxSpec(tolerance=1e-14, max_inner_iters=3),
     )
     with pytest.raises(ProxSolverError) as info:
         f.prox(np.full(6, 5.0), 0.5)
@@ -250,9 +251,9 @@ def _loop_prox(comp, x, eta):
     q = math.sqrt(step / eta)
     beta = (1.0 - q) / (1.0 + q)
     keep, shift = 1.0 - step / eta, (step / eta) * x
-    tol = comp.spec.tolerance * (1.0 + math.sqrt(x @ x))
+    tol = smoothing._PROX_TOLERANCE * (1.0 + math.sqrt(x @ x))
     u = y = x
-    for _ in range(comp.spec.max_inner_iters):
+    for _ in range(smoothing._PROX_MAX_ITERS):
         v = keep * y
         v += shift
         v -= step * comp.smooth_grad(y)

@@ -26,7 +26,7 @@ from vsqn.problems import (
     LewisOvertonProblem,
     quad_make,
 )
-from vsqn.smoothing import L1Function, ProxSpec, eta_schedule_diminishing
+from vsqn.smoothing import L1Function, eta_schedule_diminishing
 from vsqn.solvers import (
     FULL_FIDELITY_ROWS,
     SCHEMES,
@@ -260,9 +260,9 @@ def test_an_interrupt_ends_the_run_interrupted_at_the_last_iterate_that_stepped(
     assert np.array_equal(res.x_final, np.full(3, 0.125))
 
 
-def test_a_stalled_inner_prox_solve_ends_the_run_prox_stall():
-    prob = CompositeProblem(L1Function(0.5), sc_quad(kappa=10.0),
-                            prox_spec=ProxSpec(max_inner_iters=1))
+def test_a_stalled_inner_prox_solve_ends_the_run_prox_stall(monkeypatch):
+    monkeypatch.setattr("vsqn.smoothing._PROX_MAX_ITERS", 1)
+    prob = CompositeProblem(L1Function(0.5), sc_quad(kappa=10.0))
     cfg = SolverConfig("svs_sqn_moreau", horizon=20, eta=0.1, record_trace=True,
                        step=ScalarSchedule("constant", 0.05))
     res = run(prob, cfg)
