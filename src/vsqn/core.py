@@ -1,7 +1,8 @@
 """Shared numerical plumbing: reproducible counter-based random streams,
 batch-size and steplength schedules, and the one oracle contract every
-solver queries (``StochasticProblem``, through ``evaluate_on_handle``; the
-solver loop, not the oracle, checks that each step is finite).
+solver queries (``StochasticProblem``: a draw per handle, then gradients on
+that batch; the solver loop, not the oracle, checks that each step is
+finite).
 
 A sample handle's generator is ``Philox(SeedSequence(seed,
 spawn_key=(stream_id, start)))``.  Philox is counter-based: its whole state
@@ -210,12 +211,12 @@ class SampleHandle:
     ``generator()`` altogether.
 
     Handles are frozen and compare by value (the stream takes no part), so
-    a problem may key a cache on them: the built-in problems keep the
-    reduced draw (row indices, mean noise factors, a frozen batch function)
-    of their most recent handle and draw at most once per handle in a
-    solver run.  A quadratic's draw, ``problems._noise_factors``, is also
-    memoized across runs for the most recent (seed, stream_id), so a run
-    that replays that stream draws none of its costly batches
+    a memo may key on them.  A problem's ``draw`` reduces a handle to its
+    batch (row indices, mean noise factors, a frozen batch function) and
+    the solver loop holds that batch for the pair after it, so a run draws
+    each handle once.  A quadratic's draw, ``problems._noise_factors``, is
+    also memoized across runs for the most recent (seed, stream_id), so a
+    run that replays that stream draws none of its costly batches
     (``problems._StreamMemo``).
 
     A problem must consume the generator with a fixed recipe (same calls,
@@ -327,22 +328,27 @@ class RngStream:
 
 @runtime_checkable
 class StochasticProblem(Protocol):
-    """The one oracle contract: ``batch_gradient(x, handle, eta=None)``.
+    """The one oracle contract: ``draw(handle)``, then
+    ``batch_gradient(x, batch, eta=None)`` on what it returns.
 
-    It returns the batch-average gradient of the sample functions drawn
-    from ``handle``, each smoothed at level ``eta`` (None: unsmoothed), as
-    a pure function of (x, handle, eta).  ``meta.smoothing`` declares the
-    levels it takes: None, eta must be None (the call may take two
-    arguments); "smoothable", None or eta; "moreau", eta only (the gradient
-    of the eta-Moreau envelope of the whole sample-average function).  The
-    batch gradient is the only gradient a problem computes on a handle; the
-    problems that take outside data reject non-finite values at
-    construction.
+    ``draw`` reduces the sample functions ``handle`` names to a batch:
+    whatever the gradient needs of them (None when it draws nothing).
+    ``batch_gradient`` returns their average gradient, each smoothed at
+    level ``eta`` (None: unsmoothed), as a pure function of (x, batch, eta),
+    so the caller may evaluate one batch at several points.
+    ``meta.smoothing`` declares the levels it takes: None, eta must be None
+    (the call may take two arguments); "smoothable", None or eta; "moreau",
+    eta only (the gradient of the eta-Moreau envelope of the whole
+    sample-average function).  The batch gradient is the only gradient a
+    problem computes on a batch; the problems that take outside data reject
+    non-finite values at construction.
     """
 
     meta: ProblemMeta
 
-    def batch_gradient(self, x: Array, handle: SampleHandle,
+    def draw(self, handle: SampleHandle): ...
+
+    def batch_gradient(self, x: Array, batch,
                        eta: Optional[float] = None) -> Array: ...
 
 
@@ -445,10 +451,3 @@ class ScalarSchedule:
         t = max(k + self.offset, 1)
         return self.base * float(t) ** self.exponent
 
-
-def evaluate_on_handle(problem, x: Array, handle: SampleHandle, eta=None) -> Array:
-    """(Re-)evaluate a problem's batch-average gradient on a stored handle
-    at smoothing level ``eta`` (None: unsmoothed, a two-argument call)."""
-    if eta is None:
-        return problem.batch_gradient(x, handle)
-    return problem.batch_gradient(x, handle, eta)

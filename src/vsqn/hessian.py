@@ -4,9 +4,9 @@ approximation, in plain and regularized-smoothed variants.
 Pairs are formed at odd iterations from two batch gradients evaluated on
 the identical sample batch, the one drawn for the previous step: the
 gradient at the previous iterate is that step's own gradient when the
-smoothing levels agree, and the problem's batch cache serves the other
-without a redraw.  In strongly convex (SC) mode y is the
-raw gradient difference; in merely convex (C) mode, which is the mode
+smoothing levels agree, and the solver loop holds that step's draw, so the
+other needs no redraw.  In strongly convex (SC) mode y is the raw gradient
+difference; in merely convex (C) mode, which is the mode
 exactly when a regularization weight mu is given, the gradients are taken
 of a mildly smoothed surrogate (level eta**delta) and y gains a
 mu**delta_bar * s term so the secant condition survives without strong
@@ -72,7 +72,7 @@ def collect_pair(
 ) -> CurvaturePair:
     """Build a curvature pair from gradients on one sample batch.
 
-    Both gradients must come from the identical sample handle.  The pair
+    Both gradients must come from the identical drawn batch.  The pair
     is a C-mode pair exactly when ``mu_i`` is given: then the gradients
     must be of the smoothed surrogate (level eta_i**delta, chosen by the
     caller), and the mu_i**delta_bar * s regularization term is added here.

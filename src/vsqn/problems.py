@@ -3,19 +3,20 @@ conditioning, logistic regression with l1/l2 terms, isotonic-constrained
 least squares, an l1 location family for nonsmooth runs, a 2-D nonsmooth
 benchmark with a known optimum, and a sparse text dataset loader.
 
-Every problem answers ``batch_gradient(x, handle, eta)`` at the smoothing
-levels its ``meta.smoothing`` declares (``core.StochasticProblem``).  All
-oracles draw their randomness from a replayable SampleHandle and reduce in
-fixed index order, so replays are bit-identical (a quadratic's noise draw
-is an exact integer sum, which has no order).  Each sampled problem keeps
-the reduced draw of its most recent handle in a one-slot cache, so
-re-evaluating that batch at another point (a curvature pair) draws nothing.
-A quadratic's draw, ``_noise_factors``, is a pure function of (handle,
-n, noise), and one module-level memo (``_StreamMemo``) keeps its costly
-results for the most recent sample stream: runs on common random numbers,
-such as the ill-conditioning cells of one seed, each build their own
-problem, and every run after the first takes a shared handle's noise
-factors from the memo, bit for bit, instead of drawing them again.
+Every problem answers ``draw(handle)``, the reduced draw of one batch,
+and ``batch_gradient(x, batch, eta)`` on it, at the smoothing levels its
+``meta.smoothing`` declares (``core.StochasticProblem``).  All draws take
+their randomness from a replayable SampleHandle and reduce in fixed index
+order, so replays are bit-identical (a quadratic's noise draw is an exact
+integer sum, which has no order).  The solver loop holds the draw of the
+step before, so re-evaluating that batch at another point (a curvature
+pair) draws nothing.  A quadratic's draw, ``_noise_factors``, is a pure
+function of (handle, n, noise), and one module-level memo
+(``_StreamMemo``) keeps its costly results for the most recent sample
+stream: runs on common random numbers, such as the ill-conditioning cells
+of one seed, each build their own problem, and every run after the first
+takes a shared handle's noise factors from the memo, bit for bit, instead
+of drawing them again.
 The row-sampled problems (logistic, isotonic) hold a batch of at least a
 quarter of their N data rows as per-row draw counts and reduce it in one
 count-weighted pass over the data, so such a draw and its gradient take
@@ -38,41 +39,9 @@ from .smoothing import (
 )
 
 
-class _LastBatchSlot:
-    """Mixin: ``_batch(handle)`` is ``_draw(handle)`` cached for the most
-    recent handle.
-
-    ``_draw`` returns what the batch oracles need from one draw: the
-    sampled rows (``_draw_rows``: a slice, an index array or per-row
-    counts, never the gathered rows), mean noise factors, the l1 location
-    offsets, or a frozen batch function.  Handles compare by value, so a
-    replayed handle hits the slot and any other one replaces it; the old
-    draw is dropped before the new one is made, so at most one is held.
-    A quadratic's draw is n mean factors, summed exactly as integers in
-    O(chunk) memory at every n, and a counted row draw is N counts made in
-    O(chunk + N), whatever the batch size.  The slot stays, though the
-    quadratic stream memo also serves a replayed handle: without it every
-    other draw is made again, and a composite's frozen batch (its Q and
-    Newton system) is rebuilt.  On a 2-core box (``perfbench/run.py
-    --seconds 8``, seed 1, 4 alternating pairs) dropping it took
-    ``composite_prox`` ``solve_s`` from 0.1429 to 0.1573 s (+10%, slower
-    in 4 of 4 pairs) and left ``unit_batch`` at 0.26 s (pairs split 2-2).
-    """
-
-    _slot_handle: Optional[SampleHandle] = None
-    _slot_value = None
-
-    def _batch(self, handle: SampleHandle):
-        if handle != self._slot_handle:
-            self._slot_handle = self._slot_value = None
-            self._slot_value = self._draw(handle)
-            self._slot_handle = handle
-        return self._slot_value
-
-
 @dataclass
 class BatchFunction:
-    """A batch-average function frozen on one sample handle; ``lipschitz_L``
+    """A batch-average function frozen on one drawn batch; ``lipschitz_L``
     is its own gradient Lipschitz constant (a quadratic's largest
     eigenvalue), which an inner solver's step must not pass.  ``hessian``
     is its constant Hessian when it is a quadratic, else None; with it the
@@ -208,7 +177,7 @@ class _StreamMemo:
 _STREAM_MEMO = _StreamMemo()
 
 
-class QuadraticEnsemble(_LastBatchSlot):
+class QuadraticEnsemble:
     """E[(1/2) x'Q(w)x + c(w)'x] with c(w) = -Q(w) x_true.
 
     The mean matrix has the requested spectrum (extremes pinned); each
@@ -250,20 +219,19 @@ class QuadraticEnsemble(_LastBatchSlot):
     def sample_L(self) -> float:
         return self.meta.lipschitz_L * (1.0 + self.noise)
 
-    def _draw(self, handle: SampleHandle) -> Array:
+    def draw(self, handle: SampleHandle) -> Array:
         return _STREAM_MEMO.recall(handle, self.eigs.size, self.noise)
 
-    def batch_gradient(self, x: Array, handle: SampleHandle) -> Array:
-        mean_factors = self._batch(handle)
+    def batch_gradient(self, x: Array, mean_factors: Array) -> Array:
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
         return self.frame @ (self.eigs * mean_factors * w)
 
-    def frozen_batch(self, handle: SampleHandle) -> BatchFunction:
+    def frozen_batch(self, mean_factors: Array) -> BatchFunction:
         """The batch mean as Q = V diag(scaled) V' and c = Q x_true, built
-        once a batch, so a gradient is one product, Q u - c, and Q is the
-        Hessian.  The noise factors reorder the eigenvalues: L is the
-        largest scaled one."""
-        scaled = self.eigs * self._batch(handle)
+        once a batch from its drawn factors, so a gradient is one product,
+        Q u - c, and Q is the Hessian.  The noise factors reorder the
+        eigenvalues: L is the largest scaled one."""
+        scaled = self.eigs * mean_factors
         Q = (self.frame * scaled) @ self.frame.T
         c = Q @ self.x_true
 
@@ -326,7 +294,7 @@ def _stable_sigmoid(t: Array) -> Array:
     return out
 
 
-class LogisticProblem(_LastBatchSlot):
+class LogisticProblem:
     """Sampled-average logistic loss with optional l2 and (smoothed) l1
     terms.  Sampling is with replacement over the data rows."""
 
@@ -370,7 +338,7 @@ class LogisticProblem(_LastBatchSlot):
             smoothing="smoothable",
         )
 
-    def _draw(self, handle: SampleHandle):
+    def draw(self, handle: SampleHandle):
         return _draw_rows(handle, self.N)
 
     def _penalty_grad(self, x: Array, l1_eta: Optional[float] = None) -> Array:
@@ -419,11 +387,10 @@ class LogisticProblem(_LastBatchSlot):
         s = _stable_sigmoid(-vb * (xb @ x))
         return np.add.reduce(-(xb * (vb * s)[:, None]), axis=0) / len(vb)
 
-    def batch_gradient(self, x: Array, handle: SampleHandle,
+    def batch_gradient(self, x: Array, rows,
                        eta: Optional[float] = None) -> Array:
         """eta, when given, Huber-smooths the l1 term in place of l1_eta."""
         x = np.asarray(x, dtype=float)
-        rows = self._batch(handle)
         return self._loss_grad(x, rows) + self._penalty_grad(x, eta)
 
     def full_gradient(self, x: Array) -> Array:
@@ -565,7 +532,7 @@ def monotone_violation(x: Array) -> float:
     return float(np.maximum(x[:-1] - x[1:], 0.0).max())
 
 
-class IsotonicLasso(_LastBatchSlot):
+class IsotonicLasso:
     """(1/2) sum_i |A_i x - b_i|^2 over the monotone cone, handled through
     squared-distance smoothing of the constraint indicator.
 
@@ -585,7 +552,7 @@ class IsotonicLasso(_LastBatchSlot):
         self.meta = ProblemMeta(n=n, lipschitz_L=gram_norm + 1.0 / self.default_eta,
                                 smoothing="smoothable")
 
-    def _draw(self, handle: SampleHandle):
+    def draw(self, handle: SampleHandle):
         return _draw_rows(handle, self.p)
 
     def _data_grad(self, x: Array, rows) -> Array:
@@ -601,12 +568,11 @@ class IsotonicLasso(_LastBatchSlot):
     def _penalty_grad(self, x: Array, eta: float) -> Array:
         return (x - pava_project(x)) / eta
 
-    def batch_gradient(self, x: Array, handle: SampleHandle,
+    def batch_gradient(self, x: Array, rows,
                        eta: Optional[float] = None) -> Array:
         """eta, when given, smooths the constraint indicator in place of
         the problem's own level."""
         x = np.asarray(x, dtype=float)
-        rows = self._batch(handle)
         eta = self.default_eta if eta is None else eta
         return self._data_grad(x, rows) + self._penalty_grad(x, eta)
 
@@ -644,7 +610,7 @@ def make_isotonic(n: int, p: int, rng, eta: float = 1e-2) -> IsotonicLasso:
 # ---------------------------------------------------------------------------
 
 
-class L1LocationProblem(_LastBatchSlot):
+class L1LocationProblem:
     """f(x) = (sc/2)|x - c|^2 + E |x - c - u|_1 with u uniform noise.
 
     The optimum is exactly the center c with value n*w/2, so optimality
@@ -671,15 +637,15 @@ class L1LocationProblem(_LastBatchSlot):
             smoothing="smoothable",
         )
 
-    def _draw(self, handle: SampleHandle) -> Array:
+    def draw(self, handle: SampleHandle) -> Array:
         gen = handle.generator()
         return gen.uniform(-self.w, self.w, size=(handle.batch, self.center.size))
 
-    def batch_gradient(self, x: Array, handle: SampleHandle,
+    def batch_gradient(self, x: Array, offsets: Array,
                        eta: Optional[float] = None) -> Array:
         """Subgradients of |.|_1, or with eta its Huber smoothing."""
         x = np.asarray(x, dtype=float)
-        diffs = (x - self.center)[None, :] - self._batch(handle)
+        diffs = (x - self.center)[None, :] - offsets
         if eta is None:
             grads = np.sign(diffs)
         else:
@@ -722,8 +688,8 @@ def lewis_overton_oracle(x: Array, eta: float = 0.0):
 
 class LewisOvertonProblem:
     """Deterministic smoothed view of the 2-D benchmark, exposed through
-    the stochastic-oracle interface (its oracle draws nothing: a batch's
-    handle is unused)."""
+    the stochastic-oracle interface: its oracle draws nothing, so a
+    batch's draw is None."""
 
     def __init__(self, eta: float = 0.05):
         if not 0 < eta < np.inf:
@@ -739,7 +705,10 @@ class LewisOvertonProblem:
             smoothing="smoothable",
         )
 
-    def batch_gradient(self, x: Array, handle: SampleHandle,
+    def draw(self, handle: SampleHandle) -> None:
+        return None
+
+    def batch_gradient(self, x: Array, batch,
                        eta: Optional[float] = None) -> Array:
         """eta, when given, smooths the max term in place of self.eta."""
         return lewis_overton_oracle(x, self.eta if eta is None else eta)[1]
@@ -753,7 +722,7 @@ class LewisOvertonProblem:
 # ---------------------------------------------------------------------------
 
 
-class CompositeProblem(_LastBatchSlot):
+class CompositeProblem:
     """h + E[F(., w)] with h prox-friendly and F smooth and strongly convex
     per sample; envelope gradients of the sample-average composite are
     computed through an inner prox solve on the frozen batch."""
@@ -777,15 +746,18 @@ class CompositeProblem(_LastBatchSlot):
     def sample_L(self):
         return getattr(self.smooth, "sample_L", self.smooth.meta.lipschitz_L)
 
-    def _draw(self, handle: SampleHandle) -> CompositeProxFunction:
-        bf = self.smooth.frozen_batch(handle)
+    def draw(self, handle: SampleHandle) -> CompositeProxFunction:
+        """The sample-average composite frozen on the batch, so its Q, and
+        the Q + I/eta its prox forms once per eta, are built once a draw."""
+        bf = self.smooth.frozen_batch(self.smooth.draw(handle))
         return CompositeProxFunction(self.h, bf.value, bf.grad, bf.lipschitz_L,
                                      bf.hessian)
 
-    def batch_gradient(self, x: Array, handle: SampleHandle, eta: float) -> Array:
+    def batch_gradient(self, x: Array, composite: CompositeProxFunction,
+                       eta: float) -> Array:
         """(x - prox of the sample-average composite)/eta."""
         x = np.asarray(x, dtype=float)
-        u = self._batch(handle).prox(x, eta)
+        u = composite.prox(x, eta)
         return (x - u) / eta
 
     def true_value(self, x: Array) -> float:

@@ -1,16 +1,16 @@
 """Variable sample-size stochastic quasi-Newton solvers and baselines.
 
 Eight schemes share one contract: an update x <- x - gamma_k H_k u_k where
-u_k is a batch-average (possibly smoothed and/or regularized) gradient,
-queried through ``core.evaluate_on_handle`` at the scheme's smoothing level,
-and H_k is the limited-memory approximation rebuilt from curvature pairs
-formed at odd iterations.  A pair at iteration k uses the previous
-iteration's batch S_{k-1}: y = g(x_k; S_{k-1}) - g(x_{k-1}; S_{k-1}).  The
-second term is the previous step's raw oracle output whenever the pair is
-taken at the same smoothing level as that step, so it is reused rather than
-recomputed; the problem's one-slot batch cache serves the first term
-without a redraw.  The schemes differ only in their schedules, in what u_k
-is, and in how pairs are built:
+u_k is a batch-average (possibly smoothed and/or regularized) gradient on
+the batch S_k the loop draws once per iteration (``problem.draw``), queried
+at the scheme's smoothing level, and H_k is the limited-memory
+approximation rebuilt from curvature pairs formed at odd iterations.  A
+pair at iteration k uses the previous iteration's batch S_{k-1}, which the
+loop holds: y = g(x_k; S_{k-1}) - g(x_{k-1}; S_{k-1}).  The second term is
+the previous step's raw oracle output whenever the pair is taken at the
+same smoothing level as that step, so it is reused rather than recomputed.
+The schemes differ only in their schedules, in what u_k is, and in how
+pairs are built:
 
   vs_sqn              strongly convex, smooth; geometric batches
   svs_sqn_moreau      strongly convex composite; envelope gradients, fixed eta
@@ -52,15 +52,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    Array,
-    BatchSchedule,
-    ConfigError,
-    RngStream,
-    ScalarSchedule,
-    assert_finite,
-    evaluate_on_handle,
-)
+from .core import (Array, BatchSchedule, ConfigError, RngStream, ScalarSchedule,
+                   assert_finite)
 from .hessian import (LbfgsMemory, SecantError, _or_inf, collect_pair,
                       theoretical_bounds)
 from .smoothing import ProxSolverError, eta_schedule_diminishing
@@ -293,13 +286,13 @@ class _Plan:
     """One scheme's schedules for the shared loop, which takes N_k from
     the config's batch schedule and gamma_k from ``gamma`` (``_step``).
 
-    The raw gradient at k is ``evaluate_on_handle`` on S_k at smoothing
-    level ``level(k)`` (None: unsmoothed); the step direction is that, plus
-    mu(k) (x_k - x_0) when ``mu`` is set.  With ``pairs`` set, the pair at
-    odd k is taken on S_{k-1} at level level(k)**delta with eta_i =
-    level(k); with ``mu`` set it is a C-mode pair holding mu_i = mu(k - 1),
-    the weight of the even step before it, since the weight changes only at
-    even k.  With ``momentum`` set, the step lands on the reported iterate
+    The raw gradient at k is ``problem.batch_gradient`` on the drawn S_k at
+    smoothing level ``level(k)`` (None: unsmoothed); the step direction is
+    that, plus mu(k) (x_k - x_0) when ``mu`` is set.  With ``pairs`` set, the
+    pair at odd k is taken on the held S_{k-1} at level level(k)**delta with
+    eta_i = level(k); with ``mu`` set it is a C-mode pair holding
+    mu_i = mu(k - 1), the weight of the even step before it, since the weight
+    changes only at even k.  With ``momentum`` set, the step lands on the reported iterate
     z_{k+1} = x_k - gamma_k H_k u_k and the next query point is
     x_{k+1} = z_{k+1} + momentum(k) (z_{k+1} - z_k); the loop calls it once
     per iteration, in order.  With ``average`` set, the result also carries
@@ -353,8 +346,8 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     samples = 0
     grad_evals = 0
     counters = dict.fromkeys(PAIR_COUNTERS, 0)
-    # (x, handle, batch size, smoothing level, raw oracle output) of the
-    # previous step
+    # (x, drawn batch, batch size, smoothing level, raw oracle output) of the
+    # previous step: the pair at k evaluates its batch S_{k-1} again
     prev: Optional[tuple] = None
     avg_acc = np.zeros_like(x) if plan.average else None
     t0 = time.perf_counter()
@@ -366,20 +359,19 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
     try:
         while iters != config.horizon:
             if plan.pairs and k % 2 == 1 and prev is not None:
-                x_prev, h_prev, n_prev, level_prev, g_prev = prev
+                x_prev, batch_prev, n_prev, level_prev, g_prev = prev
                 # a step at rounding scale carries no curvature information:
                 # y would be pure cancellation noise, so skip the pair
                 if _norm(x - x_prev) > 1e-13 * (1.0 + _norm(x)):
                     eta = plan.level(k)
                     level = None if eta is None else eta ** plan.delta
-                    # evaluate_on_handle is looked up at call time, so the
-                    # module global can be wrapped
-                    g_hi = evaluate_on_handle(problem, x, h_prev, eta=level)
+                    at = () if level is None else (level,)
+                    g_hi = problem.batch_gradient(x, batch_prev, *at)
                     if level == level_prev:
                         g_lo = g_prev
                         counters["pair_grads_reused"] += 1
                     else:
-                        g_lo = evaluate_on_handle(problem, x_prev, h_prev, eta=level)
+                        g_lo = problem.batch_gradient(x_prev, batch_prev, *at)
                     grad_evals += 2 * n_prev
                     mem.push(collect_pair(
                         x, x_prev, g_hi, g_lo, k,
@@ -392,8 +384,13 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
 
             n_k = config.batch.eval(k)
             handle = rng.next_handle(n_k)
+            # every name of the previous draw goes before the next is made,
+            # so at most one draw is live
+            prev = batch = batch_prev = None
+            batch = problem.draw(handle)
             level = plan.level(k)
-            raw = evaluate_on_handle(problem, x, handle, eta=level)
+            at = () if level is None else (level,)  # unsmoothed: a two-argument call
+            raw = problem.batch_gradient(x, batch, *at)
             g = raw if plan.mu is None else raw + plan.mu(k) * (x - x0)
             samples += n_k
             grad_evals += n_k
@@ -428,7 +425,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
                 trace.append({"k": k, "x": x.copy(), "handle": handle,
                               "gamma": gamma, "pairs": list(mem.pairs)})
 
-            prev = (x, handle, n_k, level, raw)
+            prev = (x, batch, n_k, level, raw)
             x, z = x_next, z_next
             iters += 1
             k += 1

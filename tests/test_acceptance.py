@@ -56,19 +56,20 @@ def report(criterion, detail):
 
 def random_walk_pairs(problem, gen, rng, count, grad, mode="SC", mus=None,
                       etas=None, delta_bar=1.0, m=3):
-    """Fill a memory from a random walk with fresh replayable batches."""
+    """Fill a memory from a random walk with fresh replayable batches, each
+    drawn once and evaluated at both ends of its step."""
     mem = LbfgsMemory(m)
     x = gen.standard_normal(problem.meta.n)
     for i in range(count):
-        handle = rng.next_handle(int(gen.integers(1, 6)))
+        batch = problem.draw(rng.next_handle(int(gen.integers(1, 6))))
         x_new = x + 0.5 * gen.standard_normal(x.size)
         kwargs = {}
         if mode == "C":
             kwargs = {"mu_i": mus[i], "delta_bar": delta_bar}
             if etas is not None:
                 kwargs["eta_i"] = etas[i]
-        mem.push(collect_pair(x_new, x, grad(x_new, handle, i),
-                              grad(x, handle, i), 2 * i + 1, **kwargs))
+        mem.push(collect_pair(x_new, x, grad(x_new, batch, i),
+                              grad(x, batch, i), 2 * i + 1, **kwargs))
         x = x_new
     return mem
 
@@ -86,13 +87,13 @@ def test_criterion_1_secant_certificates():
         if seed % 2 == 0:
             prob = quad_make(n, float(gen.uniform(2, 50)), "SC",
                              RngStream(seed, 1), noise_half_width=0.4)
-            grad = lambda x, h, i: prob.batch_gradient(x, h)
+            grad = lambda x, b, i: prob.batch_gradient(x, b)
             mem = random_walk_pairs(prob, gen, rng, m + 2, grad, m=m)
         else:
             prob = quad_make(n, float(gen.uniform(2, 50)), "C",
                              RngStream(seed, 1), noise_half_width=0.4)
             mus = [1.0 * (i + 1) ** -0.9 for i in range(m + 2)]
-            grad = lambda x, h, i: prob.batch_gradient(x, h)
+            grad = lambda x, b, i: prob.batch_gradient(x, b)
             mem = random_walk_pairs(prob, gen, rng, m + 2, grad, mode="C",
                                     mus=mus, delta_bar=0.5, m=m)
         assert all(p.sy > 0 for p in mem.pairs)
@@ -122,7 +123,7 @@ def test_criterion_2_eigenvalue_certificates():
             if regime == "SC-smooth":
                 prob = quad_make(n, float(gen.uniform(2, 30)), "SC",
                                  RngStream(seed, 1), 0.3)
-                grad = lambda x, h, i: prob.batch_gradient(x, h)
+                grad = lambda x, b, i: prob.batch_gradient(x, b)
                 mem = random_walk_pairs(prob, gen, rng, m + 2, grad, m=m)
                 bounds = theoretical_bounds(regime, m=m, n=n, L=prob.sample_L,
                                             tau=prob.sample_tau)
@@ -131,14 +132,14 @@ def test_criterion_2_eigenvalue_certificates():
                                  RngStream(seed, 1), 0.3)
                 prob = CompositeProblem(L1Function(0.5), quad)
                 eta = float(gen.uniform(0.05, 0.5))
-                grad = lambda x, h, i: prob.batch_gradient(x, h, eta)
+                grad = lambda x, b, i: prob.batch_gradient(x, b, eta)
                 mem = random_walk_pairs(prob, gen, rng, m + 2, grad, m=m)
                 bounds = theoretical_bounds(regime, m=m, n=n, eta_k=eta,
                                             tau=prob.sample_tau)
             elif regime == "C-smooth":
                 prob = quad_make(n, float(gen.uniform(2, 30)), "C",
                                  RngStream(seed, 1), 0.3)
-                grad = lambda x, h, i: prob.batch_gradient(x, h)
+                grad = lambda x, b, i: prob.batch_gradient(x, b)
                 mem = random_walk_pairs(prob, gen, rng, m + 2, grad, mode="C",
                                         mus=mus, delta_bar=delta_bar, m=m)
                 bounds = theoretical_bounds(regime, m=m, n=n, L=prob.sample_L,
@@ -146,8 +147,8 @@ def test_criterion_2_eigenvalue_certificates():
                                             delta_bar=delta_bar)
             else:
                 prob = L1LocationProblem(gen.uniform(-1, 1, n), 1.0)
-                grad = lambda x, h, i: prob.batch_gradient(
-                    x, h, etas[i] ** delta)
+                grad = lambda x, b, i: prob.batch_gradient(
+                    x, b, etas[i] ** delta)
                 mem = random_walk_pairs(prob, gen, rng, m + 2, grad, mode="C",
                                         mus=mus, etas=etas,
                                         delta_bar=delta_bar, m=m)

@@ -14,7 +14,6 @@ from vsqn.core import (
     RngStream,
     SampleHandle,
     ScalarSchedule,
-    evaluate_on_handle,
 )
 from vsqn.problems import quad_make
 from vsqn.solvers import SolverConfig, run
@@ -265,8 +264,9 @@ def test_batch_gradient_replays_bitwise():
     prob = quad_make(6, 10.0, "SC", RngStream(7, 1))
     handle = RngStream(3, 0).next_handle(40)
     x = np.ones(6)
-    g = evaluate_on_handle(prob, x, handle)
-    again = evaluate_on_handle(quad_make(6, 10.0, "SC", RngStream(7, 1)), x, handle)
+    g = prob.batch_gradient(x, prob.draw(handle))
+    other = quad_make(6, 10.0, "SC", RngStream(7, 1))
+    again = other.batch_gradient(x, other.draw(handle))
     assert np.array_equal(g, again)
 
 
@@ -274,17 +274,17 @@ def test_handle_reusable_at_a_different_point():
     prob = quad_make(6, 10.0, "SC", RngStream(7, 1))
     x = np.ones(6)
     handle = RngStream(3, 0).next_handle(40)
-    evaluate_on_handle(prob, x, handle)
+    prob.batch_gradient(x, prob.draw(handle))
     y = x + 0.5
-    g1 = evaluate_on_handle(prob, y, handle)
-    g2 = evaluate_on_handle(prob, y, handle)
+    g1 = prob.batch_gradient(y, prob.draw(handle))
+    g2 = prob.batch_gradient(y, prob.draw(handle))
     assert np.array_equal(g1, g2)
 
 
 def test_zero_noise_batch_equals_exact_gradient():
     prob = quad_make(5, 4.0, "SC", RngStream(11, 1), noise_half_width=0.0)
     x = np.arange(5, dtype=float)
-    g = evaluate_on_handle(prob, x, RngStream(0, 0).next_handle(3))
+    g = prob.batch_gradient(x, prob.draw(RngStream(0, 0).next_handle(3)))
     assert np.allclose(g, prob.true_gradient(x), atol=1e-14)
 
 
@@ -294,7 +294,7 @@ def test_single_draw_replayable_independently():
     prob = quad_make(4, 8.0, "SC", RngStream(5, 1), noise_half_width=0.4)
     handle = RngStream(9, 0).next_handle(1)
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    g = evaluate_on_handle(prob, x, handle)
+    g = prob.batch_gradient(x, prob.draw(handle))
     factors = handle.generator().uniform(0.6, 1.4, size=(1, 4))[0]
     w = prob.frame.T @ (x - prob.x_true)
     expected = prob.frame @ (prob.eigs * factors * w)
@@ -311,7 +311,7 @@ def test_mean_consistency_statistical():
     sums = np.zeros(6)
     per_batch = np.zeros((M, 6))
     for i in range(M):
-        g = evaluate_on_handle(prob, x, rng.next_handle(batch))
+        g = prob.batch_gradient(x, prob.draw(rng.next_handle(batch)))
         per_batch[i] = g
         sums += g
     mean = sums / M

@@ -25,8 +25,9 @@ ALLOWED = {
     "norm2_smooth": "norm smoothing certificate (criteria 4 and 5)",
     "indicator_smooth": "indicator smoothing gradient certificate (criterion 4)",
     "check_smoothing_chain": "smoothing chain inequality certificate (criterion 5)",
-    "StochasticProblem": "the one oracle contract, batch_gradient(x, handle, eta), "
-                         "and the meta.smoothing levels, written as a Protocol",
+    "StochasticProblem": "the one oracle contract, draw(handle) then "
+                         "batch_gradient(x, batch, eta), and the meta.smoothing "
+                         "levels, written as a Protocol",
 }
 
 # Members no src code reads, kept on purpose ("Class.name").

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vsqn.solvers
 from vsqn.core import BATCH_READS, SCALAR_READS
 from vsqn.harness.checks import fd_check, rate_fit, sparsity_count
 from vsqn.harness.cli import main
@@ -30,6 +29,7 @@ from vsqn.harness.config import (
 )
 from vsqn.harness.logs import CSV_HEADER, read_csv, read_summary, write_csv
 from vsqn.harness.presets import PRESET_NAMES, preset_cells
+from vsqn.problems import QuadraticEnsemble
 from vsqn.solvers import BREAKDOWNS, SCHEMES, ConfigError, IterateLog, run
 
 
@@ -744,14 +744,14 @@ def test_cli_secant_breakdown_exits_3_keeping_its_message(tmp_path, capsys):
 def test_cli_interrupted_run_keeps_its_log_and_exits_130(tmp_path, capsys, monkeypatch):
     # sgd's oracle is interrupted in its fifth call, at k = 5 of seed 0
     calls = itertools.count()
-    evaluate = vsqn.solvers.evaluate_on_handle
+    evaluate = QuadraticEnsemble.batch_gradient
 
     def interrupted(*args, **kwargs):
         if next(calls) == 4:
             raise KeyboardInterrupt
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(vsqn.solvers, "evaluate_on_handle", interrupted)
+    monkeypatch.setattr(QuadraticEnsemble, "batch_gradient", interrupted)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("name = cut\nproblem = quadratic_sc\nn = 4\nscheme = sgd\n"
                    "step_base = 0.01\nhorizon = 50\nrepeats = 2\n")

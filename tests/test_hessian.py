@@ -229,11 +229,10 @@ def test_memory_eigenvalues_within_sc_bounds():
         mem = LbfgsMemory(3)
         x = gen.standard_normal(6)
         for i in range(5):
-            handle = rng.next_handle(int(gen.integers(1, 5)))
+            batch = prob.draw(rng.next_handle(int(gen.integers(1, 5))))
             x_new = x + gen.standard_normal(6)
-            mem.push(collect_pair(x_new, x,
-                                  prob.batch_gradient(x_new, handle),
-                                  prob.batch_gradient(x, handle), 2 * i + 1))
+            mem.push(collect_pair(x_new, x, prob.batch_gradient(x_new, batch),
+                                  prob.batch_gradient(x, batch), 2 * i + 1))
             x = x_new
         b = theoretical_bounds("SC-smooth", m=3, n=6, L=prob.sample_L,
                                tau=prob.sample_tau)

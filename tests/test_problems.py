@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsqn.core import BatchSchedule, RngStream, SampleHandle, ScalarSchedule
+from vsqn.core import (BatchSchedule, RngStream, SampleHandle, ScalarSchedule,
+                       StochasticProblem)
 from vsqn.harness.checks import fd_check
 from vsqn.harness.config import build_problem
 from vsqn.harness.presets import preset_cells
@@ -60,7 +61,7 @@ def test_quad_spectrum_pinned():
 
 def test_quad_gradient_vanishes_at_planted_point():
     prob = quad_make(8, 30.0, "SC", RngStream(3, 1), noise_half_width=0.5)
-    g = prob.batch_gradient(prob.x_true, RngStream(0, 0).next_handle(7))
+    g = prob.batch_gradient(prob.x_true, prob.draw(RngStream(0, 0).next_handle(7)))
     assert np.allclose(g, 0.0)
     assert prob.true_value(prob.x_true) == 0.0
 
@@ -76,7 +77,7 @@ def test_quad_noise_variance_scales_inversely_with_batch():
     for batch in sizes:
         errs = []
         for _ in range(120):
-            g = prob.batch_gradient(x, rng.next_handle(batch))
+            g = prob.batch_gradient(x, prob.draw(rng.next_handle(batch)))
             errs.append(np.sum((g - exact) ** 2))
         mses.append(np.mean(errs))
     slope = np.polyfit(np.log(sizes), np.log(mses), 1)[0]
@@ -85,10 +86,10 @@ def test_quad_noise_variance_scales_inversely_with_batch():
 
 def test_quad_frozen_batch_consistent():
     prob = quad_make(5, 12.0, "SC", RngStream(8, 1), noise_half_width=0.5)
-    handle = RngStream(9, 0).next_handle(20)
-    frozen = prob.frozen_batch(handle)
+    factors = prob.draw(RngStream(9, 0).next_handle(20))
+    frozen = prob.frozen_batch(factors)
     x = np.array([0.5, -1.0, 2.0, 0.0, 1.0])
-    assert np.allclose(frozen.grad(x), prob.batch_gradient(x, handle), atol=1e-12)
+    assert np.allclose(frozen.grad(x), prob.batch_gradient(x, factors), atol=1e-12)
     assert 0 < frozen.lipschitz_L <= prob.sample_L
 
 
@@ -99,11 +100,11 @@ def test_quad_frozen_batch_reports_its_largest_eigenvalue():
     prob = quad_make(10, 10.0, "SC", RngStream(1835504127, 1), noise_half_width=0.5)
     stream = RngStream(7, 0)
     for k in range(80):
-        handle = stream.next_handle(math.ceil(2 * 0.9 ** -k))
-        hessian = np.array([prob.batch_gradient(prob.x_true + e, handle)
+        factors = prob.draw(stream.next_handle(math.ceil(2 * 0.9 ** -k)))
+        hessian = np.array([prob.batch_gradient(prob.x_true + e, factors)
                             for e in np.eye(10)])
         top = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))[-1]
-        assert prob.frozen_batch(handle).lipschitz_L == pytest.approx(top, rel=1e-12), k
+        assert prob.frozen_batch(factors).lipschitz_L == pytest.approx(top, rel=1e-12), k
 
 
 def test_quad_rejects_bad_arguments():
@@ -120,7 +121,7 @@ class _WholeBatchQuadratic(QuadraticEnsemble):
     the exact mean of each column, as its integer numerators u 2^53 summed
     in Python ints, taken to ``lo + width * mean`` with one rounding."""
 
-    def _draw(self, handle):
+    def draw(self, handle):
         u = handle.generator().random((handle.batch, self.eigs.size))
         lo = 1.0 - self.noise
         width = (1.0 + self.noise) - lo
@@ -146,7 +147,7 @@ def test_quad_streamed_draw_bitwise_equals_whole_batch(noise, n):
                   _EXACT_ROWS + 1, rows - 1, rows, rows + 1, 2 * rows + 3,
                   random_batch):
         handle = RngStream(7, 0).next_handle(batch)
-        got, want = _noise_factors(handle, n, noise), whole._draw(handle)
+        got, want = _noise_factors(handle, n, noise), whole.draw(handle)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), batch
 
 
@@ -164,14 +165,14 @@ def test_quad_streamed_draw_keeps_the_vs_sqn_trajectory(monkeypatch):
     config = SolverConfig("vs_sqn", horizon=8, seed=4,
                           batch=BatchSchedule("geometric", N0=100, rate=0.5))
     drawn = []
-    reference = _WholeBatchQuadratic._draw
-    monkeypatch.setattr(_WholeBatchQuadratic, "_draw",
+    reference = _WholeBatchQuadratic.draw
+    monkeypatch.setattr(_WholeBatchQuadratic, "draw",
                         lambda self, h: drawn.append(h.batch) or reference(self, h))
     streamed, whole = (
         run(cls(base.frame, base.eigs, base.x_true, base.noise), config)
         for cls in (QuadraticEnsemble, _WholeBatchQuadratic))
     assert config.batch.eval(7) > 2 * (_DRAW_CHUNK // 20)
-    # the reference drew each batch of a chunk or more itself: its _draw
+    # the reference drew each batch of a chunk or more itself: its draw
     # override bypasses the stream memo, so the streamed run's draws are not hits
     chunked = [b for b in map(config.batch.eval, range(8)) if b * 20 >= _DRAW_CHUNK]
     assert len(chunked) == 4
@@ -197,7 +198,7 @@ def test_quad_draw_memory_is_bounded_by_the_chunk(n):
 
 def _empty_the_memo():
     """A draw of one chunk on a stream no other test uses."""
-    _ensemble(20, 0.5)._batch(RngStream(2**31, 9).next_handle(_DRAW_CHUNK))
+    _ensemble(20, 0.5).draw(RngStream(2**31, 9).next_handle(_DRAW_CHUNK))
     assert _STREAM_MEMO.stream == (2**31, 9)
 
 
@@ -205,10 +206,10 @@ def _counted_runs(monkeypatch, runs):
     """For each (problem, config): the result, the handles of one chunk or
     more that the run asked for, and those it drew through a generator."""
     asked, drawn, out = [], [], []
-    batch, generator = QuadraticEnsemble._batch, SampleHandle.generator
+    draw, generator = QuadraticEnsemble.draw, SampleHandle.generator
     with monkeypatch.context() as patch:
-        patch.setattr(QuadraticEnsemble, "_batch",
-                      lambda self, h: asked.append(h) or batch(self, h))
+        patch.setattr(QuadraticEnsemble, "draw",
+                      lambda self, h: asked.append(h) or draw(self, h))
         patch.setattr(SampleHandle, "generator",
                       lambda h: drawn.append(h) or generator(h))
         for problem, config in runs:
@@ -243,17 +244,17 @@ def test_illcond_cells_draw_a_shared_batch_once(monkeypatch):
 
 def test_memo_keeps_one_stream():
     handle = RngStream(5, 0).next_handle(2 * _DRAW_CHUNK // 20)
-    first = _ensemble(20, 0.5)._batch(handle)
-    assert _ensemble(20, 0.5)._batch(handle) is first  # another instance hits
+    first = _ensemble(20, 0.5).draw(handle)
+    assert _ensemble(20, 0.5).draw(handle) is first  # another instance hits
     _empty_the_memo()
-    again = _ensemble(20, 0.5)._batch(handle)
+    again = _ensemble(20, 0.5).draw(handle)
     assert again is not first
     assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
     # n, noise and a batch under one chunk are drawn, not recalled
-    assert _ensemble(20, 0.4)._batch(handle) is not again
-    assert _ensemble(21, 0.5)._batch(handle) is not again
+    assert _ensemble(20, 0.4).draw(handle) is not again
+    assert _ensemble(21, 0.5).draw(handle) is not again
     small = RngStream(5, 0).next_handle(_DRAW_CHUNK // 20 - 1)
-    assert _ensemble(20, 0.5)._batch(small) is not _ensemble(20, 0.5)._batch(small)
+    assert _ensemble(20, 0.5).draw(small) is not _ensemble(20, 0.5).draw(small)
 
 
 def test_memo_stays_within_its_bytes_and_keeps_the_run(monkeypatch):
@@ -278,7 +279,7 @@ def test_memo_stays_within_its_bytes_and_keeps_the_run(monkeypatch):
 def test_recalled_factors_are_read_only():
     handle = RngStream(5, 0).next_handle(_DRAW_CHUNK)
     for _ in range(2):  # the miss and the hit
-        factors = _ensemble(20, 0.5)._batch(handle)
+        factors = _ensemble(20, 0.5).draw(handle)
         with pytest.raises(ValueError):
             factors[0] = 1.0
 
@@ -372,7 +373,7 @@ def test_logistic_batch_gradient_bitwise_equals_reference(smoothing, eta, batch,
     seen = set()
     for _ in range(40):
         handle = stream.next_handle(batch)
-        got = prob.batch_gradient(x, handle, eta)
+        got = prob.batch_gradient(x, prob.draw(handle), eta)
         rows = SampleHandle(4, 0, handle.start, batch).generator().integers(
             0, N, size=batch)
         seen.update((rows % 4).tolist())
@@ -404,7 +405,7 @@ def test_logistic_gradient_keeps_the_sign_of_every_zero():
                 0, 5, size=batch)
             want = _reference_logistic_gradient(prob, x, rows, eta,
                                                 _counted(5, batch))
-            got = prob.batch_gradient(x, handle, eta)
+            got = prob.batch_gradient(x, prob.draw(handle), eta)
             assert np.array_equal(bits(got), bits(want)), (mu_l2, lambda_l1, batch)
 
 
@@ -469,7 +470,7 @@ def test_row_draw_counts_equal_the_bincount_of_one_whole_draw(case, N):
     for batch in (first - 1, first, _DRAW_CHUNK - 1, _DRAW_CHUNK,
                   _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 3):
         handle = stream.next_handle(batch)
-        drawn = prob._draw(handle)
+        drawn = prob.draw(handle)
         whole = SampleHandle(11, 0, handle.start, batch).generator().integers(
             0, N, size=batch)
         if batch == 1:
@@ -491,7 +492,7 @@ def test_isotonic_batch_gradient_bitwise_equals_reference(N):
         rows = SampleHandle(12, 0, handle.start, batch).generator().integers(
             0, N, size=batch)
         want = _reference_isotonic_gradient(prob, x, rows, _counted(N, batch))
-        assert np.array_equal(prob.batch_gradient(x, handle), want), batch
+        assert np.array_equal(prob.batch_gradient(x, prob.draw(handle)), want), batch
 
 
 @pytest.mark.parametrize("case", _row_problems(), ids=lambda c: c[0])
@@ -518,7 +519,7 @@ def test_counted_gradient_matches_the_gathered_and_the_exact_mean(case, N):
             terms = prob.p * prob.A[rows] * (prob.A[rows] @ x - prob.b[rows])[:, None]
         exact = (gathered - terms.mean(axis=0)
                  + np.array([math.fsum(col) for col in terms.T]) / batch)
-        got = prob.batch_gradient(x, handle)
+        got = prob.batch_gradient(x, prob.draw(handle))
         size = np.linalg.norm(gathered)
         assert np.linalg.norm(got - exact) <= 1e-14 * size
         if batch <= 5 * N + 1:
@@ -538,7 +539,7 @@ def test_large_row_draw_and_gradient_memory_is_bounded(kind):
     handle = RngStream(3, 0).next_handle(20_000)
     tracemalloc.start()
     try:
-        prob.batch_gradient(x, handle)
+        prob.batch_gradient(x, prob.draw(handle))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -691,7 +692,7 @@ def test_isotonic_zero_gradient_at_consistent_feasible_point():
     A = gen.standard_normal((12, 6))
     x_feasible = np.sort(gen.standard_normal(6))
     prob = IsotonicLasso(A, A @ x_feasible, eta=1e-2)
-    g = prob.batch_gradient(x_feasible, RngStream(0, 0).next_handle(12))
+    g = prob.batch_gradient(x_feasible, prob.draw(RngStream(0, 0).next_handle(12)))
     assert np.allclose(g, 0.0, atol=1e-10)
 
 
@@ -730,7 +731,7 @@ def test_l1_location_smoothed_gradient_unbiased_for_large_batch():
     center = np.zeros(4)
     prob = L1LocationProblem(center, noise_half_width=1.0)
     x = np.array([0.3, -0.2, 0.1, 0.6])
-    g = prob.batch_gradient(x, RngStream(1, 0).next_handle(200_000), 0.05)
+    g = prob.batch_gradient(x, prob.draw(RngStream(1, 0).next_handle(200_000)), 0.05)
     # d inside the noise band: E huber'(d - u) -> d/w for small eta
     assert np.allclose(g, x / 1.0, atol=0.02)
 
@@ -782,7 +783,7 @@ def test_lewis_overton_problem_interface():
     prob = LewisOvertonProblem(eta=0.05)
     assert np.allclose(prob.meta.x_star, LEWIS_OVERTON_OPT)
     h = RngStream(0, 0).next_handle(3)
-    g = prob.batch_gradient(np.array([1.0, 1.0]), h)
+    g = prob.batch_gradient(np.array([1.0, 1.0]), prob.draw(h))
     assert np.all(np.isfinite(g))
 
 
@@ -803,63 +804,59 @@ def test_composite_envelope_gradient_fixed_point():
     # at the envelope's stationary point the prox returns x itself;
     # here just check consistency: grad = (x - prox)/eta with prox feasible
     x = np.array([1.0, -0.5, 0.2, 0.0, 2.0])
-    g = prob.batch_gradient(x, handle, 0.2)
+    g = prob.batch_gradient(x, prob.draw(handle), 0.2)
     assert np.all(np.isfinite(g))
     assert prob.true_value(x) == pytest.approx(
         quad.true_value(x) + 0.3 * np.sum(np.abs(x)))
 
 
-# --- one-slot batch cache ------------------------------------------------------
+# --- the draw contract --------------------------------------------------------
 
-def _slot_cases():
-    """(label, factory, oracle(problem, x, handle)) for every cached draw."""
+def _draw_cases():
+    """(label, factory, oracle(problem, x, batch)) for every problem's draw."""
     logistic = lambda: make_synthetic_sparse_logistic(
         6, 40, RngStream(2, 1), density=0.3, lambda_l1=0.1,
         l1_smoothing="huber")[0]
     quad = lambda: quad_make(6, 10.0, "SC", RngStream(1, 1))
     return [
-        ("quad_gradient", quad, lambda p, x, h: p.batch_gradient(x, h)),
-        ("quad_value", quad, lambda p, x, h: np.array([p.frozen_batch(h).value(x)])),
-        ("quad_frozen", quad, lambda p, x, h: p.frozen_batch(h).grad(x)),
-        ("logistic", logistic, lambda p, x, h: p.batch_gradient(x, h)),
-        ("logistic_smoothed", logistic,
-         lambda p, x, h: p.batch_gradient(x, h, 0.05)),
+        ("quad_gradient", quad, lambda p, x, b: p.batch_gradient(x, b)),
+        ("quad_value", quad, lambda p, x, b: np.array([p.frozen_batch(b).value(x)])),
+        ("quad_frozen", quad, lambda p, x, b: p.frozen_batch(b).grad(x)),
+        ("logistic", logistic, lambda p, x, b: p.batch_gradient(x, b)),
+        ("logistic_smoothed", logistic, lambda p, x, b: p.batch_gradient(x, b, 0.05)),
         ("isotonic", lambda: make_isotonic(6, 12, RngStream(3, 1)),
-         lambda p, x, h: p.batch_gradient(x, h)),
+         lambda p, x, b: p.batch_gradient(x, b)),
         ("l1_location", lambda: L1LocationProblem(np.linspace(-1, 1, 6)),
-         lambda p, x, h: p.batch_gradient(x, h, 0.2)),
+         lambda p, x, b: p.batch_gradient(x, b, 0.2)),
         ("composite", lambda: CompositeProblem(L1Function(0.5), quad()),
-         lambda p, x, h: p.batch_gradient(x, h, 0.1)),
+         lambda p, x, b: p.batch_gradient(x, b, 0.1)),
+        ("lewis_overton", LewisOvertonProblem,
+         lambda p, x, b: p.batch_gradient(x[:2], b)),
     ]
 
 
-@pytest.mark.parametrize("case", _slot_cases(), ids=lambda c: c[0])
-def test_batch_slot_never_serves_a_stale_batch(case):
+@pytest.mark.parametrize("case", _draw_cases(), ids=lambda c: c[0])
+def test_a_drawn_batch_is_a_pure_function_of_its_handle(case):
+    # a held batch answers as a fresh draw of its handle does, after another
+    # handle was drawn too; a problem that draws nothing returns None
     _, factory, oracle = case
     stream = RngStream(9, 0)
     a, b = stream.next_handle(5), stream.next_handle(5)
     x, z = np.linspace(-1.0, 2.0, 6), np.linspace(0.5, -0.5, 6)
     problem = factory()
-    seen = [oracle(problem, x, a), oracle(problem, z, b), oracle(problem, z, a)]
-    fresh = [oracle(factory(), x, a), oracle(factory(), z, b),
-             oracle(factory(), z, a)]
-    for got, want in zip(seen, fresh):
+    assert isinstance(problem, StochasticProblem)
+    batch_a, batch_b = problem.draw(a), problem.draw(b)
+    seen = [oracle(problem, x, batch_a), oracle(problem, z, batch_b),
+            oracle(problem, z, batch_a)]
+
+    def fresh(point, handle):
+        other = factory()
+        return oracle(other, point, other.draw(handle))
+
+    for got, want in zip(seen, [fresh(x, a), fresh(z, b), fresh(z, a)]):
         assert np.array_equal(got, want)
-    assert not np.array_equal(seen[1], seen[2])
-
-
-@pytest.mark.parametrize("case", _slot_cases(), ids=lambda c: c[0])
-def test_batch_slot_keys_on_handle_value(case, monkeypatch):
-    _, factory, oracle = case
-    problem = factory()
-    calls = []
-    original = SampleHandle.generator
-    monkeypatch.setattr(SampleHandle, "generator",
-                        lambda h: calls.append(h) or original(h))
-    x = np.linspace(-1.0, 2.0, 6)
-    first = oracle(problem, x, SampleHandle(4, 0, 10, 5))
-    again = oracle(problem, 2.0 * x, SampleHandle(4, 0, 10, 5))  # equal, not same
-    assert len(calls) == 1
-    assert np.array_equal(again, oracle(factory(), 2.0 * x, SampleHandle(4, 0, 10, 5)))
-    assert not np.array_equal(first, again)
+    if batch_a is None:
+        assert batch_b is None and np.array_equal(seen[1], seen[2])
+    else:
+        assert not np.array_equal(seen[1], seen[2])
 

@@ -156,7 +156,7 @@ def _l1_quadratic_batch(n, kappa, seed, batch):
     """An l1 weight in [0.1, 1] and one frozen batch of a noisy quadratic."""
     quad = quad_make(n, kappa, "SC", RngStream(seed, 1), noise_half_width=0.5)
     lam = 0.1 + 0.9 * np.random.default_rng(seed).random()
-    return quad, lam, quad.frozen_batch(RngStream(seed, 0).next_handle(batch))
+    return quad, lam, quad.frozen_batch(quad.draw(RngStream(seed, 0).next_handle(batch)))
 
 
 @pytest.mark.parametrize("n", [2, 10, 30])
@@ -309,7 +309,8 @@ def test_inner_prox_takes_at_most_3_5_gradients_a_call():
             x_star = mean.prox(x_star, eta)
         stream, gen = RngStream(seed, 0), np.random.default_rng(seed)
         for k in range(0, 40, 4):
-            bf = quad.frozen_batch(stream.next_handle(math.ceil(2 * 0.9 ** -k)))
+            handle = stream.next_handle(math.ceil(2 * 0.9 ** -k))
+            bf = quad.frozen_batch(quad.draw(handle))
 
             def counted(u, grad=bf.grad):
                 nonlocal calls

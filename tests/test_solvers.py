@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -13,7 +14,6 @@ from vsqn.core import (
     RngStream,
     SampleHandle,
     ScalarSchedule,
-    evaluate_on_handle,
 )
 from vsqn.harness import cli
 from vsqn.harness.config import PROBLEM_KINDS, build_problem, config_from_keys
@@ -21,6 +21,7 @@ from vsqn.harness.logs import read_csv, read_summary
 from vsqn.harness.presets import preset_cells
 from vsqn.hessian import LbfgsMemory, collect_pair
 from vsqn.problems import (
+    _DRAW_CHUNK,
     CompositeProblem,
     L1LocationProblem,
     LewisOvertonProblem,
@@ -201,8 +202,8 @@ def test_an_overflowing_iterate_ends_the_run_diverged_without_a_warning():
 
 
 class _NaNComposite(CompositeProblem):
-    def batch_gradient(self, x, handle, eta):
-        return super().batch_gradient(x, handle, eta) + np.nan
+    def batch_gradient(self, x, batch, eta):
+        return super().batch_gradient(x, batch, eta) + np.nan
 
 
 def test_a_non_finite_envelope_gradient_ends_the_run_diverged():
@@ -215,13 +216,16 @@ def test_a_non_finite_envelope_gradient_ends_the_run_diverged():
 
 
 class _GradientOf:
-    """A problem whose batch gradient is ``grad(x)``, whatever the batch."""
+    """A problem whose batch gradient is ``grad(x)``; it draws nothing."""
 
     def __init__(self, n, grad):
         self.meta = ProblemMeta(n=n)
         self.grad = grad
 
-    def batch_gradient(self, x, handle):
+    def draw(self, handle):
+        return None
+
+    def batch_gradient(self, x, batch):
         return self.grad(x)
 
 
@@ -382,7 +386,7 @@ def test_update_rule_fidelity_bitwise():
         mem = LbfgsMemory(3)
         for pair in before["pairs"]:
             mem.push(pair)
-        g = evaluate_on_handle(prob, before["x"], before["handle"])
+        g = prob.batch_gradient(before["x"], prob.draw(before["handle"]))
         x_next = before["x"] - before["gamma"] * mem.apply(g)
         assert np.array_equal(x_next, after["x"])
 
@@ -555,12 +559,12 @@ class _AdditiveNoiseQuadratic:
         self.sigma = sigma
         self.meta = base.meta
 
-    def _noise(self, handle):
+    def draw(self, handle):
         gen = handle.generator()
         return gen.standard_normal((handle.batch, self.meta.n))
 
-    def batch_gradient(self, x, handle):
-        extra = self.sigma * self._noise(handle).mean(axis=0)
+    def batch_gradient(self, x, noise):
+        extra = self.sigma * noise.mean(axis=0)
         return self.base.true_gradient(x) + extra
 
     def true_value(self, x):
@@ -609,7 +613,7 @@ def _apg_reference(problem, x0, batch, seed, horizon, beta_at):
     rng = RngStream(seed, stream_id=0)
     step_norms = []
     for k in range(horizon):
-        g = problem.batch_gradient(x, rng.next_handle(batch.eval(k)))
+        g = problem.batch_gradient(x, problem.draw(rng.next_handle(batch.eval(k))))
         z_next = x - gamma * g
         step_norms.append(float(np.linalg.norm(gamma * g)))
         x = z_next + beta_at(k) * (z_next - z)
@@ -719,8 +723,12 @@ NO_REUSE = {"svs_sqn_diminishing", "rsvs_sqn_delta_lt_1"}
 
 
 def _fresh_gradient(factory, x, handle, level):
-    """Batch gradient on a newly built instance, which holds no cached batch."""
-    return evaluate_on_handle(factory(), x, handle, eta=level)
+    """Batch gradient on a fresh draw of the handle by a newly built instance."""
+    problem = factory()
+    batch = problem.draw(handle)
+    if level is None:
+        return problem.batch_gradient(x, batch)
+    return problem.batch_gradient(x, batch, level)
 
 
 @pytest.mark.parametrize("case", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
@@ -765,6 +773,47 @@ def test_one_generator_call_per_handle(case, monkeypatch):
     assert set(calls.values()) == {1}, label
 
 
+class _Held:
+    """One draw of ``_WeaklyHeld``: a fresh object around the base draw."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+
+class _WeaklyHeld:
+    """A problem that keeps only weak references to its draws and, at each
+    draw, counts how many of the earlier ones are still alive."""
+
+    def __init__(self, base):
+        self.base = base
+        self.meta = base.meta
+        self.held = []
+        self.live_at_draw = []
+
+    def draw(self, handle):
+        self.live_at_draw.append(sum(ref() is not None for ref in self.held))
+        batch = _Held(self.base.draw(handle))
+        self.held.append(weakref.ref(batch))
+        return batch
+
+    def batch_gradient(self, x, held, *eta):
+        return self.base.batch_gradient(x, held.batch, *eta)
+
+
+@pytest.mark.parametrize("case", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
+def test_at_most_one_draw_is_live(case):
+    # the loop lets go of the previous step's batch before each draw, under
+    # every name it had, the pair's two evaluations on it included; these
+    # batches stay under one chunk, so the stream memo keeps none of them
+    label, factory, cfg, _ = case
+    problem = _WeaklyHeld(factory())
+    res = run(problem, cfg)
+    assert all(b * problem.meta.n < _DRAW_CHUNK
+               for b in map(cfg.batch.eval, range(cfg.horizon + 1))), label
+    assert res.extras["pairs_formed"] >= 3, label
+    assert problem.live_at_draw == [0] * (len(res.records) - 1), label
+
+
 def test_record_norm_equals_numpy_norm_bitwise():
     gen = np.random.default_rng(3)
     for n in (1, 2, 6, 500, 5000):
@@ -786,14 +835,17 @@ def test_rounding_scale_steps_skip_pairs_and_count_them():
 
 
 class _GradientOnly:
-    """The minimal oracle: meta plus batch_gradient, nothing else."""
+    """The minimal oracle: meta, draw and batch_gradient, nothing else."""
 
     def __init__(self, base):
         self.base = base
         self.meta = base.meta
 
-    def batch_gradient(self, x, handle):
-        return self.base.batch_gradient(x, handle)
+    def draw(self, handle):
+        return self.base.draw(handle)
+
+    def batch_gradient(self, x, batch):
+        return self.base.batch_gradient(x, batch)
 
 
 def test_problem_with_only_batch_gradient_runs():
