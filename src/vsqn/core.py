@@ -66,7 +66,9 @@ class ProblemMeta:
 
     An optional field is None when the problem does not state it; a
     scheme whose default needs a missing constant raises ConfigError
-    unless the config sets that default itself.
+    unless the config sets that default itself.  A "moreau" problem
+    states tau and lipschitz_L for every sample function, not only for
+    their mean: svs_sqn_moreau's eta cap and theorem step need them so.
     """
 
     n: int
@@ -210,14 +212,14 @@ class SampleHandle:
     block computed for its consecutive starts, so such a draw may skip
     ``generator()`` altogether.
 
-    Handles are frozen and compare by value (the stream takes no part), so
-    a memo may key on them.  A problem's ``draw`` reduces a handle to its
-    batch (row indices, mean noise factors, a frozen batch function) and
-    the solver loop holds that batch for the pair after it, so a run draws
-    each handle once.  A quadratic's draw, ``problems._noise_factors``, is
-    also memoized across runs for the most recent (seed, stream_id), so a
-    run that replays that stream draws none of its costly batches
-    (``problems._StreamMemo``).
+    Handles are frozen and compare by value (the stream takes no part).  A
+    problem's ``draw`` reduces a handle to its batch (row indices or
+    counts, mean noise factors, a composite frozen on them) and the solver
+    loop holds that batch for the pair after it, so a run draws each handle
+    once.  A quadratic's draw, ``problems._noise_factors``, is also
+    memoized across runs for the most recent (seed, stream_id), keyed on
+    (start, batch, n, noise), so a run that replays that stream draws none
+    of its costly batches (``problems._StreamMemo``).
 
     A problem must consume the generator with a fixed recipe (same calls,
     same shapes) for a given batch size; the recipe may not depend on the
@@ -335,13 +337,14 @@ class StochasticProblem(Protocol):
     whatever the gradient needs of them (None when it draws nothing).
     ``batch_gradient`` returns their average gradient, each smoothed at
     level ``eta`` (None: unsmoothed), as a pure function of (x, batch, eta),
-    so the caller may evaluate one batch at several points.
-    ``meta.smoothing`` declares the levels it takes: None, eta must be None
-    (the call may take two arguments); "smoothable", None or eta; "moreau",
-    eta only (the gradient of the eta-Moreau envelope of the whole
-    sample-average function).  The batch gradient is the only gradient a
-    problem computes on a batch; the problems that take outside data reject
-    non-finite values at construction.
+    so the caller may evaluate one batch at several points.  The solver
+    loop always calls it with all three, eta None where it smooths nothing.
+    ``meta.smoothing`` declares the levels it takes: None, eta is None;
+    "smoothable", None or eta; "moreau", eta only (the gradient of the
+    eta-Moreau envelope of the whole sample-average function).  The batch
+    gradient is the only gradient a problem computes on a batch; the
+    problems that take outside data reject non-finite values at
+    construction.
     """
 
     meta: ProblemMeta

@@ -194,7 +194,7 @@ class ExperimentConfig:
     sparsity_threshold: Optional[float] = None
 
     def __post_init__(self):
-        if self.name in (".", "..") or os.path.basename(self.name) != self.name:
+        if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name:
             raise ConfigError("name", f"must be a plain file stem, got {self.name!r}")
         if self.problem_kind not in PROBLEM_KINDS:
             raise ConfigError("problem", f"unknown problem kind "

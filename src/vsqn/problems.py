@@ -5,7 +5,10 @@ benchmark with a known optimum, and a sparse text dataset loader.
 
 Every problem answers ``draw(handle)``, the reduced draw of one batch,
 and ``batch_gradient(x, batch, eta)`` on it, at the smoothing levels its
-``meta.smoothing`` declares (``core.StochasticProblem``).  All draws take
+``meta.smoothing`` declares (``core.StochasticProblem``); one that smooths
+nothing takes eta and never reads it.  A composite's draw is the
+sample-average composite frozen on the batch
+(``QuadraticEnsemble.frozen_batch``).  All draws take
 their randomness from a replayable SampleHandle and reduce in fixed index
 order, so replays are bit-identical (a quadratic's noise draw is an exact
 integer sum, which has no order).  The solver loop holds the draw of the
@@ -25,8 +28,7 @@ O(N + n) memory whatever the batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,22 +39,6 @@ from .smoothing import (
     huber_l1_grad,
     lse_smooth_max,
 )
-
-
-@dataclass
-class BatchFunction:
-    """A batch-average function frozen on one drawn batch; ``lipschitz_L``
-    is its own gradient Lipschitz constant (a quadratic's largest
-    eigenvalue), which an inner solver's step must not pass.  ``hessian``
-    is its constant Hessian when it is a quadratic, else None; with it the
-    inner prox solve on an l1 term ends in one exact Newton step on the
-    support, which it returns only after an inner KKT test passes, and goes
-    on with its momentum loop otherwise (``CompositeProxFunction``)."""
-
-    grad: Callable[[Array], Array]
-    value: Optional[Callable[[Array], float]]
-    lipschitz_L: float
-    hessian: Optional[Array] = None
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +208,22 @@ class QuadraticEnsemble:
     def draw(self, handle: SampleHandle) -> Array:
         return _STREAM_MEMO.recall(handle, self.eigs.size, self.noise)
 
-    def batch_gradient(self, x: Array, mean_factors: Array) -> Array:
+    def batch_gradient(self, x: Array, mean_factors: Array,
+                       eta: Optional[float] = None) -> Array:
+        """eta is taken and never read: ``meta.smoothing`` is None, so no
+        scheme passes a level."""
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
         return self.frame @ (self.eigs * mean_factors * w)
 
-    def frozen_batch(self, mean_factors: Array) -> BatchFunction:
-        """The batch mean as Q = V diag(scaled) V' and c = Q x_true, built
-        once a batch from its drawn factors, so a gradient is one product,
-        Q u - c, and Q is the Hessian.  The noise factors reorder the
-        eigenvalues: L is the largest scaled one."""
+    def frozen_batch(self, mean_factors: Array, h) -> CompositeProxFunction:
+        """h plus the batch mean, the mean as Q = V diag(scaled) V' and
+        c = Q x_true, built once a batch from its drawn factors, so a
+        gradient is one product, Q u - c.  The noise factors reorder the
+        eigenvalues: its ``lipschitz_L`` is the largest scaled one, which
+        the inner prox solve's step must not pass.  Q is its ``hessian``:
+        with it the prox of an l1 term ends in one exact Newton step on the
+        support, which it returns only after an inner KKT test passes, and
+        goes on with its momentum loop otherwise (``CompositeProxFunction``)."""
         scaled = self.eigs * mean_factors
         Q = (self.frame * scaled) @ self.frame.T
         c = Q @ self.x_true
@@ -242,7 +235,7 @@ class QuadraticEnsemble:
             d = np.asarray(u, float) - self.x_true
             return 0.5 * float(d @ (Q @ d))
 
-        return BatchFunction(grad, value, float(scaled.max()), Q)
+        return CompositeProxFunction(h, value, grad, float(scaled.max()), Q)
 
     def true_gradient(self, x: Array) -> Array:
         w = self.frame.T @ (np.asarray(x, float) - self.x_true)
@@ -723,35 +716,26 @@ class LewisOvertonProblem:
 
 
 class CompositeProblem:
-    """h + E[F(., w)] with h prox-friendly and F smooth and strongly convex
-    per sample; envelope gradients of the sample-average composite are
-    computed through an inner prox solve on the frozen batch."""
+    """h + E[F(., w)] with h prox-friendly and F a ``QuadraticEnsemble``,
+    smooth and strongly convex per sample; envelope gradients of the
+    sample-average composite are computed through an inner prox solve on
+    the frozen batch.  Its meta states F's per-sample constants, a modulus
+    and a bound that hold for every sampled composite (``ProblemMeta``)."""
 
-    def __init__(self, h, smooth):
+    def __init__(self, h, smooth: QuadraticEnsemble):
         self.h = h
         self.smooth = smooth
-        base = smooth.meta
         self.meta = ProblemMeta(
-            n=base.n,
-            tau=base.tau,
-            lipschitz_L=base.lipschitz_L,
+            n=smooth.meta.n,
+            tau=smooth.sample_tau,
+            lipschitz_L=smooth.sample_L,
             smoothing="moreau",
         )
-
-    @property
-    def sample_tau(self):
-        return getattr(self.smooth, "sample_tau", self.smooth.meta.tau)
-
-    @property
-    def sample_L(self):
-        return getattr(self.smooth, "sample_L", self.smooth.meta.lipschitz_L)
 
     def draw(self, handle: SampleHandle) -> CompositeProxFunction:
         """The sample-average composite frozen on the batch, so its Q, and
         the Q + I/eta its prox forms once per eta, are built once a draw."""
-        bf = self.smooth.frozen_batch(self.smooth.draw(handle))
-        return CompositeProxFunction(self.h, bf.value, bf.grad, bf.lipschitz_L,
-                                     bf.hessian)
+        return self.smooth.frozen_batch(self.smooth.draw(handle), self.h)
 
     def batch_gradient(self, x: Array, composite: CompositeProxFunction,
                        eta: float) -> Array:

@@ -365,13 +365,12 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
                 if _norm(x - x_prev) > 1e-13 * (1.0 + _norm(x)):
                     eta = plan.level(k)
                     level = None if eta is None else eta ** plan.delta
-                    at = () if level is None else (level,)
-                    g_hi = problem.batch_gradient(x, batch_prev, *at)
+                    g_hi = problem.batch_gradient(x, batch_prev, level)
                     if level == level_prev:
                         g_lo = g_prev
                         counters["pair_grads_reused"] += 1
                     else:
-                        g_lo = problem.batch_gradient(x_prev, batch_prev, *at)
+                        g_lo = problem.batch_gradient(x_prev, batch_prev, level)
                     grad_evals += 2 * n_prev
                     mem.push(collect_pair(
                         x, x_prev, g_hi, g_lo, k,
@@ -389,8 +388,7 @@ def _qn_loop(problem, config: SolverConfig, plan: _Plan) -> RunResult:
             prev = batch = batch_prev = None
             batch = problem.draw(handle)
             level = plan.level(k)
-            at = () if level is None else (level,)  # unsmoothed: a two-argument call
-            raw = problem.batch_gradient(x, batch, *at)
+            raw = problem.batch_gradient(x, batch, level)
             g = raw if plan.mu is None else raw + plan.mu(k) * (x - x0)
             samples += n_k
             grad_evals += n_k
@@ -512,12 +510,10 @@ def _plan_vs_sqn(problem, config: SolverConfig) -> _Plan:
 
 def _plan_svs_moreau(problem, config: SolverConfig) -> _Plan:
     meta = problem.meta
-    tau = getattr(problem, "sample_tau", None) or meta.tau
-    L = getattr(problem, "sample_L", None) or meta.lipschitz_L
+    n, tau, L = meta.n, meta.tau, meta.lipschitz_L
     if tau is None or L is None:
         raise ConfigError("scheme", "svs_sqn_moreau bounds eta by tau and "
                                     "lipschitz_L; this problem lacks one")
-    n = meta.n
     cap = min(2.0 / L, (4.0 * (n + 1) ** 2 / tau**2) ** (1.0 / 3.0))
     eta = 0.99 * cap if config.eta is None else config.eta
     if eta > cap:

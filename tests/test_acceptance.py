@@ -135,7 +135,7 @@ def test_criterion_2_eigenvalue_certificates():
                 grad = lambda x, b, i: prob.batch_gradient(x, b, eta)
                 mem = random_walk_pairs(prob, gen, rng, m + 2, grad, m=m)
                 bounds = theoretical_bounds(regime, m=m, n=n, eta_k=eta,
-                                            tau=prob.sample_tau)
+                                            tau=prob.meta.tau)
             elif regime == "C-smooth":
                 prob = quad_make(n, float(gen.uniform(2, 30)), "C",
                                  RngStream(seed, 1), 0.3)

@@ -26,8 +26,8 @@ ALLOWED = {
     "indicator_smooth": "indicator smoothing gradient certificate (criterion 4)",
     "check_smoothing_chain": "smoothing chain inequality certificate (criterion 5)",
     "StochasticProblem": "the one oracle contract, draw(handle) then "
-                         "batch_gradient(x, batch, eta), and the meta.smoothing "
-                         "levels, written as a Protocol",
+                         "batch_gradient(x, batch, eta) in one call shape, and "
+                         "the meta.smoothing levels, written as a Protocol",
 }
 
 # Members no src code reads, kept on purpose ("Class.name").

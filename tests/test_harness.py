@@ -353,6 +353,8 @@ CONFIG_FAULTS = [
            "plain file stem"),
     _fault("name_subdir", f"{_QSC} scheme=sgd horizon=5 name=a/b", "name",
            "plain file stem"),
+    _fault("name_empty", f"{_QSC} scheme=sgd horizon=5 name=", "name",
+           "plain file stem"),
     _fault("unknown_scheme", f"{_QSC} scheme=sorcery budget=10", "scheme"),
     _fault("scheme_unfit", "problem=l1_quadratic scheme=vs_sqn horizon=10", "scheme"),
     *(_fault(f"removed_{key}", f"{_QSC} scheme=sgd budget=100 {key}={value}", key)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vsqn import problems
 from vsqn.core import (BatchSchedule, RngStream, SampleHandle, ScalarSchedule,
                        StochasticProblem)
 from vsqn.harness.checks import fd_check
@@ -87,9 +89,10 @@ def test_quad_noise_variance_scales_inversely_with_batch():
 def test_quad_frozen_batch_consistent():
     prob = quad_make(5, 12.0, "SC", RngStream(8, 1), noise_half_width=0.5)
     factors = prob.draw(RngStream(9, 0).next_handle(20))
-    frozen = prob.frozen_batch(factors)
+    frozen = prob.frozen_batch(factors, L1Function(0.5))
     x = np.array([0.5, -1.0, 2.0, 0.0, 1.0])
-    assert np.allclose(frozen.grad(x), prob.batch_gradient(x, factors), atol=1e-12)
+    assert np.allclose(frozen.smooth_grad(x), prob.batch_gradient(x, factors),
+                       atol=1e-12)
     assert 0 < frozen.lipschitz_L <= prob.sample_L
 
 
@@ -104,7 +107,8 @@ def test_quad_frozen_batch_reports_its_largest_eigenvalue():
         hessian = np.array([prob.batch_gradient(prob.x_true + e, factors)
                             for e in np.eye(10)])
         top = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))[-1]
-        assert prob.frozen_batch(factors).lipschitz_L == pytest.approx(top, rel=1e-12), k
+        frozen = prob.frozen_batch(factors, L1Function(0.5))
+        assert frozen.lipschitz_L == pytest.approx(top, rel=1e-12), k
 
 
 def test_quad_rejects_bad_arguments():
@@ -820,8 +824,10 @@ def _draw_cases():
     quad = lambda: quad_make(6, 10.0, "SC", RngStream(1, 1))
     return [
         ("quad_gradient", quad, lambda p, x, b: p.batch_gradient(x, b)),
-        ("quad_value", quad, lambda p, x, b: np.array([p.frozen_batch(b).value(x)])),
-        ("quad_frozen", quad, lambda p, x, b: p.frozen_batch(b).grad(x)),
+        ("quad_value", quad,
+         lambda p, x, b: np.array([p.frozen_batch(b, L1Function(0.5)).smooth_value(x)])),
+        ("quad_frozen", quad,
+         lambda p, x, b: p.frozen_batch(b, L1Function(0.5)).smooth_grad(x)),
         ("logistic", logistic, lambda p, x, b: p.batch_gradient(x, b)),
         ("logistic_smoothed", logistic, lambda p, x, b: p.batch_gradient(x, b, 0.05)),
         ("isotonic", lambda: make_isotonic(6, 12, RngStream(3, 1)),
@@ -833,6 +839,19 @@ def _draw_cases():
         ("lewis_overton", LewisOvertonProblem,
          lambda p, x, b: p.batch_gradient(x[:2], b)),
     ]
+
+
+def test_every_problem_takes_one_batch_gradient_call_shape():
+    # the solver loop calls batch_gradient(x, batch, eta) on every problem,
+    # eta None where it smooths nothing; the draw table holds every kind
+    kinds = {type(factory()) for _, factory, _ in _draw_cases()}
+    assert kinds == {kind for kind in vars(problems).values()
+                     if isinstance(kind, type) and hasattr(kind, "batch_gradient")}
+    for kind in kinds:
+        params = inspect.signature(kind.batch_gradient).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), kind
+        names = [p.name for p in params]
+        assert len(names) == 4 and names[0] == "self" and names[3] == "eta", kind
 
 
 @pytest.mark.parametrize("case", _draw_cases(), ids=lambda c: c[0])

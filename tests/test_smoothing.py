@@ -153,10 +153,12 @@ def test_inner_prox_solver_budget_error(monkeypatch):
 
 
 def _l1_quadratic_batch(n, kappa, seed, batch):
-    """An l1 weight in [0.1, 1] and one frozen batch of a noisy quadratic."""
+    """An l1 weight in [0.1, 1] and the l1 composite frozen on one batch of
+    a noisy quadratic."""
     quad = quad_make(n, kappa, "SC", RngStream(seed, 1), noise_half_width=0.5)
     lam = 0.1 + 0.9 * np.random.default_rng(seed).random()
-    return quad, lam, quad.frozen_batch(quad.draw(RngStream(seed, 0).next_handle(batch)))
+    batch = quad.draw(RngStream(seed, 0).next_handle(batch))
+    return quad, lam, quad.frozen_batch(batch, L1Function(lam))
 
 
 @pytest.mark.parametrize("n", [2, 10, 30])
@@ -173,9 +175,9 @@ def test_inner_prox_matches_a_long_run_reference(n, eta, finish):
         step = 1.0 / (bf.lipschitz_L + 1.0 / eta)
         ref = x.copy()
         for _ in range(5000):
-            ref = prox_soft_threshold(ref - step * (bf.grad(ref) + (ref - x) / eta),
+            ref = prox_soft_threshold(ref - step * (bf.smooth_grad(ref) + (ref - x) / eta),
                                       step * lam)
-        comp = CompositeProxFunction(L1Function(lam), bf.value, bf.grad,
+        comp = CompositeProxFunction(L1Function(lam), bf.smooth_value, bf.smooth_grad,
                                      bf.lipschitz_L,
                                      hessian=bf.hessian if finish else None)
         u = comp.prox(x, eta)
@@ -195,17 +197,17 @@ def test_inner_prox_finish_meets_the_inner_kkt_conditions(n, eta):
         x = quad.x_true + np.random.default_rng(200 + seed).standard_normal(n)
         seen = []
 
-        def grad(u, grad=bf.grad):
+        def grad(u, grad=bf.smooth_grad):
             seen.append(u)
             return grad(u)
 
-        comp = CompositeProxFunction(L1Function(lam), bf.value, grad,
+        comp = CompositeProxFunction(L1Function(lam), bf.smooth_value, grad,
                                      bf.lipschitz_L, hessian=bf.hessian)
         u = comp.prox(x, eta)
         if u is not seen[-1]:
             continue
         finished += 1
-        r = bf.grad(u) + (u - x) / eta
+        r = bf.smooth_grad(u) + (u - x) / eta
         on = u != 0
         scale = (np.linalg.norm(bf.hessian, 2) * np.linalg.norm(u)
                  + np.linalg.norm(u - x) / eta + lam)
@@ -226,7 +228,7 @@ def test_inner_prox_with_a_wrong_hessian_falls_back_to_the_loop():
         x = quad.x_true + np.random.default_rng(100 + seed).standard_normal(n)
         calls = 0
 
-        def grad(u, grad=bf.grad):
+        def grad(u, grad=bf.smooth_grad):
             nonlocal calls
             calls += 1
             return grad(u)
@@ -234,7 +236,7 @@ def test_inner_prox_with_a_wrong_hessian_falls_back_to_the_loop():
         results = []
         for hessian in (None, bf.hessian + np.eye(n)):
             calls = 0
-            comp = CompositeProxFunction(L1Function(lam), bf.value, grad,
+            comp = CompositeProxFunction(L1Function(lam), bf.smooth_value, grad,
                                          bf.lipschitz_L, hessian=hessian)
             results.append((comp.prox(x, eta), calls))
         (u_loop, loop), (u, wrong) = results
@@ -286,7 +288,7 @@ def test_inner_prox_without_a_usable_hessian_keeps_the_loops_bits():
         quad, lam, bf = _l1_quadratic_batch(10, 10.0, seed, 5)
         x = quad.x_true + np.random.default_rng(300 + seed).standard_normal(10)
         for h, hessian in ((L1Function(lam), None), (_DuckL1(lam), bf.hessian)):
-            comp = CompositeProxFunction(h, bf.value, bf.grad, bf.lipschitz_L,
+            comp = CompositeProxFunction(h, bf.smooth_value, bf.smooth_grad, bf.lipschitz_L,
                                          hessian=hessian)
             for eta in (0.01, 0.1, 1.0):
                 assert np.array_equal(comp.prox(x, eta), _loop_prox(comp, x, eta))
@@ -310,14 +312,14 @@ def test_inner_prox_takes_at_most_3_5_gradients_a_call():
         stream, gen = RngStream(seed, 0), np.random.default_rng(seed)
         for k in range(0, 40, 4):
             handle = stream.next_handle(math.ceil(2 * 0.9 ** -k))
-            bf = quad.frozen_batch(quad.draw(handle))
+            bf = quad.frozen_batch(quad.draw(handle), L1Function(0.5))
 
-            def counted(u, grad=bf.grad):
+            def counted(u, grad=bf.smooth_grad):
                 nonlocal calls
                 calls += 1
                 return grad(u)
 
-            comp = CompositeProxFunction(L1Function(0.5), bf.value, counted,
+            comp = CompositeProxFunction(L1Function(0.5), bf.smooth_value, counted,
                                          bf.lipschitz_L, hessian=bf.hessian)
             comp.prox(x_star + 0.1 * gen.standard_normal(10), eta)
             proxes += 1

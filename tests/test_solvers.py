@@ -225,7 +225,7 @@ class _GradientOf:
     def draw(self, handle):
         return None
 
-    def batch_gradient(self, x, batch):
+    def batch_gradient(self, x, batch, eta=None):
         return self.grad(x)
 
 
@@ -563,7 +563,7 @@ class _AdditiveNoiseQuadratic:
         gen = handle.generator()
         return gen.standard_normal((handle.batch, self.meta.n))
 
-    def batch_gradient(self, x, noise):
+    def batch_gradient(self, x, noise, eta=None):
         extra = self.sigma * noise.mean(axis=0)
         return self.base.true_gradient(x) + extra
 
@@ -725,10 +725,7 @@ NO_REUSE = {"svs_sqn_diminishing", "rsvs_sqn_delta_lt_1"}
 def _fresh_gradient(factory, x, handle, level):
     """Batch gradient on a fresh draw of the handle by a newly built instance."""
     problem = factory()
-    batch = problem.draw(handle)
-    if level is None:
-        return problem.batch_gradient(x, batch)
-    return problem.batch_gradient(x, batch, level)
+    return problem.batch_gradient(x, problem.draw(handle), level)
 
 
 @pytest.mark.parametrize("case", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
@@ -796,8 +793,8 @@ class _WeaklyHeld:
         self.held.append(weakref.ref(batch))
         return batch
 
-    def batch_gradient(self, x, held, *eta):
-        return self.base.batch_gradient(x, held.batch, *eta)
+    def batch_gradient(self, x, held, eta=None):
+        return self.base.batch_gradient(x, held.batch, eta)
 
 
 @pytest.mark.parametrize("case", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
@@ -844,19 +841,33 @@ class _GradientOnly:
     def draw(self, handle):
         return self.base.draw(handle)
 
-    def batch_gradient(self, x, batch):
-        return self.base.batch_gradient(x, batch)
+    def batch_gradient(self, x, batch, eta=None):
+        return self.base.batch_gradient(x, batch, eta)
+
+
+# (label, problem factory, config): every pair case, and svs_sqn_moreau at
+# its default eta and step, which read the composite's constants
+WRAPPER_CASES = [case[:3] for case in PAIR_CASES] + [
+    ("svs_sqn_moreau_defaults",
+     lambda: CompositeProblem(L1Function(0.5), quad_make(10, 10.0, "SC",
+                                                         RngStream(0, 1), 0.5)),
+     SolverConfig("svs_sqn_moreau", m=3, horizon=20,
+                  batch=BatchSchedule("geometric", 2, rate=0.9))),
+]
 
 
 def test_problem_with_only_batch_gradient_runs():
-    prob = _GradientOnly(sc_quad(seed=4))
-    res = run(prob, SolverConfig("vs_sqn", m=2, horizon=10, batch=_grow(),
-                                 step=ScalarSchedule("constant", 0.05), seed=4))
-    assert res.termination == "horizon"
-    assert res.extras["pairs_formed"] == 5
-    assert res.extras["pair_grads_reused"] == 5
-    assert res.records[-1].f_value is None
-    assert np.all(np.isfinite(res.x_final))
+    # a wrapper that forwards meta, draw and batch_gradient alone runs every
+    # scheme as the bare problem does, bit for bit, its theorem step too
+    for label, factory, cfg in WRAPPER_CASES:
+        bare = run(factory(), cfg)
+        res = run(_GradientOnly(factory()), cfg)
+        assert res.termination == bare.termination == "horizon", label
+        assert np.array_equal(res.x_final, bare.x_final), label
+        assert res.theoretical_step == bare.theoretical_step, label
+        assert res.used_step == bare.used_step, label
+        assert res.extras == bare.extras, label
+        assert res.records[-1].f_value is None, label
 
 
 def _record_rows(result):
