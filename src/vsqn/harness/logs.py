@@ -2,8 +2,9 @@
 
 The CSV schema is fixed: one line per record given, in order.  Float cells
 use shortest round-trip formatting so reruns with the same seed are
-byte-identical in single-thread mode (the wall-clock column is exempt from
-that guarantee).
+byte-identical at any CPU count (the wall-clock column is exempt from that
+guarantee), as long as the BLAS runs its matrix products on as many
+threads each time.
 """
 
 from __future__ import annotations

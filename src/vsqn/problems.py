@@ -11,15 +11,16 @@ sample-average composite frozen on the batch
 (``QuadraticEnsemble.frozen_batch``).  All draws take
 their randomness from a replayable SampleHandle and reduce in fixed index
 order, so replays are bit-identical (a quadratic's noise draw is an exact
-integer sum, which has no order).  The solver loop holds the draw of the
-step before, so re-evaluating that batch at another point (a curvature
-pair) draws nothing.  A quadratic's draw, ``_noise_factors``, is a pure
-function of (handle, n, noise), and one module-level memo
-(``_StreamMemo``) keeps its costly results for the most recent sample
-stream: runs on common random numbers, such as the ill-conditioning cells
-of one seed, each build their own problem, and every run after the first
-takes a shared handle's noise factors from the memo, bit for bit, instead
-of drawing them again.
+integer sum, which has no order: a large one is summed as two spans on
+two threads where two CPUs are free, with the bits of the serial sum).
+The solver loop holds the draw of the step before, so re-evaluating that
+batch at another point (a curvature pair) draws nothing.  A quadratic's
+draw, ``_noise_factors``, is a pure function of (handle, n, noise), and
+one module-level memo (``_StreamMemo``) keeps its costly results for the
+most recent sample stream: runs on common random numbers, such as the
+ill-conditioning cells of one seed, each build their own problem, and
+every run after the first takes a shared handle's noise factors from the
+memo, bit for bit, instead of drawing them again.
 The row-sampled problems (logistic, isotonic) hold a batch of at least a
 quarter of their N data rows as per-row draw counts and reduce it in one
 count-weighted pass over the data, so such a draw and its gradient take
@@ -28,6 +29,8 @@ O(N + n) memory whatever the batch size.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -57,6 +60,13 @@ _FOLD = 32
 # past there one count-weighted pass over the N rows is cheaper than
 # gathering the drawn ones (measured on the sparsity and c_smooth data sets)
 _COUNT_FRACTION = 4
+# a quadratic draw of at least this many words (about 0.5 ms) is summed as
+# two spans on two threads when the process may run on two CPUs or more
+_SPLIT_WORDS = 8 * _DRAW_CHUNK
+try:
+    _CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform: serial draws
+    _CPUS = 1
 # bytes of noise factors the stream memo keeps at most (4 MiB); a 2M-sample
 # geometric run at n = 20, as in criterion 10, keeps about 30 KB
 _MEMO_BYTES = 1 << 22
@@ -91,24 +101,15 @@ def _draw_rows(handle: SampleHandle, N: int):
     return _RowCounts(counts, batch)
 
 
-def _noise_factors(handle: SampleHandle, n: int, noise: float) -> Array:
-    """Mean of the batch's n noise factors as ``lo + width * ubar`` (numpy's
-    uniform is ``lo + width * u``) rounded once, ubar the exact mean of the
-    (batch, n) ``gen.random`` doubles u = (r >> 11) 2^-53 of the generator's
-    raw words r.  The numerators r >> 11 are summed exactly in uint64 over
-    chunks of at most _EXACT_ROWS rows and _DRAW_CHUNK words and carried
-    across chunks as a (high, low) word pair; an exact sum has no order to
-    reproduce, so every n streams in O(chunk) memory.
-    """
-    gen = handle.generator()  # at noise 0 too: one generator per handle
-    if noise == 0.0:
-        return np.ones(n)
-    lo = 1.0 - noise
-    width = (1.0 + noise) - lo  # numpy's scale; may differ from 2*noise
+def _numerator_sums(raw_words, batch: int, n: int) -> list:
+    """The n exact column sums, as ints, of the (batch, n) numerators
+    r >> 11 of the next batch * n words of ``raw_words`` (a bit generator's
+    ``random_raw``): summed in uint64 over chunks of at most _EXACT_ROWS
+    rows and _DRAW_CHUNK words, carried across chunks as a (high, low) word
+    pair, so a span of any length streams in O(chunk) memory."""
     rows = max(1, min(_EXACT_ROWS, _DRAW_CHUNK // n))
-    raw_words = gen.bit_generator.random_raw
     high, low = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
-    left = handle.batch
+    left = batch
     while left:
         c = min(left, rows)
         f = _FOLD if c >= _FOLD else 1
@@ -119,9 +120,65 @@ def _noise_factors(handle: SampleHandle, n: int, noise: float) -> Array:
         low += part
         high += low < part  # the carry out of the low word
         left -= c
-    scale = handle.batch << 53  # int / int below is rounded once
-    return np.array([lo + width * (((h << 64) + l) / scale)
-                     for h, l in zip(high.tolist(), low.tolist())])
+    return [(h << 64) + l for h, l in zip(high.tolist(), low.tolist())]
+
+
+def _two_span_sums(bit_generator, batch: int, n: int, split: int) -> list:
+    """``_numerator_sums`` of the batch's rows as two spans: rows [0, split)
+    on a handle's freshly seated ``bit_generator`` (its buffer is empty) in
+    the caller, rows [split, batch) on a second thread, from a Philox of its
+    own advanced to that span's first word (split is a multiple of 4 rows,
+    so the span starts on a whole 4-word block for every n).  A worker's
+    exception is raised here, and the worker has ended when this returns or
+    raises."""
+    state = bit_generator.state["state"]
+    second = np.random.Philox(counter=state["counter"], key=state["key"])
+    second.advance(split * n // 4)
+    out = []
+
+    def span():
+        try:
+            out.append(_numerator_sums(second.random_raw, batch - split, n))
+        except BaseException as exc:
+            out.append(exc)
+
+    worker = threading.Thread(target=span)
+    worker.start()
+    try:
+        head = _numerator_sums(bit_generator.random_raw, split, n)
+    finally:
+        worker.join()
+    tail, = out
+    if isinstance(tail, BaseException):
+        raise tail
+    return [a + b for a, b in zip(head, tail)]
+
+
+def _noise_factors(handle: SampleHandle, n: int, noise: float) -> Array:
+    """Mean of the batch's n noise factors as ``lo + width * ubar`` (numpy's
+    uniform is ``lo + width * u``) rounded once, ubar the exact mean of the
+    (batch, n) ``gen.random`` doubles u = (r >> 11) 2^-53 of the generator's
+    raw words r.  The numerators r >> 11 are summed exactly
+    (``_numerator_sums``); an exact sum has no order to reproduce, so every
+    n streams in O(chunk) memory, and the rows may be summed in any split,
+    on any thread, with the same bits.  A draw of at least _SPLIT_WORDS
+    words on two or more CPUs is summed as two spans at once
+    (``_two_span_sums``): two, because each live span holds a chunk and
+    the memory test admits fewer than four live chunks.
+    """
+    gen = handle.generator()  # at noise 0 too: one generator per handle
+    if noise == 0.0:
+        return np.ones(n)
+    lo = 1.0 - noise
+    width = (1.0 + noise) - lo  # numpy's scale; may differ from 2*noise
+    batch = handle.batch
+    split = (batch // 2) & ~3 if _CPUS > 1 and batch * n >= _SPLIT_WORDS else 0
+    if split:
+        sums = _two_span_sums(gen.bit_generator, batch, n, split)
+    else:
+        sums = _numerator_sums(gen.bit_generator.random_raw, batch, n)
+    scale = batch << 53  # int / int below is rounded once
+    return np.array([lo + width * (s / scale) for s in sums])
 
 
 class _StreamMemo:

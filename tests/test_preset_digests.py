@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from vsqn import problems
 from vsqn.harness.cli import main
 from vsqn.harness.presets import PRESET_NAMES
 
@@ -44,9 +45,10 @@ def runtime() -> dict:
     return {"numpy": np.__version__, "simd_found": _simd_found()}
 
 
-def preset_digests(out_dir: Path) -> dict:
-    """File name -> SHA-256 of every preset output at seed ``SEED``."""
-    for name in PRESET_NAMES:
+def preset_digests(out_dir: Path, names=PRESET_NAMES) -> dict:
+    """File name -> SHA-256 of every output of the presets ``names`` at seed
+    ``SEED``."""
+    for name in names:
         assert main(["run", "--preset", name, "--out", str(out_dir),
                      "--seed", str(SEED)]) == 0
     digests = {}
@@ -70,6 +72,25 @@ def test_preset_outputs_match_their_digests(tmp_path):
     assert sorted(digests) == sorted(manifest["digests"])
     changed = [name for name, d in digests.items() if manifest["digests"][name] != d]
     assert not changed, f"outputs differ from their digests: {changed}"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_split_and_serial_draws_match_the_digests(tmp_path, monkeypatch, cpus):
+    # illcond_sweep is the one preset with quadratic draws large enough to
+    # split; the test above takes the branch of this host's CPU count, this
+    # one both: serial on one CPU, two spans on two
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    if runtime() != {key: manifest[key] for key in runtime()}:
+        pytest.skip("digests taken on another runtime")
+    monkeypatch.setattr(problems, "_CPUS", cpus)
+    # an empty stream memo, or a draw made before is recalled, not drawn
+    monkeypatch.setattr(problems, "_STREAM_MEMO", problems._StreamMemo())
+    spans, calls = problems._two_span_sums, []
+    monkeypatch.setattr(problems, "_two_span_sums",
+                        lambda *args: calls.append(1) or spans(*args))
+    digests = preset_digests(tmp_path, ["illcond_sweep"])
+    assert bool(calls) == (cpus == 2)
+    assert digests == {name: manifest["digests"][name] for name in digests}
 
 
 def digest_changes(old: dict, new: dict) -> list:

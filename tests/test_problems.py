@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import threading
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -28,6 +29,7 @@ from vsqn.problems import (
     _EXACT_ROWS,
     _FOLD,
     _RowCounts,
+    _SPLIT_WORDS,
     _STREAM_MEMO,
     _noise_factors,
     lewis_overton_oracle,
@@ -143,16 +145,67 @@ def _ensemble(n, noise, cls=QuadraticEnsemble):
 def test_quad_streamed_draw_bitwise_equals_whole_batch(noise, n):
     # the width must be numpy's (1 + noise) - (1 - noise): at 0.4 that is
     # 0.7999999999999999, not 2 * 0.4; the batches sit on each side of the
-    # fold, of the 2^11 rows a uint64 sums exactly and of the chunk's rows
+    # fold, of the 2^11 rows a uint64 sums exactly, of the chunk's rows and
+    # of the two-span split (on two CPUs or more): a half of 2 split + 1
+    # rows is no multiple of 4, and 3 split + 7 rows run past several chunks
     rows = _DRAW_CHUNK // n
+    split = -(-_SPLIT_WORDS // n)  # the fewest rows that split
     random_batch = int(np.random.default_rng(n).integers(2, 5 * rows))
     whole = _ensemble(n, noise, _WholeBatchQuadratic)
     for batch in (1, _FOLD - 1, _FOLD, _FOLD + 1, _EXACT_ROWS - 1, _EXACT_ROWS,
                   _EXACT_ROWS + 1, rows - 1, rows, rows + 1, 2 * rows + 3,
-                  random_batch):
+                  random_batch, split - 1, split, split + 1, 4 * split + 2,
+                  3 * split + 7):
         handle = RngStream(7, 0).next_handle(batch)
         got, want = _noise_factors(handle, n, noise), whole.draw(handle)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), batch
+
+
+def _counted_spans(monkeypatch, fail_on=None):
+    """Count ``_numerator_sums`` calls in ``calls``; raise on a worker's call
+    (fail_on "worker") or on the caller's (fail_on "caller")."""
+    calls, spans = [], problems._numerator_sums
+
+    def counted(*args):
+        worker = threading.current_thread() is not threading.main_thread()
+        calls.append(worker)
+        if fail_on == ("worker" if worker else "caller"):
+            raise RuntimeError(f"{fail_on} span")
+        return spans(*args)
+
+    monkeypatch.setattr(problems, "_numerator_sums", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_quad_split_draw_is_bitwise_the_serial_draw(monkeypatch, n):
+    # above the threshold, with a half of 2 split + 3 rows (no multiple of 4)
+    batch = 4 * -(-_SPLIT_WORDS // n) + 6
+    handle = RngStream(11, 2).next_handle(batch)
+    want = _ensemble(n, 0.3, _WholeBatchQuadratic).draw(handle).view(np.uint64)
+    for cpus, spans in ((1, 1), (2, 2), (3, 2)):  # never more than two spans
+        monkeypatch.setattr(problems, "_CPUS", cpus)
+        calls = _counted_spans(monkeypatch)
+        assert np.array_equal(_noise_factors(handle, n, 0.3).view(np.uint64), want)
+        assert len(calls) == spans, cpus
+        monkeypatch.undo()
+    assert batch * n >= _SPLIT_WORDS and (batch // 2) % 4
+
+
+@pytest.mark.parametrize("fail_on", ["worker", "caller"])
+def test_quad_split_draw_raises_a_failed_span(monkeypatch, fail_on):
+    # a failed span is an error, never a mean over the other span's rows;
+    # the worker has ended whether the draw returns or raises
+    monkeypatch.setattr(problems, "_CPUS", 2)
+    handle = RngStream(11, 3).next_handle(2 * _SPLIT_WORDS)
+    threads = threading.active_count()
+    _noise_factors(handle, 1, 0.5)
+    assert threading.active_count() == threads
+    calls = _counted_spans(monkeypatch, fail_on)
+    with pytest.raises(RuntimeError, match=f"{fail_on} span"):
+        _noise_factors(handle, 1, 0.5)
+    assert sorted(calls) == [False, True]
+    assert threading.active_count() == threads
 
 
 def _same_run(a, b):
@@ -187,6 +240,7 @@ def test_quad_streamed_draw_keeps_the_vs_sqn_trajectory(monkeypatch):
 @pytest.mark.parametrize("n", [1, 20])
 def test_quad_draw_memory_is_bounded_by_the_chunk(n):
     handle = RngStream(2, 0).next_handle(400_000)  # 64 MB as one array at n = 20
+    assert handle.batch * n >= _SPLIT_WORDS  # the two-span path on two CPUs
     # a process's first raw draw allocates once, untraced
     _noise_factors(handle, n, 0.5)
     tracemalloc.start()
